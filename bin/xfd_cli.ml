@@ -524,14 +524,6 @@ let lint_cmd =
             "Comma-separated rule ids that must all fire; exit non-zero when any is \
              missing — for CI gating of seeded-bug variants.")
   in
-  let fail_on_finding =
-    Arg.(
-      value & flag
-      & info [ "fail-on-finding" ]
-          ~doc:
-            "Deprecated: findings exit 1 by default now; the flag is accepted and \
-             ignored.")
-  in
   let domain =
     Arg.(
       value & opt string "adr"
@@ -549,8 +541,7 @@ let lint_cmd =
              key as stable / appears / disappears relative to the $(b,--domain) \
              baseline.")
   in
-  let action workload init test patch json triage triage_out expect _fail_on_finding
-      domain diff_domains =
+  let action workload init test patch json triage triage_out expect domain diff_domains =
     let domain =
       match Xfd_trace.Domain_model.of_string domain with
       | Some d -> d
@@ -668,7 +659,7 @@ let lint_cmd =
           on usage errors.")
     Term.(
       const action $ workload $ init $ test $ patch $ json $ triage $ triage_out $ expect
-      $ fail_on_finding $ domain $ diff_domains)
+      $ domain $ diff_domains)
 
 let fuzz_cmd =
   let seed =

@@ -323,14 +323,6 @@ let lint_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the lint report as one JSON object.")
   in
-  let fail_on_finding =
-    Arg.(
-      value & flag
-      & info [ "fail-on-finding" ]
-          ~doc:
-            "Deprecated: findings exit 1 by default now; the flag is accepted and \
-             ignored.")
-  in
   let domain =
     Arg.(
       value & opt string "adr"
@@ -347,7 +339,7 @@ let lint_cmd =
             "Lint the trace under every domain model and classify each finding key as \
              stable / appears / disappears relative to the $(b,--domain) baseline.")
   in
-  let action file json _fail_on_finding domain diff_domains =
+  let action file json domain diff_domains =
     let domain =
       match Xfd_trace.Domain_model.of_string domain with
       | Some d -> d
@@ -385,7 +377,7 @@ let lint_cmd =
          "Statically analyse a recorded pre-failure trace for crash-consistency rule \
           violations — no execution, no replay. Exits 0 when clean, 1 on findings, 2 \
           on usage or IO errors.")
-    Term.(const action $ file $ json $ fail_on_finding $ domain $ diff_domains)
+    Term.(const action $ file $ json $ domain $ diff_domains)
 
 let check_cmd =
   let pre = Arg.(required & opt (some string) None & info [ "pre" ] ~docv:"FILE") in

@@ -70,7 +70,7 @@ let () =
 
   (* 4b. Static analysis: the linter analyses one traced execution with
          zero post-failure replays — eight rules over the per-byte
-         persistence lattice.  Figure 2 is the instructive case: the bug
+         persistence FSM.  Figure 2 is the instructive case: the bug
          writes the *wrong values* through a perfectly persisted flag
          protocol, so the linter (like PMTest) finds nothing — which is
          exactly why lint findings only prioritize failure points and

@@ -33,9 +33,9 @@ let check trace =
         match hit with
         | Track.Tx_unlogged_write { loc; addr; size } ->
           record loc addr size "write inside transaction to object not added to it"
-        | Track.Redundant_flush { loc; line; already = `Pending } ->
+        | Track.Redundant_flush { loc; line; already = Xfd.Pstate.Double_flush } ->
           record loc line Addr.line_size "redundant writeback (line already pending)"
-        | Track.Redundant_flush { already = `Persisted; _ } -> ()
+        | Track.Redundant_flush { already = Xfd.Pstate.Unnecessary_flush; _ } -> ()
         | Track.Duplicate_tx_add { loc; addr; size } ->
           record loc addr size "duplicated TX_ADD for the same object")
       ()

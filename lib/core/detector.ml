@@ -333,11 +333,10 @@ let replay_event t (ev : Event.t) =
     if t.defer_commits then Commit_registry.apply_pending t.registry;
     t.ts <- t.ts + 1
   | Event.Gpf ->
-    (* The barrier only exists under CXL-GPF; elsewhere the instruction is
-       unavailable and the event is inert (a program relying on it is
-       exactly as buggy as one that never flushed). *)
-    if Xfd_trace.Domain_model.equal (Shadow_pm.domain t.shadow) Xfd_trace.Domain_model.Cxl_gpf
-    then begin
+    (* The barrier only exists where the model persists at it; elsewhere
+       the instruction is unavailable and the event is inert (a program
+       relying on it is exactly as buggy as one that never flushed). *)
+    if Pstate.persists_at_gpf (Shadow_pm.domain t.shadow) then begin
       Shadow_pm.gpf t.shadow ~ev:seq;
       if t.defer_commits then Commit_registry.apply_pending t.registry;
       t.ts <- t.ts + 1

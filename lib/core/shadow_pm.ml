@@ -24,29 +24,9 @@ type cell = {
   hist : History.t option;
 }
 
-(* Packed-byte layout on top of {!Xfd_mem.Shadow_pages}: bits 0-2 the
-   Fig. 9 persistence state, [bit_tracked] for every byte the shadow has
-   touched, [bit_pending] mirrors the old writeback-pending set (and the
-   per-page bitmap the fence iterates), [bit_flag_a] =
+(* Packed-byte flags on top of the {!Pstore} layout: [bit_flag_a] =
    allocated-uninitialised, [bit_flag_b] = post-written, [bit_flag_c] =
    captured by the active divergence journal. *)
-let st_unmodified = 0
-let st_modified = 1
-let st_writeback = 2
-let st_persisted = 3
-
-let encode_pstate = function
-  | Pstate.Unmodified -> st_unmodified
-  | Pstate.Modified -> st_modified
-  | Pstate.Writeback_pending -> st_writeback
-  | Pstate.Persisted -> st_persisted
-
-let decode_pstate s =
-  if s = st_modified then Pstate.Modified
-  else if s = st_writeback then Pstate.Writeback_pending
-  else if s = st_persisted then Pstate.Persisted
-  else Pstate.Unmodified
-
 let bit_uninit = Pages.bit_flag_a
 let bit_post = Pages.bit_flag_b
 let bit_journaled = Pages.bit_flag_c
@@ -77,81 +57,44 @@ type div = {
 }
 
 type store = {
-  pages : Pages.t;
-  meta : (int, meta) Hashtbl.t;
-  mutable last_meta : (int * meta) option;
+  ps : meta Pstore.t;
+  pages : Pages.t;  (* [Pstore.pages ps], kept at hand for the hot paths *)
   record_hist : bool;
-  domain : Xfd_trace.Domain_model.t;
   mutable active : div option;
 }
 
 type t = { store : store; div : div option }
 
 let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
-  {
-    store =
-      {
-        pages = Pages.create ();
-        meta = Hashtbl.create 16;
-        last_meta = None;
-        record_hist = forensics;
-        domain;
-        active = None;
-      };
-    div = None;
-  }
+  let ps =
+    Pstore.create ~domain (fun () ->
+        {
+          tlast = Array.make Pages.page_size (-1);
+          writer = Array.make Pages.page_size Loc.unknown;
+          hist = (if forensics then Some (Array.make Pages.page_size None) else None);
+        })
+  in
+  { store = { ps; pages = Pstore.pages ps; record_hist = forensics; active = None }; div = None }
 
-let domain t = t.store.domain
+let domain t = Pstore.domain t.store.ps
 
 let release t =
-  Pages.release t.store.pages;
-  Hashtbl.reset t.store.meta;
-  t.store.last_meta <- None;
+  Pstore.release t.store.ps;
   t.store.active <- None
 
 let is_active store d = match store.active with Some d' -> d' == d | None -> false
 
-let page_index addr = addr lsr 12
-let page_offset addr = addr land 4095
-
-let meta_for store addr =
-  let idx = page_index addr in
-  match store.last_meta with
-  | Some (i, m) when i = idx -> Some m
-  | _ -> (
-    match Hashtbl.find_opt store.meta idx with
-    | Some m ->
-      store.last_meta <- Some (idx, m);
-      Some m
-    | None -> None)
-
-let own_meta store addr =
-  match meta_for store addr with
-  | Some m -> m
-  | None ->
-    let m =
-      {
-        tlast = Array.make Pages.page_size (-1);
-        writer = Array.make Pages.page_size Loc.unknown;
-        hist = (if store.record_hist then Some (Array.make Pages.page_size None) else None);
-      }
-    in
-    let idx = page_index addr in
-    Hashtbl.replace store.meta idx m;
-    store.last_meta <- Some (idx, m);
-    m
-
 let tlast_of store addr =
-  match meta_for store addr with None -> -1 | Some m -> m.tlast.(page_offset addr)
+  match Pstore.meta store.ps addr with None -> -1 | Some m -> m.tlast.(Pstore.offset addr)
 
 let writer_of store addr =
-  match meta_for store addr with
+  match Pstore.meta store.ps addr with
   | None -> Loc.unknown
-  | Some m -> m.writer.(page_offset addr)
+  | Some m -> m.writer.(Pstore.offset addr)
 
 let hist_of store addr =
-  match meta_for store addr with
-  | Some { hist = Some rows; _ } -> rows.(page_offset addr)
+  match Pstore.meta store.ps addr with
+  | Some { hist = Some rows; _ } -> rows.(Pstore.offset addr)
   | Some _ | None -> None
 
 (* The provenance history of [addr], created on first use.  Only base
@@ -160,11 +103,11 @@ let hist_of store addr =
 let own_hist store addr =
   if not store.record_hist then None
   else
-    let m = own_meta store addr in
+    let m = Pstore.own_meta store.ps addr in
     match m.hist with
     | None -> None
     | Some rows -> (
-      let off = page_offset addr in
+      let off = Pstore.offset addr in
       match rows.(off) with
       | Some _ as h -> h
       | None ->
@@ -182,9 +125,9 @@ let rewind_div store d =
     (* The captured byte predates the divergence, so it never carries
        [bit_journaled]; restoring it also heals the bitmaps and counts. *)
     Pages.set store.pages addr d.j_packed.(i);
-    match meta_for store addr with
+    match Pstore.meta store.ps addr with
     | Some m ->
-      let off = page_offset addr in
+      let off = Pstore.offset addr in
       m.tlast.(off) <- d.j_tlast.(i);
       m.writer.(off) <- d.j_writer.(i)
     | None -> ()
@@ -261,14 +204,14 @@ let writing_div t =
 (* Reads *)
 
 let cell_of store addr packed =
-  {
-    pstate = decode_pstate (Pages.state_of packed);
-    tlast = tlast_of store addr;
-    writer = writer_of store addr;
-    uninit = Pages.has packed bit_uninit;
-    post_written = Pages.has packed bit_post;
-    hist = hist_of store addr;
-  }
+  let pstate = Pstore.state packed in
+  let uninit = Pages.has packed bit_uninit and post_written = Pages.has packed bit_post in
+  match Pstore.meta store.ps addr with
+  | None -> { pstate; tlast = -1; writer = Loc.unknown; uninit; post_written; hist = None }
+  | Some m ->
+    let off = Pstore.offset addr in
+    let hist = match m.hist with Some rows -> rows.(off) | None -> None in
+    { pstate; tlast = m.tlast.(off); writer = m.writer.(off); uninit; post_written; hist }
 
 let find t addr =
   let store = t.store in
@@ -287,7 +230,7 @@ let find t addr =
         else
           Some
             {
-              pstate = decode_pstate (Pages.state_of old);
+              pstate = Pstore.state old;
               tlast = d.j_tlast.(i);
               writer = d.j_writer.(i);
               uninit = Pages.has old bit_uninit;
@@ -302,12 +245,16 @@ let find t addr =
 
 (* Store a packed byte, journaling the pre-image when a divergence owns
    the handle.  Divergence-written bytes carry [bit_journaled] so capture
-   and base-read resolution stay O(1). *)
+   and base-read resolution stay O(1); a byte the divergence makes
+   writeback-pending joins [pending_post], the set its own fences
+   promote. *)
 let put div store addr ~old packed =
   match div with
   | None -> Pages.set store.pages addr (packed land lnot bit_journaled)
   | Some d ->
     journal d store addr old;
+    if Pages.has packed Pages.bit_pending && not (Pages.has old Pages.bit_pending) then
+      d.pending_post <- addr :: d.pending_post;
     Pages.set store.pages addr (packed lor bit_journaled)
 
 let record_hist div store addr f =
@@ -319,28 +266,18 @@ let write_byte t addr ~ts ~ev ~loc ~nt ~post =
   let store = t.store in
   let div = writing_div t in
   let old = Pages.get store.pages addr in
-  let pst = decode_pstate (Pages.state_of old) in
-  let pst' =
-    if nt then Pstate.on_nt_write_in store.domain pst
-    else Pstate.on_write_in store.domain pst
-  in
+  let domain = Pstore.domain store.ps in
+  let pst = Pstore.state old in
+  let pst' = if nt then Pstate.on_nt_write_in domain pst else Pstate.on_write_in domain pst in
   let pending = Pstate.equal pst' Pstate.Writeback_pending in
   Obs.Counter.incr
     (if pending then c_to_writeback
      else if Pstate.equal pst' Pstate.Persisted then c_to_persisted
      else c_to_modified);
-  let packed =
-    encode_pstate pst' lor Pages.bit_tracked
-    lor (if pending then Pages.bit_pending else 0)
-    lor (if post then bit_post else old land bit_post)
-  in
-  (match div with
-  | Some d when pending && not (Pages.has old Pages.bit_pending) ->
-    d.pending_post <- addr :: d.pending_post
-  | _ -> ());
+  let packed = Pstore.pack pst' lor (if post then bit_post else old land bit_post) in
   put div store addr ~old packed;
-  let m = own_meta store addr in
-  let off = page_offset addr in
+  let m = Pstore.own_meta store.ps addr in
+  let off = Pstore.offset addr in
   m.tlast.(off) <- ts;
   m.writer.(off) <- loc;
   record_hist div store addr (fun h -> History.record_write h ~ev ~nt)
@@ -348,98 +285,41 @@ let write_byte t addr ~ts ~ev ~loc ~nt ~post =
 let flush_line t line ~ev =
   let store = t.store in
   let div = writing_div t in
-  let had_modified = ref false and had_pending = ref false and had_persisted = ref false in
-  (* First pass: only observe, so a wasted flush journals nothing. *)
-  Pages.iter_line store.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then
-        let s = Pages.state_of packed in
-        if s = st_modified then had_modified := true
-        else if s = st_writeback then had_pending := true
-        else if s = st_persisted then had_persisted := true);
-  if !had_modified then begin
-    (* Where a captured byte lands is the model's call: ADR parks it
-       writeback-pending until a fence, CXL-GPF persists it on arrival at
-       the device (eADR never has modified bytes to capture). *)
-    let target = Pstate.on_flush_in store.domain Pstate.Modified in
-    let pending = Pstate.equal target Pstate.Writeback_pending in
-    Addr.iter_bytes line Addr.line_size (fun a ->
-        let old = Pages.get store.pages a in
-        if old <> 0 && Pages.state_of old = st_modified then begin
-          Obs.Counter.incr (if pending then c_to_writeback else c_to_persisted);
-          let packed =
-            if pending then Pages.with_state old st_writeback lor Pages.bit_pending
-            else Pages.with_state old (encode_pstate target) land lnot Pages.bit_pending
-          in
-          (match div with
-          | Some d when pending && not (Pages.has old Pages.bit_pending) ->
-            d.pending_post <- a :: d.pending_post
-          | _ -> ());
-          put div store a ~old packed;
-          record_hist div store a (fun h -> History.record_flush h ~ev)
-        end);
-    `Had_modified
-  end
-  else if !had_pending then `Waste Pstate.Double_flush
-  else if !had_persisted then `Waste Pstate.Unnecessary_flush
-  else `Clean
+  (* Where a captured byte lands is the model's call: ADR parks it
+     writeback-pending until a fence, CXL-GPF persists it on arrival at
+     the device (eADR never has modified bytes to capture). *)
+  Pstore.flush_line store.ps line (fun a ~old packed ->
+      Obs.Counter.incr
+        (if Pages.has packed Pages.bit_pending then c_to_writeback else c_to_persisted);
+      put div store a ~old packed;
+      record_hist div store a (fun h -> History.record_flush h ~ev))
 
-(* Promote one writeback-pending byte at an ordering point. *)
-let promote_byte div store addr ~ev =
-  let old = Pages.get store.pages addr in
-  if Pages.has old Pages.bit_pending then begin
-    if Pages.state_of old = st_writeback then begin
-      Obs.Counter.incr c_to_persisted;
-      record_hist div store addr (fun h -> History.record_fence h ~ev)
-    end;
-    let pst' = Pstate.on_fence (decode_pstate (Pages.state_of old)) in
-    let packed = Pages.with_state old (encode_pstate pst') land lnot Pages.bit_pending in
-    put div store addr ~old packed
-  end
+(* Promotion at an ordering point: the byte persists. *)
+let persisted div store ~ev a ~old packed =
+  Obs.Counter.incr c_to_persisted;
+  put div store a ~old packed;
+  record_hist div store a (fun h -> History.record_fence h ~ev)
+
+(* A divergence's fence or GPF promotes only bytes it made pending itself:
+   base-pending bytes belong to the canonical prefix, and data the crash
+   dropped stays dropped.  Entries whose pending bit was since cleared by
+   an overwrite are skipped. *)
+let promote_own d store ~ev =
+  let mine = List.rev d.pending_post in
+  d.pending_post <- [];
+  Pstore.promote store.ps mine (persisted (Some d) store ~ev)
 
 let fence t ~ev =
   let store = t.store in
   match writing_div t with
-  | None ->
-    (* The base fence walks the per-page pending bitmaps: exactly the old
-       pending set, without touching any other byte. *)
-    List.iter (fun a -> promote_byte None store a ~ev) (Pages.pending_addrs store.pages)
-  | Some d ->
-    (* A divergence fence promotes only bytes it made pending itself;
-       entries whose pending bit was since cleared by an overwrite are
-       skipped, mirroring removal from the old per-layer pending set. *)
-    let mine = List.rev d.pending_post in
-    d.pending_post <- [];
-    List.iter (fun a -> promote_byte (Some d) store a ~ev) mine
+  | None -> Pstore.fence store.ps (persisted None store ~ev)
+  | Some d -> promote_own d store ~ev
 
 let gpf t ~ev =
   let store = t.store in
   match writing_div t with
-  | None ->
-    (* The global persistent flush barrier persists every outstanding byte
-       at once.  Collect targets first, then mutate — [iter_tracked] must
-       not observe its own writes. *)
-    let promote = ref [] in
-    Pages.iter_tracked store.pages (fun a packed ->
-        let s = Pages.state_of packed in
-        if s = st_modified || s = st_writeback then promote := a :: !promote);
-    List.iter
-      (fun a ->
-        let old = Pages.get store.pages a in
-        let s = Pages.state_of old in
-        if s = st_modified || s = st_writeback then begin
-          Obs.Counter.incr c_to_persisted;
-          let packed = Pages.with_state old st_persisted land lnot Pages.bit_pending in
-          put None store a ~old packed;
-          record_hist None store a (fun h -> History.record_fence h ~ev)
-        end)
-      !promote
-  | Some d ->
-    (* A post-failure GPF may only promote what the post-failure run made
-       pending itself: data the crash dropped stays dropped.  (Post-written
-       bytes are readable regardless, so this is exactly the fence rule.) *)
-    let mine = List.rev d.pending_post in
-    d.pending_post <- [];
-    List.iter (fun a -> promote_byte (Some d) store a ~ev) mine
+  | None -> Pstore.gpf store.ps (persisted None store ~ev)
+  | Some d -> promote_own d store ~ev
 
 let mark_alloc_raw t addr size ~ev =
   let store = t.store in
@@ -447,7 +327,7 @@ let mark_alloc_raw t addr size ~ev =
   Addr.iter_bytes addr size (fun a ->
       let old = Pages.get store.pages a in
       Obs.Counter.incr c_to_unmodified;
-      let packed = st_unmodified lor Pages.bit_tracked lor bit_uninit in
+      let packed = Pstore.pack Pstate.Unmodified lor bit_uninit in
       put div store a ~old packed;
       record_hist div store a (fun h -> History.record_alloc h ~ev))
 

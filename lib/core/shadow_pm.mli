@@ -6,10 +6,12 @@
     bug reports), whether the byte is allocated-but-uninitialised, and
     whether the post-failure stage has already overwritten it.
 
-    State lives in flat {!Xfd_mem.Shadow_pages} (one packed byte per
-    tracked PM byte plus per-page pending bitmaps), not in a hash map, so
-    replay is cache-friendly and the fence hot loop touches only pending
-    bytes.
+    State lives in a {!Pstore} (one packed byte per tracked PM byte in
+    flat {!Xfd_mem.Shadow_pages}, plus per-page pending bitmaps), not in a
+    hash map, so replay is cache-friendly and the fence hot loop touches
+    only pending bytes.  The linter's tracker shares the layout and the
+    {!Pstate} transfers; the divergence journal, provenance histories and
+    FSM counters are this module's own.
 
     [overlay] creates the store's single rewindable divergence: the
     backend advances one canonical pre-failure shadow event-by-event and
@@ -100,9 +102,10 @@ val fence : t -> ev:int -> unit
 
 (** The global persistent flush barrier: promote {e every} outstanding
     (modified or writeback-pending) byte to persisted.  Only meaningful
-    under [Cxl_gpf] — the caller gates on the domain.  A fork's GPF, like
-    its fence, promotes only bytes the fork itself made pending: data the
-    crash dropped stays dropped. *)
+    where the model persists at the barrier — the caller gates on
+    {!Pstate.persists_at_gpf}.  A fork's GPF, like its fence, promotes
+    only bytes the fork itself made pending: data the crash dropped stays
+    dropped. *)
 val gpf : t -> ev:int -> unit
 
 (** Mark a freshly (re-)allocated raw payload: bytes become

@@ -8,6 +8,7 @@ module Config = Xfd.Config
 module Engine = Xfd.Engine
 module R = Xfd.Report
 module D = Xfd_trace.Domain_model
+module Pstate = Xfd.Pstate
 
 type rule =
   | Missing_flush_before_commit_store
@@ -116,7 +117,16 @@ type group = {
   mutable n : int;
 }
 
-let not_durable (s : Abs.t) = match s with Abs.Dirty | Abs.Pending -> true | _ -> false
+let not_durable = function
+  | Pstate.Modified | Pstate.Writeback_pending -> true
+  | Pstate.Unmodified | Pstate.Persisted -> false
+
+(* The linter's names for the Figure 9 states it reports. *)
+let state_name = function
+  | Pstate.Unmodified -> "unwritten"
+  | Pstate.Modified -> "dirty"
+  | Pstate.Writeback_pending -> "flush-pending"
+  | Pstate.Persisted -> "fenced-persistent"
 
 let check_trace ?(domain = D.Adr) trace =
   Obs.Counter.incr c_runs;
@@ -152,10 +162,10 @@ let check_trace ?(domain = D.Adr) trace =
             | D.Eadr, _ ->
               "eADR keeps the cache inside the persistence domain — the data \
                was durable at store, so this flush is pure overhead; remove it"
-            | _, `Pending ->
+            | _, Pstate.Double_flush ->
               "the line is already writeback-pending — drop this flush or \
                move it after the store it is meant to capture"
-            | _, `Persisted ->
+            | _, Pstate.Unnecessary_flush ->
               "the line is already fenced-persistent — this flush does no work")
         | Track.Duplicate_tx_add { loc; addr; size } ->
           mk Duplicate_tx_add loc addr size (Some !index) []
@@ -222,7 +232,7 @@ let check_trace ?(domain = D.Adr) trace =
                   %s — persist the data (flush + fence) before setting the \
                   commit flag"
                  (Loc.to_string i.Track.writer)
-                 (Abs.to_string i.Track.state))
+                 (state_name i.Track.state))
           | None -> ());
           v.last_store <- Some (loc, Track.epoch track, !index)
         end)
@@ -306,11 +316,11 @@ let check_trace ?(domain = D.Adr) trace =
     (fun (a, (i : Track.info)) ->
       if not (Hashtbl.mem suppressed a) then
         match i.Track.state with
-        | Abs.Dirty -> note dirty_groups i.Track.writer [] a
-        | Abs.Pending ->
+        | Pstate.Modified -> note dirty_groups i.Track.writer [] a
+        | Pstate.Writeback_pending ->
           let floc = match i.Track.flush with Some (fl, _) -> fl | None -> i.Track.writer in
           note pending_groups floc [ ("writer", i.Track.writer) ] a
-        | Abs.Bot | Abs.Persisted | Abs.Top -> ())
+        | Pstate.Unmodified | Pstate.Persisted -> ())
     (Track.unpersisted track);
   let emit tbl rule hint_of =
     Hashtbl.fold (fun _ g acc -> g :: acc) tbl []

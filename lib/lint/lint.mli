@@ -8,8 +8,9 @@
     set of statically recognizable ordering/durability patterns (WITCHER;
     Hasan's PM bug study).  This module is the zero-execution complement: a
     single abstract-interpretation pass over the trace IR tracking per-byte
-    {!Abs} persistence state (with line-granular flushes), fence epochs, TX
-    logging context and commit-variable protocol state, firing eight rules.
+    {!Xfd.Pstate} persistence state (with line-granular flushes), fence
+    epochs, TX logging context and commit-variable protocol state, firing
+    eight rules.
 
     The linter is deliberately {e unsound as a filter} — a clean lint does
     not prove the absence of cross-failure bugs (a fence skipped between two

@@ -2,52 +2,24 @@ module Event = Xfd_trace.Event
 module Addr = Xfd_mem.Addr
 module Loc = Xfd_util.Loc
 module Pages = Xfd_mem.Shadow_pages
+module Pstate = Xfd.Pstate
+module Pstore = Xfd.Pstore
 
 type hit =
   | Tx_unlogged_write of { loc : Loc.t; addr : Addr.t; size : int }
-  | Redundant_flush of {
-      loc : Loc.t;
-      line : Addr.t;
-      already : [ `Pending | `Persisted ];
-    }
+  | Redundant_flush of { loc : Loc.t; line : Addr.t; already : Pstate.flush_waste }
   | Duplicate_tx_add of { loc : Loc.t; addr : Addr.t; size : int }
 
 type info = {
-  state : Abs.t;
+  state : Pstate.t;
   writer : Loc.t;
   write_epoch : int;
   flush : (Loc.t * int) option;
 }
 
-(* Per-byte state lives in flat {!Xfd_mem.Shadow_pages}: the packed byte
-   carries the {!Abs.t} lattice point (bits 0-2) and the tracked/pending
-   flags, the pending bit set exactly when the state is [Abs.Pending] —
-   so the fence promotion walks the per-page pending bitmap instead of
-   every written byte ([Abs.on_fence] is the identity elsewhere).  Cold
-   provenance fields sit in parallel per-page arrays. *)
-let st_dirty = 1
-let st_pending = 2
-let st_persisted = 3
-let st_top = 4
-
-let encode_abs = function
-  | Abs.Bot -> 0
-  | Abs.Dirty -> st_dirty
-  | Abs.Pending -> st_pending
-  | Abs.Persisted -> st_persisted
-  | Abs.Top -> st_top
-
-let decode_abs s =
-  if s = st_dirty then Abs.Dirty
-  else if s = st_pending then Abs.Pending
-  else if s = st_persisted then Abs.Persisted
-  else if s = st_top then Abs.Top
-  else Abs.Bot
-
-let packed_of_abs s =
-  encode_abs s lor Pages.bit_tracked
-  lor (if Abs.equal s Abs.Pending then Pages.bit_pending else 0)
-
+(* Per-byte state lives in a {!Xfd.Pstore}, shared in layout with the
+   detector's shadow; the cold provenance fields below sit in its
+   parallel per-page arrays. *)
 type meta = {
   writer : Loc.t array;
   write_epoch : int array;
@@ -55,9 +27,8 @@ type meta = {
 }
 
 type t = {
-  pages : Pages.t;
-  meta : (int, meta) Hashtbl.t;
-  mutable last_meta : (int * meta) option;
+  ps : meta Pstore.t;
+  pages : Pages.t;  (* [Pstore.pages ps], kept at hand for the hot paths *)
   mutable epoch : int;
   mutable in_roi : bool;
   mutable skip_depth : int;
@@ -65,14 +36,20 @@ type t = {
   mutable tx_ranges : (Addr.t * int) list;
   mutable events : int;
   on_hit : hit -> unit;
-  domain : Xfd_trace.Domain_model.t;
 }
 
 let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
+  let ps =
+    Pstore.create ~domain (fun () ->
+        {
+          writer = Array.make Pages.page_size Loc.unknown;
+          write_epoch = Array.make Pages.page_size (-1);
+          flush = Array.make Pages.page_size None;
+        })
+  in
   {
-    pages = Pages.create ();
-    meta = Hashtbl.create 16;
-    last_meta = None;
+    ps;
+    pages = Pstore.pages ps;
     epoch = 0;
     in_roi = false;
     skip_depth = 0;
@@ -80,45 +57,10 @@ let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
     tx_ranges = [];
     events = 0;
     on_hit;
-    domain;
   }
 
-let domain t = t.domain
-
-let release t =
-  Pages.release t.pages;
-  Hashtbl.reset t.meta;
-  t.last_meta <- None
-
-let page_index addr = addr lsr 12
-let page_offset addr = addr land 4095
-
-let meta_for t addr =
-  let idx = page_index addr in
-  match t.last_meta with
-  | Some (i, m) when i = idx -> Some m
-  | _ -> (
-    match Hashtbl.find_opt t.meta idx with
-    | Some m ->
-      t.last_meta <- Some (idx, m);
-      Some m
-    | None -> None)
-
-let own_meta t addr =
-  match meta_for t addr with
-  | Some m -> m
-  | None ->
-    let m =
-      {
-        writer = Array.make Pages.page_size Loc.unknown;
-        write_epoch = Array.make Pages.page_size (-1);
-        flush = Array.make Pages.page_size None;
-      }
-    in
-    let idx = page_index addr in
-    Hashtbl.replace t.meta idx m;
-    t.last_meta <- Some (idx, m);
-    m
+let domain t = Pstore.domain t.ps
+let release t = Pstore.release t.ps
 
 let checking t = t.in_roi && t.skip_depth = 0
 let epoch t = t.epoch
@@ -130,66 +72,43 @@ let on_write t loc addr size ~nt =
     let covered = List.exists (fun r -> Addr.overlap r (addr, size)) t.tx_ranges in
     if not covered then t.on_hit (Tx_unlogged_write { loc; addr; size })
   end;
+  let domain = domain t in
   let state =
-    if nt then Abs.on_nt_write_in t.domain Abs.Bot
-    else Abs.on_write_in t.domain Abs.Bot
+    if nt then Pstate.on_nt_write_in domain Pstate.Unmodified
+    else Pstate.on_write_in domain Pstate.Unmodified
   in
-  let packed = packed_of_abs state in
-  Addr.iter_bytes addr size (fun a ->
-      Pages.set t.pages a packed;
-      let m = own_meta t a in
-      let off = page_offset a in
-      m.writer.(off) <- loc;
-      m.write_epoch.(off) <- t.epoch;
-      m.flush.(off) <- (if nt then Some (loc, t.epoch) else None))
+  let packed = Pstore.pack state in
+  Addr.iter_bytes addr size (fun a -> Pages.set t.pages a packed);
+  let flush = if nt then Some (loc, t.epoch) else None in
+  Pstore.own_range t.ps addr size (fun m off n ->
+      Array.fill m.writer off n loc;
+      Array.fill m.write_epoch off n t.epoch;
+      Array.fill m.flush off n flush)
 
 let on_flush t loc addr =
   let line = Addr.line_of addr in
-  let dirty = ref false and pending = ref false and persisted = ref false in
-  Pages.iter_line t.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then
-        let s = Pages.state_of packed in
-        if s = st_dirty then dirty := true
-        else if s = st_pending then pending := true
-        else if s = st_persisted then persisted := true);
-  if !dirty then
-    Addr.iter_bytes line Addr.line_size (fun a ->
-        let packed = Pages.get t.pages a in
-        if packed <> 0 && Pages.state_of packed = st_dirty then begin
-          Pages.set t.pages a (packed_of_abs (Abs.on_flush_in t.domain Abs.Dirty));
-          (own_meta t a).flush.(page_offset a) <- Some (loc, t.epoch)
-        end)
-  else if (!pending || !persisted) && checking t then
-    t.on_hit
-      (Redundant_flush
-         { loc; line; already = (if !pending then `Pending else `Persisted) })
+  match
+    Pstore.flush_line t.ps line (fun a ~old:_ packed ->
+        Pages.set t.pages a packed;
+        (Pstore.own_meta t.ps a).flush.(Pstore.offset a) <- Some (loc, t.epoch))
+  with
+  | `Waste already when checking t -> t.on_hit (Redundant_flush { loc; line; already })
+  | `Waste _ | `Had_modified | `Clean -> ()
 
+(* The epoch ticks at every fence, in every model: fences still order
+   program points even where they persist nothing. *)
 let on_fence t =
-  (* [Abs.on_fence] only moves [Pending] (tracked in the pending bitmap);
-     every other byte is a fixpoint, so the old whole-table sweep reduces
-     to the pending bytes.  Only ADR fences persist; under eADR/CXL-GPF
-     [Pending] is unreachable anyway and a fence is ordering-only.  The
-     epoch ticks in every model — fences still order program points. *)
-  (if Abs.equal (Abs.on_fence_in t.domain Abs.Pending) Abs.Persisted then
-     List.iter
-       (fun a -> Pages.set t.pages a (packed_of_abs Abs.Persisted))
-       (Pages.pending_addrs t.pages));
+  Pstore.fence t.ps (fun a ~old:_ packed -> Pages.set t.pages a packed);
   t.epoch <- t.epoch + 1
 
+(* The global persistent flush barrier: where the model honours it, every
+   outstanding byte becomes persistent at once and the barrier is an
+   ordering point; elsewhere the event is inert. *)
 let on_gpf t loc =
-  (* The global persistent flush barrier: under CXL-GPF every outstanding
-     byte becomes persistent at once and the barrier is an ordering point;
-     under ADR/eADR the event is inert (the platform has no GPF). *)
-  if Abs.equal (Abs.on_gpf_in t.domain Abs.Dirty) Abs.Persisted then begin
-    let promote = ref [] in
-    Pages.iter_tracked t.pages (fun a packed ->
-        let s = Pages.state_of packed in
-        if s = st_dirty || s = st_pending then promote := a :: !promote);
-    List.iter
-      (fun a ->
-        Pages.set t.pages a (packed_of_abs Abs.Persisted);
-        (own_meta t a).flush.(page_offset a) <- Some (loc, t.epoch))
-      !promote;
+  if Pstate.persists_at_gpf (domain t) then begin
+    Pstore.gpf t.ps (fun a ~old:_ packed ->
+        Pages.set t.pages a packed;
+        (Pstore.own_meta t.ps a).flush.(Pstore.offset a) <- Some (loc, t.epoch));
     t.epoch <- t.epoch + 1
   end
 
@@ -228,10 +147,10 @@ let feed t ev =
   | Event.Read _ | Event.Commit_var _ | Event.Commit_range _ | Event.Marker _ -> ()
 
 let info_of t a packed : info =
-  let m = meta_for t a in
-  let off = page_offset a in
+  let m = Pstore.meta t.ps a in
+  let off = Pstore.offset a in
   {
-    state = decode_abs (Pages.state_of packed);
+    state = Pstore.state packed;
     writer = (match m with Some m -> m.writer.(off) | None -> Loc.unknown);
     write_epoch = (match m with Some m -> m.write_epoch.(off) | None -> -1);
     flush = (match m with Some m -> m.flush.(off) | None -> None);
@@ -241,23 +160,5 @@ let info t a =
   let packed = Pages.get t.pages a in
   if packed = 0 then None else Some (info_of t a packed)
 
-let byte_state t a =
-  let packed = Pages.get t.pages a in
-  if packed = 0 then Abs.Bot else decode_abs (Pages.state_of packed)
-
-let line_state t addr =
-  let line = Addr.line_of addr in
-  let acc = ref Abs.Bot in
-  Pages.iter_line t.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then acc := Abs.join !acc (decode_abs (Pages.state_of packed)));
-  !acc
-
-let iter_tracked t f =
-  Pages.iter_tracked t.pages (fun a packed -> f a (info_of t a packed))
-
 let unpersisted t =
-  let acc = ref [] in
-  Pages.iter_tracked t.pages (fun a packed ->
-      let s = Pages.state_of packed in
-      if s = st_dirty || s = st_pending then acc := (a, info_of t a packed) :: !acc);
-  !acc
+  List.map (fun a -> (a, info_of t a (Pages.get t.pages a))) (Pstore.outstanding t.ps)

@@ -1,7 +1,9 @@
 (** Shared per-line bookkeeping of the static analyses.
 
-    One pass over a trace maintaining, per byte, the abstract persistence
-    state ({!Abs.t}) with the locations that produced it, plus transaction
+    One pass over a trace maintaining, per byte, the persistence state
+    ({!Xfd.Pstate.t}, stepped by the same transfers and stored in the same
+    {!Xfd.Pstore} layout as the dynamic detector's shadow) with the
+    locations that produced it, plus transaction
     and detection-framing context (RoI, skip regions, TX depth and logged
     ranges, fence-epoch counter).  The rules that {!Xfd_baselines.Pmtest}
     and {!Lint} have in common — unlogged writes inside a transaction,
@@ -22,18 +24,19 @@ type hit =
   | Redundant_flush of {
       loc : Xfd_util.Loc.t;
       line : Xfd_mem.Addr.t;
-      already : [ `Pending | `Persisted ];
+      already : Xfd.Pstate.flush_waste;
     }
-      (** flush of a line with no dirty byte: [`Pending] when the line is
-          captured and awaiting a fence (PMTest's "redundant writeback"),
-          [`Persisted] when it is already durable *)
+      (** flush of a line with no dirty byte: [Double_flush] when the line
+          is captured and awaiting a fence (PMTest's "redundant
+          writeback"), [Unnecessary_flush] when it is already durable —
+          the detector's classification of the same flush *)
   | Duplicate_tx_add of { loc : Xfd_util.Loc.t; addr : Xfd_mem.Addr.t; size : int }
       (** TX_ADD overlapping a range already logged in this transaction
           (TX_XADD registrations never fire this, by design) *)
 
 (** What the tracker knows about one written byte. *)
 type info = {
-  state : Abs.t;  (** [Dirty], [Pending] or [Persisted]; never [Bot]/[Top] *)
+  state : Xfd.Pstate.t;  (** [Modified], [Writeback_pending] or [Persisted] *)
   writer : Xfd_util.Loc.t;  (** location of the last store *)
   write_epoch : int;  (** fence epoch of the last store *)
   flush : (Xfd_util.Loc.t * int) option;
@@ -46,14 +49,12 @@ type t
 (** [domain] selects the persistence-domain model for the transfer
     functions (default [Adr], the paper's semantics — byte-identical to
     the pre-parametric tracker).  Under [Eadr] stores are durable at store
-    so every flush of written data fires [Redundant_flush `Persisted];
+    so every flush of written data fires [Redundant_flush
+    Unnecessary_flush];
     under [Cxl_gpf] a flush is durable on arrival, fences are
     ordering-only, and the GPF barrier event persists every outstanding
     byte. *)
 val create : ?domain:Xfd_trace.Domain_model.t -> ?on_hit:(hit -> unit) -> unit -> t
-
-(** The persistence-domain model this tracker was created with. *)
-val domain : t -> Xfd_trace.Domain_model.t
 
 (** Return the tracker's flat shadow pages to the global
     [shadow.page_bytes_live] accounting.  Idempotent; call when the
@@ -77,17 +78,7 @@ val events : t -> int
 
 val info : t -> Xfd_mem.Addr.t -> info option
 
-(** State of one byte; [Abs.Bot] when never written. *)
-val byte_state : t -> Xfd_mem.Addr.t -> Abs.t
-
-(** Join of the byte states over the 64-byte line containing [addr]
-    ([Abs.Bot] for an untouched line). *)
-val line_state : t -> Xfd_mem.Addr.t -> Abs.t
-
-(** Iterate over every written byte, in unspecified order. *)
-val iter_tracked : t -> (Xfd_mem.Addr.t -> info -> unit) -> unit
-
-(** Bytes whose updates never reached PM: every byte still [Dirty] or
-    [Pending], in unspecified order.  PMTest's end-of-execution rule and
+(** Bytes whose updates never reached PM: every byte still [Modified] or
+    [Writeback_pending], in unspecified order.  PMTest's end-of-execution rule and
     the linter's unflushed/unfenced rules are both projections of this. *)
 val unpersisted : t -> (Xfd_mem.Addr.t * info) list

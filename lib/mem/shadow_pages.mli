@@ -8,9 +8,10 @@
     byte" — the fence hot loop — touches only set bits instead of the whole
     table.
 
-    The packed byte is format-agnostic: bits 0–2 hold a caller-defined
-    state (the Fig. 9 persistence FSM for the detector, the [Abs] lattice
-    for the lint), and five flag bits are maintained mechanically.  A byte
+    Bits 0–2 of the packed byte hold a state code — [Xfd.Pstate]'s code
+    of the Fig. 9 persistence FSM, written through [Xfd.Pstore] by both
+    the detector and the linter — and five flag bits are maintained
+    mechanically.  A byte
     whose packed value is 0 is untracked; callers must set {!bit_tracked}
     on any byte they track so the value stays nonzero.  The [tracked] and
     [pending] bits are mirrored into per-page bitmaps and global counts on
@@ -27,7 +28,7 @@ val page_size : int (* 4096 *)
 (** {1 Packed-byte format} *)
 
 val state_of : int -> int
-(** Bits 0–2: the caller-defined state, [0..7]. *)
+(** Bits 0–2: the state code, [0..7]. *)
 
 val with_state : int -> int -> int
 (** [with_state packed s] replaces the state field. *)

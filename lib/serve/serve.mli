@@ -44,10 +44,12 @@ type t
 
 (** Boot the service: worker pool, then listener.  Pass [?tsdb] to serve
     an existing recorder (the CLI's); otherwise one is created, sampled
-    at [sample_interval] and stopped with the service.  Raises
-    [Invalid_argument] on non-positive workers/queue_cap/retain and
-    [Unix.Unix_error] if the bind fails. *)
-val start : ?tsdb:Xfd_pulse.Tsdb.t -> config -> t
+    at [sample_interval] and stopped with the service.  A worker calls
+    [before_job ()] after marking a job running and before running it
+    (default: return at once); tests block in it to hold workers busy.
+    Raises [Invalid_argument] on non-positive workers/queue_cap/retain
+    and [Unix.Unix_error] if the bind fails. *)
+val start : ?tsdb:Xfd_pulse.Tsdb.t -> ?before_job:(unit -> unit) -> config -> t
 
 (** The bound port (useful with [port = 0]). *)
 val port : t -> int

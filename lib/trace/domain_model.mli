@@ -16,10 +16,10 @@
       The explicit GPF barrier event ({!Event.kind.Gpf}) persists every
       outstanding byte at once.
 
-    Both the abstract lattice ({!Xfd_lint.Abs}) and the concrete shadow FSM
-    ({!Xfd.Pstate} via [Config.domain]) take the model as a parameter to
-    their transfer functions; traces are never rewritten (DESIGN.md
-    decision 18). *)
+    The one persistence FSM ({!Xfd.Pstate}), which the detector's shadow
+    (via [Config.domain]) and the linter share, takes the model as a
+    parameter to its transfer functions; traces are never rewritten
+    (DESIGN.md decision 18). *)
 
 type t = Adr | Eadr | Cxl_gpf
 

@@ -18,6 +18,9 @@ let pstate_tests =
   [
     Tu.case "figure 9 transitions" (fun () ->
         let open Pstate in
+        let adr = Xfd_trace.Domain_model.Adr in
+        let on_write = on_write_in adr and on_nt_write = on_nt_write_in adr in
+        let on_flush = on_flush_in adr and on_fence = on_fence_in adr in
         Alcotest.(check string) "U+w" "M" (to_string (on_write Unmodified));
         Alcotest.(check string) "M+w" "M" (to_string (on_write Modified));
         Alcotest.(check string) "W+w" "M" (to_string (on_write Writeback_pending));

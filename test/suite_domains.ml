@@ -11,7 +11,6 @@ module Trace = Xfd_trace.Trace
 module Addr = Xfd_mem.Addr
 module Loc = Xfd_util.Loc
 module Lint = Xfd_lint.Lint
-module Abs = Xfd_lint.Abs
 module Pstate = Xfd.Pstate
 module Config = Xfd.Config
 module Engine = Xfd.Engine
@@ -130,47 +129,71 @@ let rule_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Transfer-function semantics, abstract and concrete. *)
+(* Transfer-function semantics: the one FSM detector and linter share. *)
+
+(* The whole concrete transfer table, pinned: for each model and transfer,
+   the images of U, M, W and P in that order. *)
+let transfer_table =
+  [
+    ( D.Adr,
+      [ ("write", "MMMM"); ("nt-write", "WWWW"); ("flush", "UWWP"); ("fence", "UMPP"); ("gpf", "UMWP") ]
+    );
+    ( D.Eadr,
+      [ ("write", "PPPP"); ("nt-write", "PPPP"); ("flush", "UMWP"); ("fence", "UMWP"); ("gpf", "UMWP") ]
+    );
+    ( D.Cxl_gpf,
+      [ ("write", "MMMM"); ("nt-write", "PPPP"); ("flush", "UPPP"); ("fence", "UMWP"); ("gpf", "UPPP") ]
+    );
+  ]
+
+let transfers m =
+  Pstate.
+    [
+      ("write", on_write_in m);
+      ("nt-write", on_nt_write_in m);
+      ("flush", on_flush_in m);
+      ("fence", on_fence_in m);
+      ("gpf", on_gpf_in m);
+    ]
+
+let all_states = Pstate.[ Unmodified; Modified; Writeback_pending; Persisted ]
 
 let abs_tests =
   [
-    Tu.case "Pending is unreachable under eadr and cxl-gpf" (fun () ->
-        (* No transfer may introduce [Pending] from a non-[Pending] state
-           outside ADR: eADR persists at store; CXL-GPF persists on
-           arrival at the device.  This is what makes
-           flush-without-ordering-fence vacuous outside ADR. *)
+    Tu.case "transfer table: every transfer x state x model" (fun () ->
         List.iter
-          (fun m ->
-            List.iter
-              (fun s ->
-                let step name f =
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s %s from %s" (D.to_string m) name
-                       (Abs.to_string s))
-                    false
-                    (Abs.equal (f s) Abs.Pending)
-                in
-                step "write" (Abs.on_write_in m);
-                step "nt-write" (Abs.on_nt_write_in m);
-                step "flush" (Abs.on_flush_in m);
-                step "fence" (Abs.on_fence_in m);
-                step "gpf" (Abs.on_gpf_in m))
-              [ Abs.Bot; Abs.Dirty; Abs.Persisted; Abs.Top ])
-          [ D.Eadr; D.Cxl_gpf ]);
-    Tu.case "adr transfers are the unparameterized ones" (fun () ->
+          (fun (m, expected) ->
+            let image f = String.concat "" (List.map (fun s -> Pstate.to_string (f s)) all_states) in
+            Alcotest.(check (list (pair string string)))
+              (D.to_string m) expected
+              (List.map (fun (name, f) -> (name, image f)) (transfers m));
+            Alcotest.(check (pair bool bool))
+              (D.to_string m ^ " persists at fence, at gpf")
+              (m = D.Adr, m = D.Cxl_gpf)
+              (Pstate.persists_at_fence m, Pstate.persists_at_gpf m);
+            (* No transfer may introduce writeback-pending from another state
+               outside ADR: eADR persists at store, CXL-GPF on arrival at the
+               device.  This is what makes flush-without-ordering-fence
+               vacuous outside ADR. *)
+            if m <> D.Adr then
+              List.iter
+                (fun (name, f) ->
+                  List.iter
+                    (fun s ->
+                      if s <> Pstate.Writeback_pending then
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s %s from %s" (D.to_string m) name
+                             (Pstate.to_string s))
+                          false
+                          (Pstate.equal (f s) Pstate.Writeback_pending))
+                    all_states)
+                (transfers m))
+          transfer_table;
         List.iter
           (fun s ->
-            Alcotest.(check bool) "write" true
-              (Abs.equal (Abs.on_write_in D.Adr s) (Abs.on_write s));
-            Alcotest.(check bool) "nt" true
-              (Abs.equal (Abs.on_nt_write_in D.Adr s) (Abs.on_nt_write s));
-            Alcotest.(check bool) "flush" true
-              (Abs.equal (Abs.on_flush_in D.Adr s) (Abs.on_flush s));
-            Alcotest.(check bool) "fence" true
-              (Abs.equal (Abs.on_fence_in D.Adr s) (Abs.on_fence s));
-            Alcotest.(check bool) "gpf inert" true
-              (Abs.equal (Abs.on_gpf_in D.Adr s) s))
-          [ Abs.Bot; Abs.Dirty; Abs.Pending; Abs.Persisted; Abs.Top ]);
+            Alcotest.(check string) "state code round-trips" (Pstate.to_string s)
+              (Pstate.to_string (Pstate.of_code (Pstate.code s))))
+          all_states);
     Tu.case "concrete FSM agrees with the abstract one per model" (fun () ->
         List.iter
           (fun m ->
@@ -437,8 +460,67 @@ let diff_tests =
 (* ------------------------------------------------------------------ *)
 (* Dynamic detection under non-ADR models. *)
 
+(* The setup + pre-failure trace of [p], recorded without the engine. *)
+let pre_trace ?faults (p : Engine.program) =
+  let dev = Xfd_mem.Pm_device.create () in
+  let trace = Trace.create () in
+  let ctx = Xfd_sim.Ctx.create ?faults ~stage:Xfd_sim.Ctx.Pre_failure ~dev ~trace () in
+  p.Engine.setup ctx;
+  (match p.Engine.pre ctx with () -> () | exception Xfd_sim.Ctx.Detection_complete -> ());
+  Xfd_mem.Pm_device.release dev;
+  trace
+
+(* Wasted flushes as (location, waste kind), seen by the linter's tracker
+   and by the dynamic detector replaying the same trace. *)
+let track_wastes domain trace =
+  let acc = ref [] in
+  let tr =
+    Xfd_lint.Track.create ~domain
+      ~on_hit:(function
+        | Xfd_lint.Track.Redundant_flush { loc; already; _ } ->
+          acc := (Loc.to_string loc, already) :: !acc
+        | _ -> ())
+      ()
+  in
+  Trace.iter trace (Xfd_lint.Track.feed tr);
+  Xfd_lint.Track.release tr;
+  List.sort_uniq compare !acc
+
+let named (loc, w) =
+  (loc, match w with Pstate.Double_flush -> "double" | Pstate.Unnecessary_flush -> "unnecessary")
+
+let detector_wastes domain trace =
+  let det = Detector.create ~domain () in
+  Detector.replay det trace ~from:0 ~upto:(Trace.length trace);
+  let bugs = Detector.bugs det in
+  Detector.release det;
+  List.sort_uniq compare
+    (List.filter_map
+       (function
+         | Xfd.Report.Perf { loc; waste = `Flush w; _ } -> Some (Loc.to_string loc, w)
+         | _ -> None)
+       bugs)
+
 let dynamic_tests =
   [
+    Tu.case "Track and Detector agree on wasted flushes" (fun () ->
+        let seen = ref 0 in
+        List.iter
+          (fun (e : Xfd_experiments.Workload_set.entry) ->
+            List.iter
+              (fun faults ->
+                let trace = pre_trace ?faults (e.make ~init:1 ~test:2) in
+                List.iter
+                  (fun m ->
+                    let t = track_wastes m trace and d = detector_wastes m trace in
+                    seen := !seen + List.length t;
+                    Alcotest.(check (list (pair string string)))
+                      (Printf.sprintf "%s %s" e.name (D.to_string m))
+                      (List.map named d) (List.map named t))
+                  D.all)
+              [ None; Some (Faults.make ~dup_flush:[ 1 ] ()) ])
+          Xfd_experiments.Workload_set.extended;
+        Alcotest.(check bool) "some flush is wasted" true (!seen > 0));
     Tu.case "skip-flush race vanishes under eADR, survives under CXL-GPF"
       (fun () ->
         let run domain =

@@ -4,7 +4,6 @@
    that lint-guided scheduling never changes the dynamic verdict set. *)
 
 module Lint = Xfd_lint.Lint
-module Abs = Xfd_lint.Abs
 module Event = Xfd_trace.Event
 module Trace = Xfd_trace.Trace
 module Addr = Xfd_mem.Addr
@@ -423,67 +422,6 @@ let guided_tests =
         | other -> Alcotest.failf "arity %d" (List.length other));
   ]
 
-(* Abs is a 5-element lattice: check the laws exhaustively instead of by
-   sampling. *)
-let abs_tests =
-  let all = [ Abs.Bot; Abs.Dirty; Abs.Pending; Abs.Persisted; Abs.Top ] in
-  let name x = Abs.to_string x in
-  [
-    Tu.case "join is commutative, idempotent, associative" (fun () ->
-        List.iter
-          (fun a ->
-            Alcotest.(check bool) (name a ^ " idem") true (Abs.equal (Abs.join a a) a);
-            List.iter
-              (fun b ->
-                Alcotest.(check bool)
-                  (name a ^ "," ^ name b)
-                  true
-                  (Abs.equal (Abs.join a b) (Abs.join b a));
-                List.iter
-                  (fun c ->
-                    Alcotest.(check bool) "assoc" true
-                      (Abs.equal (Abs.join a (Abs.join b c)) (Abs.join (Abs.join a b) c)))
-                  all)
-              all)
-          all);
-    Tu.case "join is the least upper bound of leq" (fun () ->
-        List.iter
-          (fun a ->
-            List.iter
-              (fun b ->
-                let j = Abs.join a b in
-                Alcotest.(check bool) "upper a" true (Abs.leq a j);
-                Alcotest.(check bool) "upper b" true (Abs.leq b j);
-                (* least: any other upper bound is above the join *)
-                List.iter
-                  (fun u ->
-                    if Abs.leq a u && Abs.leq b u then
-                      Alcotest.(check bool) "least" true (Abs.leq j u))
-                  all)
-              all)
-          all);
-    Tu.case "transfer functions are monotone" (fun () ->
-        List.iter
-          (fun (fname, f) ->
-            List.iter
-              (fun a ->
-                List.iter
-                  (fun b ->
-                    if Abs.leq a b then
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s %s<=%s" fname (name a) (name b))
-                        true
-                        (Abs.leq (f a) (f b)))
-                  all)
-              all)
-          [
-            ("on_write", Abs.on_write);
-            ("on_nt_write", Abs.on_nt_write);
-            ("on_flush", Abs.on_flush);
-            ("on_fence", Abs.on_fence);
-          ]);
-  ]
-
 (* The fuzzer's metamorphic oracle M4, in miniature: correct-profile random
    programs must lint clean. *)
 let fuzz_props =
@@ -503,6 +441,5 @@ let suite =
     ("lint.json", json_tests);
     ("lint.goldens", golden_tests);
     ("lint.guided", guided_tests);
-    ("lint.abs", abs_tests);
     ("lint.fuzz-oracle", List.map QCheck_alcotest.to_alcotest fuzz_props);
   ]

@@ -65,24 +65,33 @@ let quota_tests =
 
 (* ---- pool: gated runners make queue states deterministic ---- *)
 
-(* A controllable runner: items wait on a gate until the test opens it,
-   and every execution is counted per item. *)
-let gated_pool ~workers ~queue_cap ~n_items =
+(* A gate: [wait ()] blocks until [release ()] opens it for good. *)
+let latch () =
   let mu = Mutex.create () in
   let cond = Condition.create () in
-  let open_gate = ref false in
-  let runs = Array.make n_items 0 in
-  let runner i =
+  let opened = ref false in
+  let wait () =
     Mutex.protect mu (fun () ->
-        while not !open_gate do
+        while not !opened do
           Condition.wait cond mu
-        done;
-        runs.(i) <- runs.(i) + 1)
+        done)
   in
   let release () =
     Mutex.protect mu (fun () ->
-        open_gate := true;
+        opened := true;
         Condition.broadcast cond)
+  in
+  (wait, release)
+
+(* A controllable runner: items wait on a gate until the test opens it,
+   and every execution is counted per item. *)
+let gated_pool ~workers ~queue_cap ~n_items =
+  let wait, release = latch () in
+  let runs_mu = Mutex.create () in
+  let runs = Array.make n_items 0 in
+  let runner i =
+    wait ();
+    Mutex.protect runs_mu (fun () -> runs.(i) <- runs.(i) + 1)
   in
   (Pool.create ~workers ~queue_cap runner, release, runs)
 
@@ -180,8 +189,8 @@ let pool_tests =
 
 (* ---- serving helpers ---- *)
 
-let with_serve ?(config = Serve.default_config) f =
-  let t = Serve.start config in
+let with_serve ?(config = Serve.default_config) ?before_job f =
+  let t = Serve.start ?before_job config in
   Fun.protect
     ~finally:(fun () -> Serve.stop t)
     (fun () ->
@@ -232,6 +241,8 @@ let await_job ~port id =
       poll ()
   in
   poll ()
+
+let job_state ~port id = jstr "state" (parse_json (snd (get_ok ~port ("/v1/jobs/" ^ id))))
 
 let result_of j =
   match Json.member "result" j with
@@ -496,23 +507,32 @@ let e2e_tests =
             let rep = parse_json body in
             Alcotest.(check string) "report envelope" "xfd_report" (jstr "type" rep)));
     Tu.case "a report requested before completion answers 409" (fun () ->
-        (* one worker, occupied by a heavier job: the second job is still
-           queued when we ask for its report *)
+        (* one worker, held before it runs the first job: the second job is
+           still queued when we ask for its report *)
         let config = { Serve.default_config with workers = 1; queue_cap = 8 } in
-        with_serve ~config (fun _t port ->
-            let slow = submit_ok ~port (workload_spec ~workload:"btree" ~init:2 ~test:4 ()) in
-            let queued =
-              submit_ok ~port (workload_spec ~workload:"btree" ~init:0 ~test:1 ())
-            in
-            let status, body = get_ok ~port ("/v1/jobs/" ^ queued ^ "/report") in
-            Alcotest.(check int) "report before completion is 409" 409 status;
-            Alcotest.(check string) "409 is a JSON error" "error"
-              (jstr "type" (parse_json body));
-            List.iter
-              (fun id ->
-                Alcotest.(check string) (id ^ " done") "done"
-                  (jstr "state" (await_job ~port id)))
-              [ slow; queued ]));
+        let hold, release = latch () in
+        with_serve ~config ~before_job:hold (fun _t port ->
+            (* released on any exit, before the service drains *)
+            Fun.protect ~finally:release (fun () ->
+                let spec = workload_spec ~workload:"btree" ~init:0 ~test:1 () in
+                let held = submit_ok ~port spec in
+                wait_for "worker holds the first job" (fun () ->
+                    job_state ~port held = "running");
+                let queued = submit_ok ~port spec in
+                Alcotest.(check string) "second job queued" "queued" (job_state ~port queued);
+                List.iter
+                  (fun id ->
+                    let status, body = get_ok ~port ("/v1/jobs/" ^ id ^ "/report") in
+                    Alcotest.(check int) "report before completion is 409" 409 status;
+                    Alcotest.(check string) "409 is a JSON error" "error"
+                      (jstr "type" (parse_json body)))
+                  [ held; queued ];
+                release ();
+                List.iter
+                  (fun id ->
+                    Alcotest.(check string) (id ^ " done") "done"
+                      (jstr "state" (await_job ~port id)))
+                  [ held; queued ])));
   ]
 
 (* ---- backpressure: queue-full and quota 429s over the wire ---- *)
@@ -590,38 +610,44 @@ let backpressure_tests =
               (List.length (List.sort_uniq String.compare fps))));
     Tu.case "a full queue answers 429 and keeps earlier jobs intact" (fun () ->
         let config = { Serve.default_config with workers = 1; queue_cap = 1 } in
-        with_serve ~config (fun _t port ->
-            (* a heavier job occupies the worker long enough for the queue
-               to observably fill *)
-            let slow =
-              Json.to_string (workload_spec ~workload:"btree" ~init:2 ~test:4 ())
-            in
-            let quick =
-              Json.to_string (workload_spec ~workload:"btree" ~init:0 ~test:1 ())
-            in
-            let ids = ref [] in
-            let rejected = ref 0 in
-            let submit body =
-              match Httpc.post ~headers:[] ~body ~host ~port "/v1/jobs" with
-              | Ok (202, _, resp) -> ids := jstr "id" (parse_json resp) :: !ids
-              | Ok (429, hdrs, _) ->
-                incr rejected;
-                Alcotest.(check bool) "queue-full 429 has Retry-After" true
-                  (List.assoc_opt "retry-after" hdrs <> None)
-              | Ok (s, _, b) -> Alcotest.failf "unexpected status %d: %s" s b
-              | Error e -> Alcotest.failf "submit failed: %s" e
-            in
-            submit slow;
-            for _ = 1 to 8 do
-              submit quick
-            done;
-            Alcotest.(check bool) "at least one queue-full rejection" true (!rejected > 0);
-            Alcotest.(check bool) "at least the first job accepted" true (!ids <> []);
-            List.iter
-              (fun id ->
-                Alcotest.(check string) (id ^ " done") "done"
-                  (jstr "state" (await_job ~port id)))
-              !ids));
+        (* the worker is held before it runs anything, so the one-slot
+           queue fills and stays full *)
+        let hold, release = latch () in
+        with_serve ~config ~before_job:hold (fun _t port ->
+            (* released on any exit, before the service drains *)
+            Fun.protect ~finally:release (fun () ->
+                let quick =
+                  Json.to_string (workload_spec ~workload:"btree" ~init:0 ~test:1 ())
+                in
+                let ids = ref [] in
+                let rejected = ref 0 in
+                let submit body =
+                  match Httpc.post ~headers:[] ~body ~host ~port "/v1/jobs" with
+                  | Ok (202, _, resp) -> ids := jstr "id" (parse_json resp) :: !ids
+                  | Ok (429, hdrs, _) ->
+                    incr rejected;
+                    Alcotest.(check bool) "queue-full 429 has Retry-After" true
+                      (List.assoc_opt "retry-after" hdrs <> None)
+                  | Ok (s, _, b) -> Alcotest.failf "unexpected status %d: %s" s b
+                  | Error e -> Alcotest.failf "submit failed: %s" e
+                in
+                submit quick;
+                (match !ids with
+                | [ held ] ->
+                  wait_for "worker holds the first job" (fun () ->
+                      job_state ~port held = "running")
+                | _ -> Alcotest.fail "first job rejected");
+                for _ = 1 to 8 do
+                  submit quick
+                done;
+                Alcotest.(check int) "one job queued behind the held one" 2 (List.length !ids);
+                Alcotest.(check int) "the rest answer queue-full" 7 !rejected;
+                release ();
+                List.iter
+                  (fun id ->
+                    Alcotest.(check string) (id ^ " done") "done"
+                      (jstr "state" (await_job ~port id)))
+                  !ids)));
   ]
 
 (* ---- drain: graceful shutdown completes jobs and releases PM state ---- *)
