@@ -360,6 +360,27 @@ let microbenches () =
     t
   in
   let replay_trace = mk_trace 1000 in
+  (* A warm detector whose registry holds an undo log's worth of commit
+     state: 16 entries, each a valid flag governing 504 bytes, as [Tx]
+     registers them.  Forked repeatedly, as the engine forks its base. *)
+  let warm =
+    let t = mk_trace 1000 in
+    let log = base + 65536 in
+    for i = 0 to 15 do
+      let var = log + (512 * i) in
+      List.iter
+        (fun kind -> ignore (Xfd_trace.Trace.append t ~kind ~loc:l))
+        Xfd_trace.Event.
+          [
+            Commit_var { addr = var; size = 8 };
+            Commit_range { var; addr = var + 8; size = 504 };
+            Write { addr = var; size = 8 };
+          ]
+    done;
+    let det = Xfd.Detector.create () in
+    Xfd.Detector.replay det t ~from:0 ~upto:(Xfd_trace.Trace.length t);
+    det
+  in
   let snapshot_dev =
     let d = Xfd_mem.Pm_device.create () in
     for i = 0 to 1023 do
@@ -392,11 +413,7 @@ let microbenches () =
              Xfd.Detector.replay det replay_trace ~from:0
                ~upto:(Xfd_trace.Trace.length replay_trace)));
       Test.make ~name:"backend: fork_for_post of a warm shadow"
-        (Staged.stage (fun () ->
-             let det = Xfd.Detector.create () in
-             Xfd.Detector.replay det replay_trace ~from:0
-               ~upto:(Xfd_trace.Trace.length replay_trace);
-             ignore (Xfd.Detector.fork_for_post det)));
+        (Staged.stage (fun () -> ignore (Xfd.Detector.fork_for_post warm)));
       Test.make ~name:"frontend: CoW device snapshot (8 KiB touched)"
         (Staged.stage (fun () ->
              Xfd_mem.Pm_device.release (Xfd_mem.Pm_device.snapshot snapshot_dev)));

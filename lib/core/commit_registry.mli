@@ -7,13 +7,20 @@
     writes — [t_prelast] and [t_last] in the Eq. 3 rule — and answers the
     two queries the detector needs on every post-failure read: "is this byte
     itself part of a commit variable?" (such reads are benign cross-failure
-    races) and "which variable's window governs this byte?". *)
+    races) and "which variable's window governs this byte?".
+
+    The state is persistent: byte ownership is kept as disjoint address
+    segments, every update builds a new version, and a handle points at
+    its current version.  Registrations and writes cost O(log n) in the
+    number of segments, never O(bytes). *)
 
 type t
 
 val create : unit -> t
 
-(** Deep copy; the post-failure fork mutates its own timestamps. *)
+(** O(1): the clone shares the current version, and later updates to
+    either handle never reach the other.  The post-failure fork registers
+    and commits into its clone without touching the base. *)
 val clone : t -> t
 
 (** Register a commit variable (idempotent). *)

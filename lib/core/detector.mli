@@ -49,11 +49,16 @@ val create :
 (** [replay t trace ~from ~upto] replays events [from .. upto-1]. *)
 val replay : t -> Xfd_trace.Trace.t -> from:int -> upto:int -> unit
 
-(** Fork for one failure point's post-failure replay.  The fork is a
-    journaled divergence of the base shadow: at most one fork is live at a
-    time, and advancing the base (or forking again) unwinds the previous
-    fork's journal first — recorded bugs stay valid, but the fork must not
-    replay further events after that. *)
+(** Fork for one failure point's post-failure replay, at a cost that does
+    not grow with the base's state.  The fork's shadow is a journaled
+    divergence of the base shadow: at most one fork is live at a time,
+    and advancing the base (or forking again) unwinds the previous fork's
+    journal first — recorded bugs stay valid, but the fork must not replay
+    further events after that.  The fork's commit registry is a
+    {!Commit_registry.clone}: it starts from the base's registrations and
+    windows (less deferred commits, which a failure discards), and what
+    the post-failure stage registers or commits never reaches the base or
+    a sibling fork. *)
 val fork_for_post : t -> t
 
 (** Unwind this fork's divergence journal now (no-op on a base detector):

@@ -273,6 +273,212 @@ let registry_tests =
           (Registry.window_for r 204 = Some None));
   ]
 
+(* ---- the persistent registry against the per-byte reference model ---- *)
+
+module type REGISTRY = sig
+  type t
+
+  exception Overlapping_commit_ranges of int * int
+
+  val create : unit -> t
+  val clone : t -> t
+  val register_var : t -> var:int -> size:int -> unit
+  val register_range : t -> var:int -> addr:int -> size:int -> unit
+  val on_write : t -> defer:bool -> addr:int -> size:int -> ts:int -> ev:int -> unit
+  val unregister_var : t -> var:int -> unit
+  val apply_pending : t -> unit
+  val drop_pending : t -> unit
+  val is_commit_byte : t -> int -> bool
+  val window_for : t -> int -> (int * int) option option
+  val frame_for : t -> int -> (int * int) option
+  val var_count : t -> int
+end
+
+(* Operations act on handle [h mod n] of the [n] handles so far: handle 0
+   is the original registry, [Clone] appends a clone of another. *)
+type reg_op =
+  | Var of { h : int; var : int; size : int }
+  | Range of { h : int; var : int; addr : int; size : int }
+  | Unreg of { h : int; var : int }
+  | Write of { h : int; defer : bool; addr : int; size : int }
+  | Apply of int
+  | Drop of int
+  | Clone of int
+
+let reg_op_to_string = function
+  | Var { h; var; size } -> Printf.sprintf "var h%d %d+%d" h var size
+  | Range { h; var; addr; size } -> Printf.sprintf "range h%d v%d %d+%d" h var addr size
+  | Unreg { h; var } -> Printf.sprintf "unreg h%d v%d" h var
+  | Write { h; defer; addr; size } ->
+    Printf.sprintf "write%s h%d %d+%d" (if defer then "/defer" else "") h addr size
+  | Apply h -> Printf.sprintf "apply h%d" h
+  | Drop h -> Printf.sprintf "drop h%d" h
+  | Clone h -> Printf.sprintf "clone h%d" h
+
+(* Every address an operation can touch lies below this. *)
+let reg_window = 96
+
+module Transcript (R : REGISTRY) = struct
+  (* The registry's answers over the [n] bytes from [lo]. *)
+  let answers ?(lo = 0) ?(n = reg_window) r =
+    ( R.var_count r,
+      List.init n (fun i ->
+          let a = lo + i in
+          (R.is_commit_byte r a, R.window_for r a, R.frame_for r a)) )
+
+  (* Run [ops] from an empty registry.  After each operation: its culprit
+     pair if [register_range] raised, and the answers of every handle. *)
+  let run ops =
+    let handles = ref [| R.create () |] in
+    List.mapi
+      (fun i op ->
+        let hs = !handles in
+        let h k = hs.(k mod Array.length hs) in
+        let raised =
+          match op with
+          | Var { h = k; var; size } ->
+            R.register_var (h k) ~var ~size;
+            None
+          | Range { h = k; var; addr; size } -> (
+            match R.register_range (h k) ~var ~addr ~size with
+            | () -> None
+            | exception R.Overlapping_commit_ranges (a, b) -> Some (a, b))
+          | Unreg { h = k; var } ->
+            R.unregister_var (h k) ~var;
+            None
+          | Write { h = k; defer; addr; size } ->
+            R.on_write (h k) ~defer ~addr ~size ~ts:i ~ev:(1000 + i);
+            None
+          | Apply k ->
+            R.apply_pending (h k);
+            None
+          | Drop k ->
+            R.drop_pending (h k);
+            None
+          | Clone k ->
+            handles := Array.append hs [| R.clone (h k) |];
+            None
+        in
+        (raised, Array.to_list (Array.map (fun r -> answers r) !handles)))
+      ops
+end
+
+module Model_run = Transcript (Registry_model)
+module Registry_run = Transcript (Registry)
+
+(* Index of the first pair whose halves differ. *)
+let rec first_diff i = function
+  | (a, b) :: rest -> if a = b then first_diff (i + 1) rest else Some i
+  | [] -> None
+
+(* [Ok ()] when both registries agree after every operation, else where
+   they first differ. *)
+let registries_agree ops =
+  let steps = List.combine (Model_run.run ops) (Registry_run.run ops) in
+  match first_diff 0 steps with
+  | None -> Ok ()
+  | Some i ->
+    let (mr, ma), (rr, ra) = List.nth steps i in
+    let what =
+      if mr <> rr then "register_range culprits differ"
+      else
+        let handles = List.combine ma ra in
+        let k = Option.get (first_diff 0 handles) in
+        let (mc, mb), (rc, rb) = List.nth handles k in
+        if mc <> rc then Printf.sprintf "handle %d: var_count %d vs %d" k mc rc
+        else
+          Printf.sprintf "handle %d: answers differ at byte %d" k
+            (Option.get (first_diff 0 (List.combine mb rb)))
+    in
+    Error (Printf.sprintf "after op %d (%s): %s" i (reg_op_to_string (List.nth ops i)) what)
+
+let check_agree ops =
+  match registries_agree ops with Ok () -> () | Error msg -> Alcotest.fail msg
+
+let reg_op_gen =
+  let open QCheck.Gen in
+  (* Cache-line-ish bases plus one-byte offsets make overlaps, adjacency
+     and one-byte grazes at either edge common. *)
+  let addr =
+    frequency
+      [
+        (3, map2 (fun i d -> max 0 ((8 * i) + d)) (int_bound 8) (oneofl [ -1; 0; 0; 1; 7 ]));
+        (1, int_bound 80);
+      ]
+  in
+  let size = frequency [ (3, oneofl [ 0; 1; 7; 8; 8; 9; 16 ]); (1, int_bound 12) ] in
+  let var = frequency [ (3, map (fun i -> 8 * i) (int_bound 5)); (1, addr) ] in
+  let h = int_bound 3 in
+  frequency
+    [
+      (3, map3 (fun h var size -> Var { h; var; size }) h var size);
+      (5, map3 (fun (h, var) addr size -> Range { h; var; addr; size }) (pair h var) addr size);
+      (1, map2 (fun h var -> Unreg { h; var }) h var);
+      ( 5,
+        map3 (fun (h, defer) addr size -> Write { h; defer; addr; size }) (pair h bool) addr size
+      );
+      (2, map (fun h -> Apply h) h);
+      (1, map (fun h -> Drop h) h);
+      (2, map (fun h -> Clone h) h);
+    ]
+
+(* No [long_factor] here: the nightly job sets QCHECK_LONG_FACTOR. *)
+let registry_model_prop =
+  QCheck.Test.make ~count:150
+    ~name:"persistent registry answers as the per-byte model, clones included"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map reg_op_to_string ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) reg_op_gen))
+    (fun ops ->
+      match registries_agree ops with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+let registry_model_tests =
+  [
+    Tu.case "model agreement: a clone mutated after its source moved on" (fun () ->
+        check_agree
+          [
+            Range { h = 0; var = 0; addr = 16; size = 16 };
+            Write { h = 0; defer = false; addr = 0; size = 8 };
+            Write { h = 0; defer = true; addr = 4; size = 1 };
+            Clone 0;
+            (* the source moves on: commits, new variables, an unregister *)
+            Apply 0;
+            Range { h = 0; var = 8; addr = 40; size = 8 };
+            Write { h = 0; defer = false; addr = 0; size = 16 };
+            Unreg { h = 0; var = 0 };
+            (* then the clone mutates what the source changed *)
+            Write { h = 1; defer = false; addr = 0; size = 8 };
+            Range { h = 1; var = 8; addr = 32; size = 8 };
+            Drop 1;
+            Var { h = 1; var = 12; size = 8 };
+            Write { h = 1; defer = false; addr = 6; size = 8 };
+            Clone 1;
+            Unreg { h = 2; var = 8 };
+            Range { h = 2; var = 24; addr = 40; size = 8 };
+          ]);
+    Tu.case "model agreement: overlapping variables, grazes and empty spans" (fun () ->
+        check_agree
+          [
+            Var { h = 0; var = 8; size = 16 };
+            Var { h = 0; var = 16; size = 16 } (* takes over bytes 16..23 *);
+            Var { h = 0; var = 12; size = 0 };
+            Range { h = 0; var = 8; addr = 40; size = 8 };
+            Range { h = 0; var = 16; addr = 47; size = 4 } (* grazes byte 47 *);
+            Range { h = 0; var = 16; addr = 33; size = 8 } (* grazes byte 40 *);
+            Range { h = 0; var = 16; addr = 48; size = 8 };
+            Range { h = 0; var = 24; addr = 44; size = 0 };
+            Write { h = 0; defer = false; addr = 14; size = 4 };
+            Write { h = 0; defer = true; addr = 20; size = 0 };
+            Unreg { h = 0; var = 16 } (* also unbinds var 8's bytes 16..23 *);
+            Write { h = 0; defer = false; addr = 16; size = 8 };
+            Range { h = 0; var = 24; addr = 44; size = 8 };
+          ]);
+  ]
+  @ [ QCheck_alcotest.to_alcotest registry_model_prop ]
+
 (* Build a trace programmatically and run the backend over it. *)
 let mk_trace kinds =
   let t = Trace.create () in
@@ -540,11 +746,128 @@ let detector_tests =
         | bugs -> Alcotest.failf "expected one coalesced race, got %d" (List.length bugs));
   ]
 
+(* ---- post-failure forks share the base registry's state ---- *)
+
+(* A TX-shaped pre-failure trace over three 512-byte undo-log entries
+   (valid flag = commit variable, the rest = its range), of which the
+   first two are used: each is written, persisted, then validated.  The
+   run ends by invalidating entry 1 without a fence, so under
+   [`Persist] that commit write is still deferred. *)
+let log = base + 4096
+let entry i = log + (512 * i)
+
+let log_entry_events i =
+  let e = entry i in
+  [
+    (Event.Commit_var { addr = e; size = 8 }, l);
+    (Event.Commit_range { var = e; addr = e + 8; size = 504 }, l);
+    (Event.Write { addr = e + 8; size = 16 }, l);
+    (Event.Write { addr = e + 64; size = 32 }, l);
+    (Event.Clwb { addr = e }, l);
+    (Event.Clwb { addr = e + 64 }, l);
+    (Event.Sfence, l);
+    (Event.Write { addr = e; size = 8 }, l);
+    (Event.Clwb { addr = e }, l);
+    (Event.Sfence, l);
+  ]
+
+let tx_pre_trace () =
+  mk_trace
+    ([ (Event.Roi_begin, l); (Event.Tx_begin, l) ]
+    @ log_entry_events 0 @ log_entry_events 1
+    @ [
+        (Event.Write { addr = base; size = 8 }, l);
+        (Event.Clwb { addr = base }, l);
+        (Event.Sfence, l);
+        (Event.Write { addr = entry 0; size = 8 }, l);
+        (Event.Clwb { addr = entry 0 }, l);
+        (Event.Sfence, l);
+        (Event.Tx_commit, l);
+        (Event.Write { addr = entry 1; size = 8 }, l);
+      ])
+
+(* A recovery as [Tx.recover] does it: register every entry's flag, and
+   the third entry's range too, then commit into entries 0 and 2. *)
+let recovery_trace () =
+  mk_trace
+    ([ (Event.Roi_begin, l2) ]
+    @ List.map (fun i -> (Event.Commit_var { addr = entry i; size = 8 }, l2)) [ 0; 1; 2 ]
+    @ [
+        (Event.Commit_range { var = entry 2; addr = entry 2 + 8; size = 504 }, l2);
+        (Event.Read { addr = entry 0 + 8; size = 16 }, l2);
+        (Event.Write { addr = entry 0; size = 8 }, l2);
+        (Event.Write { addr = entry 2; size = 8 }, l2);
+        (Event.Sfence, l2);
+        (Event.Write { addr = entry 2; size = 8 }, l2);
+        (Event.Sfence, l2);
+      ])
+
+(* The registry's answers over the three log entries. *)
+let log_view d = Registry_run.answers ~lo:log ~n:(3 * 512) (Detector.registry d)
+
+let fork_tests =
+  [
+    Tu.case "a fork's registrations and commits never reach the base" (fun () ->
+        let pre = tx_pre_trace () in
+        let d = Detector.create () in
+        Detector.replay d pre ~from:0 ~upto:(Trace.length pre);
+        let before = log_view d in
+        let fork = Detector.fork_for_post d in
+        let post = recovery_trace () in
+        Detector.replay fork post ~from:0 ~upto:(Trace.length post);
+        Alcotest.(check int) "fork registered entry 2" 3
+          (Registry.var_count (Detector.registry fork));
+        Alcotest.(check bool) "fork committed entry 2" true
+          (Registry.window_for (Detector.registry fork) (entry 2 + 8) <> Some None);
+        Alcotest.(check bool) "base unchanged" true (log_view d = before);
+        Detector.release d);
+    Tu.case "successive forks from one base see identical registries" (fun () ->
+        let pre = tx_pre_trace () in
+        let d = Detector.create () in
+        Detector.replay d pre ~from:0 ~upto:(Trace.length pre);
+        let first = Detector.fork_for_post d in
+        let at_fork = log_view first in
+        let post = recovery_trace () in
+        Detector.replay first post ~from:0 ~upto:(Trace.length post);
+        let second = Detector.fork_for_post d in
+        Alcotest.(check bool) "second fork starts where the first did" true
+          (log_view second = at_fork);
+        Detector.replay second post ~from:0 ~upto:(Trace.length post);
+        Alcotest.(check bool) "and ends where the first did" true
+          (log_view second = log_view first);
+        Detector.release d);
+    Tu.case "a persist-mode fork drops only its own deferred commits" (fun () ->
+        let pre = tx_pre_trace () in
+        let fence = mk_trace [ (Event.Sfence, l) ] in
+        let run ~fork =
+          let d = Detector.create ~commit_at:`Persist () in
+          Detector.replay d pre ~from:0 ~upto:(Trace.length pre);
+          if fork then begin
+            let f = Detector.fork_for_post d in
+            let post = recovery_trace () in
+            Detector.replay f post ~from:0 ~upto:(Trace.length post)
+          end;
+          Detector.replay d fence ~from:0 ~upto:1;
+          let view = log_view d in
+          Detector.release d;
+          view
+        in
+        let forked = run ~fork:true in
+        Alcotest.(check bool) "base applies its deferred commit" true
+          (forked = run ~fork:false);
+        (* Entry 1's invalidation landed at the final fence. *)
+        let _, bytes = forked in
+        let _, window, _ = List.nth bytes (512 + 8) in
+        Alcotest.(check bool) "entry 1 committed twice" true
+          (match window with Some (Some (prelast, _)) -> prelast >= 0 | _ -> false));
+  ]
+
 let suite =
   [
     ("core.pstate", pstate_tests);
     ("core.cstate", cstate_tests);
     ("core.shadow", shadow_tests);
-    ("core.registry", registry_tests);
+    ("core.registry", registry_tests @ registry_model_tests);
     ("core.detector", detector_tests);
+    ("core.fork", fork_tests);
   ]
