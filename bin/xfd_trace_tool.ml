@@ -56,7 +56,7 @@ let record_cmd =
     | None -> ()
     | Some path ->
       let post_dev =
-        Xfd_mem.Pm_device.boot (Xfd_mem.Pm_device.crash dev Xfd_mem.Pm_device.Full)
+        Xfd_mem.Pm_device.boot_image_only (Xfd_mem.Pm_device.crash dev Xfd_mem.Pm_device.Full)
       in
       let post_trace = Xfd_trace.Trace.create () in
       let post_ctx =

@@ -29,7 +29,7 @@ let () =
   say "DBSIZE\r\n";
 
   (* Power failure: only bytes that were flushed AND fenced survive. *)
-  let survivor = Device.boot (Device.crash dev Device.Strict) in
+  let survivor = Device.boot_image_only (Device.crash dev Device.Strict) in
   let trace' = Xfd_trace.Trace.create () in
   let ctx' = Ctx.create ~stage:Ctx.Post_failure ~dev:survivor ~trace:trace' () in
   let server' = Xfd_redis.Server.restart ctx' in

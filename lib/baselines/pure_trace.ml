@@ -1,25 +1,9 @@
-module Ctx = Xfd_sim.Ctx
-module Device = Xfd_mem.Pm_device
 module Trace = Xfd_trace.Trace
 
 type result = { wall : float; pre_events : int; post_events : int }
 
 let run program =
-  let dev = Device.create () in
-  let trace = Trace.create () in
-  let ctx = Ctx.create ~stage:Ctx.Pre_failure ~dev ~trace () in
-  let t0 = Unix.gettimeofday () in
-  program.Xfd.Engine.setup ctx;
-  (match program.Xfd.Engine.pre ctx with
-  | () -> ()
-  | exception Ctx.Detection_complete -> ());
-  let pre_events = Trace.length trace in
-  let post_dev = Device.boot (Device.crash dev Device.Full) in
-  let post_trace = Trace.create () in
-  let post_ctx = Ctx.create ~stage:Ctx.Post_failure ~dev:post_dev ~trace:post_trace () in
-  (match program.Xfd.Engine.post post_ctx with
-  | () -> ()
-  | exception Ctx.Detection_complete -> ());
-  { wall = Unix.gettimeofday () -. t0; pre_events; post_events = Trace.length post_trace }
+  let wall, pre, post = Xfd.Engine.run_once program in
+  { wall; pre_events = Trace.length pre; post_events = Trace.length post }
 
 let run_original = Xfd.Engine.run_original

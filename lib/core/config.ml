@@ -35,4 +35,12 @@ let validate t =
           silently elide every failure point"
          t.max_failure_points);
   if t.post_jobs <= 0 then
-    invalid_arg (Printf.sprintf "Config.post_jobs must be positive (got %d)" t.post_jobs)
+    invalid_arg (Printf.sprintf "Config.post_jobs must be positive (got %d)" t.post_jobs);
+  match (t.crash_mode, t.domain) with
+  | `Full, _ | `Strict, Xfd_trace.Domain_model.Adr -> ()
+  | `Strict, (Xfd_trace.Domain_model.Eadr | Xfd_trace.Domain_model.Cxl_gpf) ->
+    invalid_arg
+      (Printf.sprintf
+         "Config.crash_mode `Strict requires the adr domain (got %s): a Strict image keeps \
+          only flushed-and-fenced bytes and would drop bytes that domain makes durable"
+         (Xfd_trace.Domain_model.to_string t.domain))

@@ -15,7 +15,10 @@ type t = {
       (** PM image handed to the post-failure stage: [`Full] copies every
           architectural byte (the paper's footnote 3; the shadow PM decides
           what was persisted), [`Strict] drops non-persisted bytes (useful
-          for cross-validation in tests) *)
+          for cross-validation in tests).  [`Strict] keeps only bytes made
+          durable by flush + fence, which is the ADR contract, so it is
+          valid only with [domain = Adr]: under eADR or CXL-GPF it would
+          drop bytes the model calls durable (see {!validate}) *)
   post_jobs : int;
       (** number of domains running post-failure executions concurrently —
           the paper's "the post-failure executions are independent as they
@@ -46,6 +49,9 @@ val default : t
 
 (** Reject configurations the engine cannot honour meaningfully.  Raises
     [Invalid_argument] when [max_failure_points <= 0] (which would silently
-    elide every failure point and report nothing) or [post_jobs <= 0].
+    elide every failure point and report nothing), when [post_jobs <= 0],
+    or when [crash_mode = `Strict] is combined with any domain other than
+    [Adr] (the Strict image ignores the domain, so the post stage would see
+    a false loss of durable bytes).
     {!Xfd.Engine.detect} validates its configuration on entry. *)
 val validate : t -> unit

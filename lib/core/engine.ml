@@ -33,12 +33,13 @@ type outcome = {
   coverage : Xfd_forensics.Coverage.t;
 }
 
-(* A failure point is just (arena index, delta journal): [trace_pos] names
-   the prefix of the flat event arena, and the per-point shadow divergence
-   is journaled inside the detector.  [dev_id] is the snapshot device's
-   slot in the run's cleanup registry (released exactly once, even when
-   the run aborts before consuming it). *)
-type snapshot = { index : int; trace_pos : int; dev : Device.t; dev_id : int }
+(* A failure point is (arena index, crash image, delta journal):
+   [trace_pos] names the prefix of the flat event arena, [img] is the crash
+   image captured when the point fired, and the per-point shadow divergence
+   is journaled inside the detector.  [img_id] is the image's slot in the
+   run's cleanup registry (released exactly once, even when the run aborts
+   before consuming it). *)
+type snapshot = { index : int; trace_pos : int; img : Xfd_mem.Image.t; img_id : int }
 
 let c_runs = Obs.Counter.make "engine.runs"
 let g_peak_image = Obs.Gauge.make "engine.peak_image_bytes"
@@ -112,7 +113,7 @@ let run_post ~config ~dev ~post =
 
 (* The full Figure 7 pipeline.  With [only = Some k] every failure point is
    numbered and elided exactly as in a full run, but only the point with
-   ordinal [k] is snapshotted and post-executed — the single-failure-point
+   ordinal [k] is captured and post-executed — the single-failure-point
    oracle entry behind [detect_at], used by the fuzzer's shrinker and corpus
    replay to re-check one verdict cheaply. *)
 let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
@@ -131,10 +132,10 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
     | None -> ()
     | Some f -> ( try f { completed; total } with _ -> ())
   in
-  (* Cleanup registry: every resource the pipeline owns (devices, snapshot
-     deltas, detector shadow pages) is registered here and disposed exactly
-     once — on the normal path at its usual point, or by [dispose_all] when
-     the run aborts.  Worker domains release through the same registry, so
+  (* Cleanup registry: every resource the pipeline owns (devices, captured
+     crash images, detector shadow pages) is registered here and disposed
+     exactly once — on the normal path at its usual point, or by
+     [dispose_all] when the run aborts.  Worker domains release through the same registry, so
      the mutex also orders racing disposals. *)
   let cleanup_mu = Mutex.create () in
   let cleanups : (int, unit -> unit) Hashtbl.t = Hashtbl.create 32 in
@@ -182,23 +183,28 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         let trace = Trace.create () in
         let snapshots = ref [] and fired = ref 0 in
         let last_ops = ref 0 in
-        (* Lightweight CoW snapshot of the device at the current trace
-           position: O(delta since the previous failure point), the crash
-           image is materialised later inside the post run.  [fired] counts
-           every failure point a full run would snapshot, so ordinals are
-           stable whether or not [only] filters the actual snapshots. *)
+        let crash_mode =
+          match config.Config.crash_mode with `Full -> Device.Full | `Strict -> Device.Strict
+        in
+        (* The crash image of the current trace position, captured as the
+           failure point fires: one CoW chunk-table copy, no eager byte
+           copy.  It is the image a later crash of a device snapshot would
+           give, since a crash image depends only on the device state at
+           this instant.  [fired] counts every failure point a full run
+           would capture, so ordinals are stable whether or not [only]
+           filters the actual captures. *)
         let record_snapshot () =
           (match only with
           | Some k when k <> !fired -> ()
           | Some _ | None ->
             Obs.Span.with_ ~name:sp_snapshot (fun () ->
-                let snap = Device.snapshot dev in
+                let img = Device.capture dev crash_mode in
                 snapshots :=
                   {
                     index = !fired;
                     trace_pos = Trace.length trace;
-                    dev = snap;
-                    dev_id = track (fun () -> Device.release snap);
+                    img;
+                    img_id = track (fun () -> Xfd_mem.Image.release img);
                   }
                   :: !snapshots);
             Flight.record ~level:Flight.Debug "snapshot.recorded"
@@ -252,9 +258,6 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         let detector, detector_cleanup = make_detector () in
         let pre_pos = ref 0 in
         let post_events = ref 0 in
-        let crash_mode =
-          match config.Config.crash_mode with `Full -> Device.Full | `Strict -> Device.Strict
-        in
         (* One post-failure execution per failure point.  The executions are
            independent (each runs on its own copy of the PM image), so with
            post_jobs > 1 they run on a small domain pool — the parallelisation
@@ -267,15 +270,15 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
           Obs.Span.with_ ~name:sp_post_run
             ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
             (fun () ->
-              (* Materialise this failure point's private crash image here,
-                 in the (possibly worker-domain) post run: shared chunks are
-                 immutable, so concurrent materialisation is race-free, and
-                 the snapshot's delta is dropped as soon as it has been
-                 consumed — peak memory stays O(live deltas). *)
-              let crash_img = Device.crash s.dev crash_mode in
-              let post_dev = Device.boot crash_img in
-              Xfd_mem.Image.release crash_img;
-              dispose s.dev_id;
+              (* Boot this failure point's image-only device from the crash
+                 image captured when the point fired, then drop the capture:
+                 the post device's first write to a chunk still shared with
+                 the live pre-failure device takes its private copy, and
+                 shared chunks are immutable, so worker domains boot
+                 race-free.  A post run injects no failure points, so the
+                 device needs no persistence tracking. *)
+              let post_dev = Device.boot_image_only s.img in
+              dispose s.img_id;
               let post_id = track (fun () -> Device.release post_dev) in
               (* A fatal post-failure exception propagates out of the
                  worker; the registry still frees this run's device. *)
@@ -447,7 +450,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (* Every still-registered resource — the live device, unconsumed
-         snapshot deltas, worker post-devices, detector shadow pages — is
+         crash images, worker post-devices, detector shadow pages — is
          released before the abort propagates, so an aborted run leaks no
          chunk or page bytes. *)
       dispose_all ();
@@ -511,34 +514,43 @@ let timed_span name f =
     0.0
     (Obs.Span.records_since mark)
 
-let run_traced program =
+(* The baselines' single pass: no failure injection, one Full crash after
+   the pre-failure stage, and the post stage on an image-only device, as
+   in [detect].  Device set-up and release stay outside the timed span. *)
+let run_once ?(tracing = true) program =
   let dev = Device.create () in
-  let trace = Trace.create () in
-  let ctx = Ctx.create ~stage:Ctx.Pre_failure ~dev ~trace () in
-  timed_span "run_traced" (fun () ->
-      program.setup ctx;
-      (match program.pre ctx with () -> () | exception Ctx.Detection_complete -> ());
-      let post_dev = Device.boot (Device.crash dev Device.Full) in
-      let post_trace = Trace.create () in
-      let post_ctx = Ctx.create ~stage:Ctx.Post_failure ~dev:post_dev ~trace:post_trace () in
-      match program.post post_ctx with
-      | () -> ()
-      | exception Ctx.Detection_complete -> ())
+  let trace = Trace.create () and post_trace = Trace.create () in
+  let post_dev = ref None in
+  let release () =
+    Device.release dev;
+    Option.iter Device.release !post_dev
+  in
+  let wall =
+    Fun.protect ~finally:release (fun () ->
+        let ctx = Ctx.create ~tracing ~stage:Ctx.Pre_failure ~dev ~trace () in
+        timed_span "run_once" (fun () ->
+            program.setup ctx;
+            (match program.pre ctx with () -> () | exception Ctx.Detection_complete -> ());
+            let img = Device.crash dev Device.Full in
+            let pdev = Device.boot_image_only img in
+            Xfd_mem.Image.release img;
+            post_dev := Some pdev;
+            let post_ctx =
+              Ctx.create ~tracing ~stage:Ctx.Post_failure ~dev:pdev ~trace:post_trace ()
+            in
+            match program.post post_ctx with
+            | () -> ()
+            | exception Ctx.Detection_complete -> ()))
+  in
+  (wall, trace, post_trace)
+
+let run_traced program =
+  let wall, _, _ = run_once program in
+  wall
 
 let run_original program =
-  let dev = Device.create () in
-  let trace = Trace.create () in
-  let ctx = Ctx.create ~tracing:false ~stage:Ctx.Pre_failure ~dev ~trace () in
-  timed_span "run_original" (fun () ->
-      program.setup ctx;
-      (match program.pre ctx with () -> () | exception Ctx.Detection_complete -> ());
-      let post_dev = Device.boot (Device.crash dev Device.Full) in
-      let post_ctx =
-        Ctx.create ~tracing:false ~stage:Ctx.Post_failure ~dev:post_dev ~trace ()
-      in
-      match program.post post_ctx with
-      | () -> ()
-      | exception Ctx.Detection_complete -> ())
+  let wall, _, _ = run_once ~tracing:false program in
+  wall
 
 let pp_outcome ppf o =
   let races, semantics, perf, errors = tally o in

@@ -1,11 +1,12 @@
 (** End-to-end detection: the paper's Figure 7 pipeline.
 
-    [detect] runs the pre-failure program once under tracing, snapshotting
-    the device at every failure point the context fires (before each
+    [detect] runs the pre-failure program once under tracing, capturing
+    the crash image at every failure point the context fires (before each
     ordering point inside the RoI, eliding points with no PM update since
-    the previous one — section 5.4 optimisation 2).  For every snapshot it
-    boots a copy of the PM image, runs the post-failure program on it under
-    tracing, and replays both traces through the backend.  Results carry the
+    the previous one — section 5.4 optimisation 2).  For every capture it
+    boots an image-only device from the image, runs the post-failure
+    program on it under tracing, and replays both traces through the
+    backend.  Results carry the
     per-failure-point reports, the deduplicated bug list and the timing
     breakdown used by the Figure 12/13 experiments. *)
 
@@ -33,7 +34,7 @@ type timings = {
   post_exec : float;  (** all post-failure executions + tracing *)
   pre_replay : float;  (** backend replay of the pre-failure trace *)
   post_replay : float;  (** backend replay of all post-failure traces *)
-  snapshotting : float;  (** PM-image copies at failure points *)
+  snapshotting : float;  (** crash-image captures at failure points *)
 }
 
 type outcome = {
@@ -91,7 +92,7 @@ val detect :
 (** [detect_at ~failure_point program] is the single-failure-point oracle
     entry: the pipeline runs exactly as {!detect} — failure points are
     numbered, elided and capped identically — but only the point with the
-    given ordinal is snapshotted and post-executed, so the outcome carries
+    given ordinal is captured and post-executed, so the outcome carries
     at most one failure report (none when the ordinal is out of range).
     The fuzzer's shrinker and corpus replay use this to re-check one
     verdict without paying for the full sweep. *)
@@ -113,6 +114,16 @@ val total_wall : outcome -> float
 (** Count bugs by class: races, semantic, performance, post-failure
     errors. *)
 val tally : outcome -> int * int * int * int
+
+(** [run_once ?tracing program] runs the program once with no failure
+    injection and no detection: setup and pre-failure stage on a fresh
+    device, one [Full] crash at the end, and the post-failure stage on an
+    image-only device booted from it.  Returns the wall time of that pass
+    and the pre- and post-failure traces ([tracing] defaults to [true]).
+    Every device and crash image is released, also when the program
+    raises. *)
+val run_once :
+  ?tracing:bool -> program -> float * Xfd_trace.Trace.t * Xfd_trace.Trace.t
 
 (** Run the program once (pre then post, no failure injection) with tracing
     but no detection — the paper's "Pure Pin" baseline.  Returns wall time. *)

@@ -15,7 +15,12 @@
     modified-but-unflushed byte {e may or may not} survive a failure — which
     is exactly why a post-failure read of it is a race.  [crash] exposes the
     three useful crash images: full (the paper's footnote-3 copy), strict
-    (only guaranteed bytes), and randomized (one possible interleaving). *)
+    (only guaranteed bytes), and randomized (one possible interleaving).
+
+    A device made by {!boot_image_only} has no cache model: no persisted
+    layer and no dirty or pending sets.  Its stores, flushes and fences do
+    only architectural work, which is all a post-failure run needs (the
+    detector's shadow FSM, not the device, decides what was persisted). *)
 
 type t
 
@@ -53,34 +58,54 @@ val sfence : t -> unit
     Counted as a fence in the device stats. *)
 val gpf : t -> unit
 
-(** Number of bytes currently modified but not captured by any flush. *)
+(** Number of bytes currently modified but not captured by any flush
+    (always 0 on an image-only device). *)
 val dirty_bytes : t -> int
 
-(** Number of bytes captured but not yet fenced. *)
+(** Number of bytes captured but not yet fenced (always 0 on an image-only
+    device). *)
 val pending_bytes : t -> int
 
 (** [is_persisted_range t addr size] is true when every byte of the range is
     guaranteed durable (persisted value equals architectural value and the
-    byte is neither dirty nor pending). *)
+    byte is neither dirty nor pending).  Raises [Invalid_argument] on an
+    image-only device. *)
 val is_persisted_range : t -> Addr.t -> int -> bool
 
 (** Build the PM image that a failure at this instant would leave behind.
     The image shares chunks with the device copy-on-write, so this is
     O(chunk-table + in-flight lines); actual byte copies are deferred to
-    whoever writes first. *)
+    whoever writes first.  An image-only device accepts only [Full] and
+    raises [Invalid_argument] on [Strict] and [Randomized]. *)
 val crash : t -> crash_mode -> Image.t
+
+(** [crash], counted as a failure-point snapshot: the engine captures each
+    failure point's crash image as soon as the point fires.  It copies no
+    byte eagerly ([pm.snapshot_bytes] grows by 0) and records the image's
+    footprint under [pm.snapshot_shared_bytes]. *)
+val capture : t -> crash_mode -> Image.t
 
 (** A fresh device booted from a crash image: empty caches, image and
     persisted layers both equal to [img] (shared copy-on-write, so booting
-    is O(chunk-table)). *)
+    is O(chunk-table)).  The booted device tracks persistence, so it can
+    be crashed again in any mode. *)
 val boot : Image.t -> t
 
-(** Copy-on-write snapshot of the whole device, used by the
-    failure-injection frontend at failure points: the images are shared
+(** An image-only device booted from a crash image: its architectural image
+    is a copy-on-write view of [img] (O(chunk-table)), and it has no cache
+    model.  Loads, stores, NT stores, flushes, fences and GPF leave the
+    same architectural bytes as on a {!boot}ed device; {!dirty_bytes} and
+    {!pending_bytes} stay 0; {!crash} accepts only [Full].  The engine, the
+    baselines and the trace tool run every post-failure stage on one. *)
+val boot_image_only : Image.t -> t
+
+(** Copy-on-write snapshot of the whole device: the images are shared
     structurally (O(chunk-table)) and only the cache-state delta — the
     dirty and writeback-pending byte sets — is copied eagerly.  Mutations
     of either side are invisible to the other, exactly as with
-    {!deep_snapshot}. *)
+    {!deep_snapshot}.  The engine no longer calls it (it {!capture}s the
+    crash image instead); it stays for the tests and the snapshotting
+    benchmark. *)
 val snapshot : t -> t
 
 (** The legacy eager snapshot: deep-copies both images up front.  Kept as
@@ -90,8 +115,8 @@ val deep_snapshot : t -> t
 
 (** Drop the device's chunk references and cache state (see
     {!Image.release}).  Optional — GC-safe without it — but keeps the
-    process-wide chunk accounting exact; the engine releases each snapshot
-    as soon as its failure point has been processed. *)
+    process-wide chunk accounting exact; the engine releases each
+    post-failure device as soon as its run is over. *)
 val release : t -> unit
 
 (** Direct access to the architectural image (read-only uses only). *)

@@ -51,12 +51,19 @@ let apply d = function
 
 let take n xs = List.filteri (fun i _ -> i < n) xs
 
-let crash_agrees a b mode =
-  let ia = Device.crash a mode and ib = Device.crash b mode in
-  let ok = Image.equal_range ia ib base window in
-  Image.release ia;
-  Image.release ib;
+let image_agrees img d mode =
+  let id = Device.crash d mode in
+  let ok = Image.equal_range img id base window in
+  Image.release id;
   ok
+
+let crash_agrees a b mode =
+  let ia = Device.crash a mode in
+  let ok = image_agrees ia b mode in
+  Image.release ia;
+  ok
+
+let modes = [ Device.Full; Device.Strict ]
 
 let equivalence_props =
   [
@@ -68,6 +75,8 @@ let equivalence_props =
         List.iter (apply d) (take k ops);
         let s_cow = Device.snapshot d in
         let s_deep = Device.deep_snapshot d in
+        (* The engine's failure-point capture: the crash image itself. *)
+        let captured = List.map (fun mode -> (mode, Device.crash d mode)) modes in
         (* The live device keeps mutating: CoW isolation must hold. *)
         List.iteri (fun i op -> if i >= k then apply d op) ops;
         (* The replay oracle is deep by construction. *)
@@ -75,12 +84,16 @@ let equivalence_props =
         List.iter (apply oracle) (take k ops);
         let ok =
           List.for_all
-            (fun mode ->
-              crash_agrees s_cow s_deep mode && crash_agrees s_cow oracle mode)
-            [ Device.Full; Device.Strict ]
+            (fun (mode, img) ->
+              crash_agrees s_cow s_deep mode
+              && crash_agrees s_cow oracle mode
+              && image_agrees img s_deep mode
+              && image_agrees img oracle mode)
+            captured
           && Device.dirty_bytes s_cow = Device.dirty_bytes oracle
           && Device.pending_bytes s_cow = Device.pending_bytes oracle
         in
+        List.iter (fun (_, img) -> Image.release img) captured;
         Device.release s_cow;
         Device.release s_deep;
         Device.release oracle;
@@ -89,28 +102,32 @@ let equivalence_props =
     QCheck.Test.make ~count:200
       ~name:"post-failure writes to a booted CoW image never leak back" script_arb
       (fun (ops, _) ->
-        let d = Device.create () in
-        List.iter (apply d) ops;
-        let s = Device.snapshot d in
-        let crash_img = Device.crash s Device.Full in
-        let before = Image.read (Device.image d) base window in
-        let snap_before = Image.read (Device.image s) base window in
-        (* A recovery run scribbling over every line of its private image. *)
-        let booted = Device.boot crash_img in
-        Image.release crash_img;
-        for line = 0 to (window / 64) - 1 do
-          Device.store_i64 booted (base + (line * 64)) 0x5151515151515151L;
-          Device.clwb booted (base + (line * 64))
-        done;
-        Device.sfence booted;
-        let ok =
-          Bytes.equal before (Image.read (Device.image d) base window)
-          && Bytes.equal snap_before (Image.read (Device.image s) base window)
-        in
-        Device.release booted;
-        Device.release s;
-        Device.release d;
-        ok);
+        (* Both boots: the tracking one and the engine's image-only one. *)
+        List.for_all
+          (fun boot ->
+            let d = Device.create () in
+            List.iter (apply d) ops;
+            let s = Device.snapshot d in
+            let crash_img = Device.crash s Device.Full in
+            let before = Image.read (Device.image d) base window in
+            let snap_before = Image.read (Device.image s) base window in
+            (* A recovery run scribbling over every line of its private image. *)
+            let booted = boot crash_img in
+            Image.release crash_img;
+            for line = 0 to (window / 64) - 1 do
+              Device.store_i64 booted (base + (line * 64)) 0x5151515151515151L;
+              Device.clwb booted (base + (line * 64))
+            done;
+            Device.sfence booted;
+            let ok =
+              Bytes.equal before (Image.read (Device.image d) base window)
+              && Bytes.equal snap_before (Image.read (Device.image s) base window)
+            in
+            Device.release booted;
+            Device.release s;
+            Device.release d;
+            ok)
+          [ Device.boot; Device.boot_image_only ]);
   ]
 
 (* Engine-verdict equivalence: a minimal replica of [Engine.detect]'s

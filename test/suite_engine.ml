@@ -40,6 +40,28 @@ let counter_program ?(n = 4) () =
         Ctx.roi_end ctx ~loc:l);
   }
 
+(* One 8-byte value that the persistence domain makes durable before the
+   fence: under eADR a plain store is durable when it is stored, under
+   CXL-GPF a flushed line is durable when it reaches the device.  The post
+   stage checks that the value survived. *)
+let durable_before_fence_program ~flush =
+  {
+    Engine.name = "durable-before-fence";
+    setup = (fun _ -> ());
+    pre =
+      (fun ctx ->
+        Ctx.roi_begin ctx ~loc:l;
+        Ctx.write_i64 ctx ~loc:l base 42L;
+        if flush then Ctx.clwb ctx ~loc:l base;
+        Ctx.sfence ctx ~loc:l;
+        Ctx.roi_end ctx ~loc:l);
+    post =
+      (fun ctx ->
+        Ctx.roi_begin ctx ~loc:l;
+        Ctx.check ctx ~loc:l (Ctx.read_i64 ctx ~loc:l base = 42L) "the value survived";
+        Ctx.roi_end ctx ~loc:l);
+  }
+
 let tests =
   [
     Tu.case "one failure point per ordering point plus terminal" (fun () ->
@@ -184,6 +206,25 @@ let config_tests =
         match Tu.detect ~config (counter_program ~n:2 ()) with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Tu.case "strict crash images are refused outside the ADR domain" (fun () ->
+        (* A Strict image keeps only bytes made durable by flush + fence,
+           which is the ADR contract: under eADR or CXL-GPF it would drop
+           bytes the model calls durable and report a false post-failure
+           error.  Full images stay clean; Strict is refused up front. *)
+        List.iter
+          (fun (domain, flush) ->
+            let name = Xfd_trace.Domain_model.to_string domain in
+            let program = durable_before_fence_program ~flush in
+            let config = { Config.default with domain } in
+            Tu.check_clean (name ^ " full") (Tu.detect ~config program);
+            match Tu.detect ~config:{ config with crash_mode = `Strict } program with
+            | _ -> Alcotest.failf "%s: Strict accepted" name
+            | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (name ^ ": message names the field") true
+                (String.starts_with ~prefix:"Config.crash_mode" msg))
+          [ (Xfd_trace.Domain_model.Eadr, false); (Xfd_trace.Domain_model.Cxl_gpf, true) ];
+        Config.validate { Config.default with crash_mode = `Strict });
     Tu.case "cap boundary: exact, one-less and default verdicts agree" (fun () ->
         (* The terminal point deliberately bypasses the cap (tested below),
            so boundary precision is asserted with it disabled. *)

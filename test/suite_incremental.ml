@@ -292,6 +292,26 @@ let release_tests =
         Alcotest.(check int)
           "shadow page bytes released" shadow0
           (Xfd_mem.Shadow_pages.live_bytes ()));
+    Tu.case "baseline runs release every device and crash image" (fun () ->
+        (* The pre-failure device, the crash image and the post device of
+           the single-pass baselines, also when the post stage aborts. *)
+        let btree () = Xfd_workloads.Btree.program ~init_size:2 ~size:3 () in
+        List.iter
+          (fun (name, run) ->
+            let image0 = Xfd_mem.Image.live_bytes () in
+            run (btree ());
+            Alcotest.(check int) (name ^ ": pm chunk bytes released") image0
+              (Xfd_mem.Image.live_bytes ());
+            (match run (aborting_program ()) with
+            | () -> Alcotest.failf "%s: the post stage should have aborted" name
+            | exception Assert_failure _ -> ());
+            Alcotest.(check int) (name ^ ": released after an abort") image0
+              (Xfd_mem.Image.live_bytes ()))
+          [
+            ("run_traced", fun p -> ignore (Engine.run_traced p));
+            ("run_original", fun p -> ignore (Engine.run_original p));
+            ("Pure_trace.run", fun p -> ignore (Xfd_baselines.Pure_trace.run p));
+          ]);
   ]
 
 let suite =

@@ -211,7 +211,90 @@ let device_tests =
         Alcotest.(check int) "fences" 1 s.Device.fences);
   ]
 
+(* The image-only device that post-failure runs boot: architectural work
+   only, no cache model. *)
+let image_only_tests =
+  let window = 2 * Image.chunk_size in
+  (* A pre-failure device with persisted, pending and dirty bytes across
+     two chunks, and its Full crash image. *)
+  let crashed () =
+    let d = Device.create () in
+    for i = 0 to 15 do
+      Device.store_i64 d (i * 512) (Int64.of_int (i + 1))
+    done;
+    Device.clwb d 0;
+    Device.sfence d;
+    Device.clwb d 512;
+    (d, Device.crash d Device.Full)
+  in
+  [
+    Tu.case "image-only boot leaves the same architectural bytes as boot" (fun () ->
+        let d, img = crashed () in
+        let tracked = Device.boot img and bare = Device.boot_image_only img in
+        let rng = Xfd_util.Rng.create 11L in
+        for _ = 1 to 400 do
+          let a = Xfd_util.Rng.int rng (window - 8) in
+          let len = 1 + Xfd_util.Rng.int rng 8 in
+          let v = Bytes.make len (Char.chr (65 + Xfd_util.Rng.int rng 26)) in
+          let op : Device.t -> unit =
+            match Xfd_util.Rng.int rng 7 with
+            | 0 | 1 -> fun dev -> Device.store dev a v
+            | 2 -> fun dev -> Device.store_nt dev a v
+            | 3 -> fun dev -> Device.clwb dev a
+            | 4 -> fun dev -> Device.clflush dev a
+            | 5 -> fun dev -> Device.sfence dev
+            | _ -> fun dev -> Device.gpf dev
+          in
+          op tracked;
+          op bare;
+          Alcotest.(check bytes) "load" (Device.load tracked a 8) (Device.load bare a 8)
+        done;
+        List.iter (fun dev -> Device.store dev 0 (b "z")) [ tracked; bare ];
+        Alcotest.(check bytes)
+          "architectural image"
+          (Image.read (Device.image tracked) 0 window)
+          (Image.read (Device.image bare) 0 window);
+        Alcotest.(check bool) "same stats" true (Device.stats tracked = Device.stats bare);
+        Alcotest.(check bool) "the tracking boot did track" true
+          (Device.dirty_bytes tracked + Device.pending_bytes tracked > 0);
+        Alcotest.(check int) "no dirty bytes" 0 (Device.dirty_bytes bare);
+        Alcotest.(check int) "no pending bytes" 0 (Device.pending_bytes bare);
+        List.iter Device.release [ tracked; bare; d ];
+        Image.release img);
+    Tu.case "image-only crash accepts only Full" (fun () ->
+        let d, img = crashed () in
+        let bare = Device.boot_image_only img in
+        Device.store_i64 bare 0 99L;
+        let full = Device.crash bare Device.Full in
+        Alcotest.check Tu.i64 "Full keeps every architectural byte" 99L (Image.read_i64 full 0);
+        List.iter
+          (fun (name, mode) ->
+            match Device.crash bare mode with
+            | _ -> Alcotest.failf "%s crash accepted" name
+            | exception Invalid_argument _ -> ())
+          [
+            ("Strict", Device.Strict);
+            ("Randomized", Device.Randomized (Xfd_util.Rng.create 3L));
+          ];
+        List.iter Image.release [ full; img ];
+        List.iter Device.release [ bare; d ]);
+    Tu.case "image-only release returns chunk accounting to baseline" (fun () ->
+        let live0 = Image.live_bytes () in
+        let d, img = crashed () in
+        let bare = Device.boot_image_only img in
+        Device.store_i64 bare 0 7L (* CoW fault on a shared chunk *);
+        Device.store_i64 bare (4 * Image.chunk_size) 7L (* a fresh chunk *);
+        Alcotest.(check bool) "accounting grew" true (Image.live_bytes () > live0);
+        Image.release img;
+        Device.release bare;
+        Device.release d;
+        Alcotest.(check int) "back to baseline" live0 (Image.live_bytes ()));
+  ]
+
 let suite =
   [
-    ("mem.addr", addr_tests); ("mem.image", image_tests); ("mem.device", device_tests);
+    ("mem.addr", addr_tests);
+    ("mem.image", image_tests);
+    ("mem.device", device_tests);
+    ("mem.image_only", image_only_tests);
   ]
