@@ -27,23 +27,31 @@ type state = {
   pending : (Addr.t * int * int) list; (* deferred commit writes (var, ts, ev) *)
 }
 
-(* Every update builds a new [state], so a clone is a copy of this pointer. *)
-type t = { mutable s : state }
+(* The answer of one per-byte query, valid for every byte of [lo, hi)
+   while the registry is at state [st]: a post-failure read's bytes
+   almost always share one segment or one gap, so one map lookup serves
+   the whole read. *)
+type 'a memo = { mutable st : state; mutable lo : Addr.t; mutable hi : Addr.t; mutable v : 'a }
+
+(* Every update builds a new [state], so a clone is a copy of this pointer
+   (and a stale memo is one whose [st] is not the current state). *)
+type t = {
+  mutable s : state;
+  commit_memo : bool memo;
+  window_memo : (int * int) option option memo;
+}
 
 exception Overlapping_commit_ranges of Addr.t * Addr.t
 
 (* ---- segment maps ---- *)
 
-let seg_find segs a =
-  match Imap.find_last_opt (fun start -> start <= a) segs with
-  | Some (_, (stop, owner)) when a < stop -> Some owner
-  | Some _ | None -> None
-
 (* Fold [f start stop owner] over the segments overlapping [lo, hi), in
-   address order. *)
+   address order.  Segments are disjoint, so when the last one starting
+   below [hi] ends by [lo], none overlaps: one lookup settles the common
+   case of a span no segment touches. *)
 let seg_fold_overlaps f segs lo hi acc =
-  if hi <= lo then acc
-  else
+  match Imap.find_last_opt (fun start -> start < hi) segs with
+  | Some (_, (stop, _)) when stop > lo && hi > lo ->
     let acc =
       match Imap.find_last_opt (fun start -> start < lo) segs with
       | Some (start, (stop, owner)) when stop > lo -> f start stop owner acc
@@ -56,9 +64,10 @@ let seg_fold_overlaps f segs lo hi acc =
       | Seq.Cons _ | Seq.Nil -> acc
     in
     from acc (Imap.to_seq_from lo segs)
+  | Some _ | None -> acc
 
 (* Unbind [lo, hi), whoever owns it; overlapping segments keep the parts
-   outside the span. *)
+   outside the span.  With no overlap the map comes back unchanged. *)
 let seg_clear segs lo hi =
   seg_fold_overlaps
     (fun start stop owner acc ->
@@ -67,19 +76,39 @@ let seg_clear segs lo hi =
       if stop > hi then Imap.add hi (stop, owner) acc else acc)
     segs lo hi segs
 
+(* The segment or gap holding [a], as [(lo, hi, owner)]; [owner] is [-1]
+   for a gap. *)
+let seg_span segs a =
+  match Imap.find_last_opt (fun start -> start <= a) segs with
+  | Some (start, (stop, owner)) when a < stop -> (start, stop, owner)
+  | prev ->
+    let lo = match prev with Some (_, (stop, _)) -> stop | None -> min_int in
+    let hi =
+      match Imap.find_first_opt (fun start -> start > a) segs with
+      | Some (start, _) -> start
+      | None -> max_int
+    in
+    (lo, hi, -1)
+
 (* Bind [lo, hi) to [owner]: the last registration of a byte wins. *)
 let seg_set segs lo hi owner =
   if hi <= lo then segs else Imap.add lo (hi, owner) (seg_clear segs lo hi)
 
 (* ---- registry ---- *)
 
-let create () =
+let empty = { vars = Imap.empty; var_bytes = Imap.empty; range_bytes = Imap.empty; pending = [] }
+
+(* [empty] is never a handle's state (each handle starts from a copy), so
+   a fresh memo never answers. *)
+let of_state s =
   {
-    s =
-      { vars = Imap.empty; var_bytes = Imap.empty; range_bytes = Imap.empty; pending = [] };
+    s;
+    commit_memo = { st = empty; lo = 0; hi = 0; v = false };
+    window_memo = { st = empty; lo = 0; hi = 0; v = None };
   }
 
-let clone t = { s = t.s }
+let create () = of_state { empty with pending = [] }
+let clone t = of_state t.s
 
 let register_var t ~var ~size =
   let s = t.s in
@@ -171,20 +200,39 @@ let unregister_var t ~var =
         pending = List.filter (fun (w, _, _) -> w <> var) s.pending;
       }
 
-let is_commit_byte t addr = Option.is_some (seg_find t.s.var_bytes addr)
+let fresh m t addr = m.st == t.s && m.lo <= addr && addr < m.hi
+
+let is_commit_byte t addr =
+  let m = t.commit_memo in
+  if not (fresh m t addr) then begin
+    let lo, hi, owner = seg_span t.s.var_bytes addr in
+    m.st <- t.s;
+    m.lo <- lo;
+    m.hi <- hi;
+    m.v <- owner >= 0
+  end;
+  m.v
 
 let window_for t addr =
-  match seg_find t.s.range_bytes addr with
-  | None -> None
-  | Some var ->
-    let v = Imap.find var t.s.vars in
-    if v.commits = 0 then Some None
-    else Some (Some ((if v.commits = 1 then -1 else v.t_prelast), v.t_last))
+  let m = t.window_memo in
+  if not (fresh m t addr) then begin
+    let lo, hi, var = seg_span t.s.range_bytes addr in
+    m.st <- t.s;
+    m.lo <- lo;
+    m.hi <- hi;
+    m.v <-
+      (if var < 0 then None
+       else
+         let v = Imap.find var t.s.vars in
+         if v.commits = 0 then Some None
+         else Some (Some ((if v.commits = 1 then -1 else v.t_prelast), v.t_last)))
+  end;
+  m.v
 
 let frame_for t addr =
-  match seg_find t.s.range_bytes addr with
-  | None -> None
-  | Some var ->
+  match seg_span t.s.range_bytes addr with
+  | _, _, -1 -> None
+  | _, _, var ->
     let v = Imap.find var t.s.vars in
     if v.commits = 0 then None else Some (v.ev_prelast, v.ev_last)
 

@@ -34,7 +34,9 @@ type t = {
   mutable tx_added : (Addr.t * int) list;
   mutable bugs_rev : Report.bug list;
   dedup : (string, unit) Hashtbl.t;
-  checked : (Addr.t, unit) Hashtbl.t;
+  (* Bytes a post-failure read already checked.  Scratch owned by the base
+     detector: every fork shares it, and forking clears it. *)
+  checked : Xfd_util.Int_table.t;
   (* Traces provenance chains resolve against: the shared pre-failure trace
      (set when the base detector replays it; inherited by forks) and the
      trace currently being replayed into this instance. *)
@@ -58,12 +60,13 @@ let create ?(check_perf = true) ?(commit_at = `Write) ?(forensics = false)
     tx_added = [];
     bugs_rev = [];
     dedup = Hashtbl.create 64;
-    checked = Hashtbl.create 256;
+    checked = Xfd_util.Int_table.create 64;
     pre_trace = None;
     cur_trace = None;
   }
 
 let fork_for_post t =
+  Xfd_util.Int_table.clear t.checked;
   let registry = Commit_registry.clone t.registry in
   (* In persist-time mode, commit writes that never persisted before the
      failure are discarded: the strict image does not contain them. *)
@@ -84,7 +87,7 @@ let fork_for_post t =
     tx_added = [];
     bugs_rev = [];
     dedup = Hashtbl.create 16;
-    checked = Hashtbl.create 64;
+    checked = t.checked;
     pre_trace = t.pre_trace;
     cur_trace = None;
   }
@@ -114,46 +117,48 @@ let checking t = t.in_roi && t.skip_depth = 0
 (* Outcome of checking one byte of a post-failure read. *)
 type finding = Ok_read | Racy of { writer : Loc.t; uninit : bool } | Inconsistent of { writer : Loc.t; status : Cstate.t }
 
+(* Reads the shadow field by field ({!Shadow_pm.packed} and friends), so
+   a byte that checks clean allocates nothing.  Commit-variable bytes are
+   benign races, never reported.  Only the branches that would otherwise
+   report ask the registry whether a byte is one: every other branch
+   answers [Ok_read] either way. *)
 let check_byte t a =
-  if Hashtbl.mem t.checked a then Ok_read
+  if Xfd_util.Int_table.mem t.checked a then Ok_read
   else begin
-    Hashtbl.replace t.checked a ();
-    Obs.Counter.incr c_checked_bytes;
-    if Commit_registry.is_commit_byte t.registry a then Ok_read (* benign race *)
+    Xfd_util.Int_table.replace t.checked a 0;
+    let sh = t.shadow in
+    let packed = Shadow_pm.packed sh a in
+    if packed = 0 then Ok_read (* never touched before the failure *)
+    else if Shadow_pm.post_written packed then Ok_read
+    else if Shadow_pm.uninit packed then
+      (* An allocated-but-never-initialised location cannot be
+         semantically consistent, whatever commit window covers it. *)
+      if Commit_registry.is_commit_byte t.registry a then Ok_read
+      else Racy { writer = Shadow_pm.writer sh a; uninit = true }
     else begin
-      match Shadow_pm.find t.shadow a with
-      | None -> Ok_read (* never touched before the failure *)
-      | Some c ->
-        if c.Shadow_pm.post_written then Ok_read
-        else if c.Shadow_pm.uninit then
-          (* An allocated-but-never-initialised location cannot be
-             semantically consistent, whatever commit window covers it. *)
-          Racy { writer = c.Shadow_pm.writer; uninit = true }
-        else begin
-          (* Eq. 3 orders W(m) before C(x) by *persistence*: a byte can only
-             count as semantically consistent once it is guaranteed durable,
-             so the persistence check comes first (this is also what the
-             paper's Figure 11 walkthrough reports at F1: modified data
-             races even though its commit window looks right). *)
-          match c.Shadow_pm.pstate with
-          | Pstate.Modified | Pstate.Writeback_pending ->
-            Racy { writer = c.Shadow_pm.writer; uninit = false }
-          | Pstate.Unmodified ->
-            if c.Shadow_pm.uninit then Racy { writer = c.Shadow_pm.writer; uninit = true }
-            else Ok_read
-          | Pstate.Persisted -> begin
-            match Commit_registry.window_for t.registry a with
-            | None -> Ok_read
-            | Some None ->
-              Inconsistent { writer = c.Shadow_pm.writer; status = Cstate.not_committed }
-            | Some (Some (t_prelast, t_last)) -> begin
-              match Cstate.classify ~t_prelast ~t_last ~tlast:c.Shadow_pm.tlast with
-              | Cstate.Consistent -> Ok_read
-              | (Cstate.Uncommitted | Cstate.Stale) as s ->
-                Inconsistent { writer = c.Shadow_pm.writer; status = s }
-            end
-          end
+      (* Eq. 3 orders W(m) before C(x) by *persistence*: a byte can only
+         count as semantically consistent once it is guaranteed durable,
+         so the persistence check comes first (this is also what the
+         paper's Figure 11 walkthrough reports at F1: modified data
+         races even though its commit window looks right). *)
+      match Shadow_pm.pstate packed with
+      | Pstate.Modified | Pstate.Writeback_pending ->
+        if Commit_registry.is_commit_byte t.registry a then Ok_read
+        else Racy { writer = Shadow_pm.writer sh a; uninit = false }
+      | Pstate.Unmodified -> Ok_read
+      | Pstate.Persisted -> begin
+        match Commit_registry.window_for t.registry a with
+        | None -> Ok_read
+        | Some _ when Commit_registry.is_commit_byte t.registry a -> Ok_read
+        | Some None ->
+          Inconsistent { writer = Shadow_pm.writer sh a; status = Cstate.not_committed }
+        | Some (Some (t_prelast, t_last)) -> begin
+          match Cstate.classify ~t_prelast ~t_last ~tlast:(Shadow_pm.tlast sh a) with
+          | Cstate.Consistent -> Ok_read
+          | (Cstate.Uncommitted | Cstate.Stale) as s ->
+            Inconsistent { writer = Shadow_pm.writer sh a; status = s }
         end
+      end
     end
   end
 
@@ -253,39 +258,44 @@ let provenance_for_waste t ~addr ~size ~ev ~verdict ~persistence =
            ?post:(if t.post then t.cur_trace else None)
            ~addr ~size ~verdict ~persistence (List.rev !spec))
 
+let report_finding t ~loc ~ev start len = function
+  | Ok_read -> ()
+  | Racy { writer; uninit } as f ->
+    let provenance = provenance_for_read t ~addr:start ~size:len ~read_ev:ev f in
+    record t
+      (Report.Race
+         { addr = start; size = len; read_loc = loc; write_loc = writer; uninit; provenance })
+  | Inconsistent { writer; status } as f ->
+    let provenance = provenance_for_read t ~addr:start ~size:len ~read_ev:ev f in
+    record t
+      (Report.Semantic
+         { addr = start; size = len; read_loc = loc; write_loc = writer; status; provenance })
+
 (* Check a post-failure read, coalescing contiguous bytes with the same
-   verdict into a single report. *)
+   verdict into a single report.  Plain loops, not closures: a read that
+   checks clean allocates nothing.  Each newly checked byte joins
+   [checked], so its growth is the read's [detector.checked_bytes]. *)
 let check_read t ~loc ~ev addr size =
-  let flush_pending start len = function
-    | Ok_read -> ()
-    | Racy { writer; uninit } as f ->
-      let provenance = provenance_for_read t ~addr:start ~size:len ~read_ev:ev f in
-      record t
-        (Report.Race
-           { addr = start; size = len; read_loc = loc; write_loc = writer; uninit; provenance })
-    | Inconsistent { writer; status } as f ->
-      let provenance = provenance_for_read t ~addr:start ~size:len ~read_ev:ev f in
-      record t
-        (Report.Semantic
-           { addr = start; size = len; read_loc = loc; write_loc = writer; status; provenance })
-  in
+  let checked_before = Xfd_util.Int_table.length t.checked in
   let pending = ref Ok_read and start = ref addr and len = ref 0 in
-  Addr.iter_bytes addr size (fun a ->
-      let f = check_byte t a in
-      if f = !pending && !len > 0 then incr len
-      else begin
-        flush_pending !start !len !pending;
-        pending := f;
-        start := a;
-        len := 1
-      end);
-  flush_pending !start !len !pending
+  for a = addr to addr + size - 1 do
+    let f = check_byte t a in
+    let same = match (f, !pending) with Ok_read, Ok_read -> true | _ -> f = !pending in
+    if same && !len > 0 then incr len
+    else begin
+      report_finding t ~loc ~ev !start !len !pending;
+      pending := f;
+      start := a;
+      len := 1
+    end
+  done;
+  report_finding t ~loc ~ev !start !len !pending;
+  Obs.Counter.add c_checked_bytes (Xfd_util.Int_table.length t.checked - checked_before)
 
 let on_write t ~loc ~ev ~nt addr size =
   Commit_registry.on_write t.registry ~defer:t.defer_commits ~addr ~size ~ts:t.ts ~ev;
   if (not t.post) && checking t then Obs.Counter.add c_written_bytes size;
-  Addr.iter_bytes addr size (fun a ->
-      Shadow_pm.write_byte t.shadow a ~ts:t.ts ~ev ~loc ~nt ~post:t.post)
+  Shadow_pm.write t.shadow addr size ~ts:t.ts ~ev ~loc ~nt ~post:t.post
 
 let on_flush t ~loc ~ev addr =
   let line = Addr.line_of addr in
@@ -362,6 +372,8 @@ let replay_event t (ev : Event.t) =
   | Event.Marker _ -> ()
 
 let replay t trace ~from ~upto =
+  if not (Shadow_pm.live t.shadow) then
+    invalid_arg "Detector.replay: fork used after its divergence was rewound";
   if t.forensics then begin
     if not t.post then t.pre_trace <- Some trace;
     t.cur_trace <- Some trace

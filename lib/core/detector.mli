@@ -53,8 +53,11 @@ val replay : t -> Xfd_trace.Trace.t -> from:int -> upto:int -> unit
     not grow with the base's state.  The fork's shadow is a journaled
     divergence of the base shadow: at most one fork is live at a time,
     and advancing the base (or forking again) unwinds the previous fork's
-    journal first — recorded bugs stay valid, but the fork must not replay
-    further events after that.  The fork's commit registry is a
+    journal first — recorded bugs stay valid, but replaying further events
+    into the stale fork raises [Invalid_argument].  Forks share the
+    base's scratch (the shadow's journal, the set of checked bytes),
+    emptied at every fork, so a fork allocates nothing once the scratch
+    has grown to the workload's size.  The fork's commit registry is a
     {!Commit_registry.clone}: it starts from the base's registrations and
     windows (less deferred commits, which a failure discards), and what
     the post-failure stage registers or commits never reaches the base or
@@ -76,7 +79,8 @@ val bugs : t -> Report.bug list
 (** Current global timestamp (one tick per ordering point). *)
 val timestamp : t -> int
 
-(** Expose the shadow cell of an address, for tests and debugging. *)
+(** Expose the shadow cell of an address, for tests and debugging
+    (raises [Invalid_argument] on a stale fork). *)
 val probe : t -> Xfd_mem.Addr.t -> Shadow_pm.cell option
 
 (** The commit-variable registry (for tests). *)

@@ -5,12 +5,24 @@ type 'm t = {
   pages : Pages.t;
   domain : Xfd_trace.Domain_model.t;
   make_meta : unit -> 'm;
+  fence_target : int; (* the code a fence gives a writeback-pending byte *)
   meta : (int, 'm) Hashtbl.t;
-  mutable last_meta : (int * 'm) option;
+  (* One-entry cache: [last_meta] is the page [last_idx]'s fields, kept as
+     the option {!meta} returns so a hit allocates nothing. *)
+  mutable last_idx : int;
+  mutable last_meta : 'm option;
 }
 
 let create ~domain make_meta =
-  { pages = Pages.create (); domain; make_meta; meta = Hashtbl.create 16; last_meta = None }
+  {
+    pages = Pages.create ();
+    domain;
+    make_meta;
+    fence_target = Pstate.code (Pstate.on_fence_in domain Pstate.Writeback_pending);
+    meta = Hashtbl.create 16;
+    last_idx = -1;
+    last_meta = None;
+  }
 
 let domain t = t.domain
 let pages t = t.pages
@@ -18,6 +30,7 @@ let pages t = t.pages
 let release t =
   Pages.release t.pages;
   Hashtbl.reset t.meta;
+  t.last_idx <- -1;
   t.last_meta <- None
 
 (* The per-byte loops below compare raw codes: with cross-module inlining
@@ -41,14 +54,14 @@ let offset addr = addr land 4095
 
 let meta t addr =
   let idx = page_index addr in
-  match t.last_meta with
-  | Some (i, m) when i = idx -> Some m
-  | _ -> (
+  if idx = t.last_idx then t.last_meta
+  else
     match Hashtbl.find_opt t.meta idx with
-    | Some m ->
-      t.last_meta <- Some (idx, m);
-      Some m
-    | None -> None)
+    | Some _ as r ->
+      t.last_idx <- idx;
+      t.last_meta <- r;
+      r
+    | None -> None
 
 let own_meta t addr =
   match meta t addr with
@@ -57,7 +70,8 @@ let own_meta t addr =
     let m = t.make_meta () in
     let idx = page_index addr in
     Hashtbl.replace t.meta idx m;
-    t.last_meta <- Some (idx, m);
+    t.last_idx <- idx;
+    t.last_meta <- Some m;
     m
 
 let own_range t addr size f =
@@ -93,16 +107,13 @@ let flush_line t line store =
 
 (* [bit_pending] is set exactly on writeback-pending bytes, so one target
    serves every promoted byte. *)
-let promote t addrs store =
-  let target = Pstate.code (Pstate.on_fence_in t.domain Pstate.Writeback_pending) in
-  List.iter
-    (fun a ->
-      let old = Pages.get t.pages a in
-      if Pages.has old Pages.bit_pending then store a ~old (repack old target))
-    addrs
+let promote t a store =
+  let old = Pages.get t.pages a in
+  if Pages.has old Pages.bit_pending then store a ~old (repack old t.fence_target)
 
 let fence t store =
-  if Pstate.persists_at_fence t.domain then promote t (Pages.pending_addrs t.pages) store
+  if Pstate.persists_at_fence t.domain then
+    List.iter (fun a -> promote t a store) (Pages.pending_addrs t.pages)
 
 let outstanding t =
   let acc = ref [] in

@@ -71,9 +71,9 @@ val flush_line :
   store ->
   [ `Had_modified | `Clean | `Waste of Pstate.flush_waste ]
 
-(** [promote t addrs store]: the {!Pstate.on_fence_in} image of each
-    listed byte that is still writeback-pending. *)
-val promote : 'm t -> Xfd_mem.Addr.t list -> store -> unit
+(** [promote t addr store]: the {!Pstate.on_fence_in} image of [addr],
+    if it is still writeback-pending. *)
+val promote : 'm t -> Xfd_mem.Addr.t -> store -> unit
 
 (** A fence: promote every writeback-pending byte, when the model persists
     at a fence ({!Pstate.persists_at_fence}). *)

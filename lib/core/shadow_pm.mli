@@ -20,10 +20,14 @@
     unwinding it restores the canonical prefix exactly, so nothing is ever
     re-replayed and the base is never polluted by post-failure state.  The
     journal unwinds explicitly via {!rewind}, or automatically as soon as
-    the base layer mutates again or a new overlay is created; mutating a
-    rewound overlay raises [Invalid_argument].  While a divergence is
-    live, reads through the base handle resolve journaled bytes to their
-    pre-divergence values. *)
+    the base layer mutates again or a new overlay is created; reading or
+    mutating through a rewound overlay raises [Invalid_argument].  While a
+    divergence is live, reads through the base handle resolve journaled
+    bytes to their pre-divergence values.
+
+    The journal is scratch the store owns and reuses: a rewind empties it
+    without shrinking it, so forks stop allocating once it has grown to
+    the workload's size. *)
 
 type cell = {
   pstate : Pstate.t;
@@ -62,20 +66,49 @@ val overlay : t -> t
     already-rewound overlay. *)
 val rewind : t -> unit
 
+(** [false] exactly for an overlay whose divergence was rewound or
+    superseded by a newer overlay: every read or write through it
+    raises. *)
+val live : t -> bool
+
 (** Drop the store's pages and return their bytes to the global
     [shadow.page_bytes_live] accounting.  Idempotent. *)
 val release : t -> unit
 
 (** Read-only lookup (never copies).  [None] means the byte was never
-    touched: reading it cannot be a cross-failure bug. *)
+    touched: reading it cannot be a cross-failure bug.  Raises
+    [Invalid_argument] through a rewound overlay. *)
 val find : t -> Xfd_mem.Addr.t -> cell option
 
-(** [write_byte t addr ~ts ~ev ~loc ~nt ~post] applies a store.  [ev] is
-    the trace index of the writing event (recorded into the provenance
-    history when forensics is on; otherwise ignored). *)
-val write_byte :
+(** {1 Reads that do not allocate}
+
+    The fields of {!find}'s cell, one at a time, for the detector's
+    per-byte check.  Each raises [Invalid_argument] through a rewound
+    overlay. *)
+
+(** The byte's packed state; [0] when it was never touched. *)
+val packed : t -> Xfd_mem.Addr.t -> int
+
+(** Decoders of a nonzero {!packed} value. *)
+val pstate : int -> Pstate.t
+
+val uninit : int -> bool
+val post_written : int -> bool
+
+(** [tlast] and [writer] of the byte ([-1] and {!Xfd_util.Loc.unknown}
+    when never written). *)
+val tlast : t -> Xfd_mem.Addr.t -> int
+
+val writer : t -> Xfd_mem.Addr.t -> Xfd_util.Loc.t
+
+(** [write t addr size ~ts ~ev ~loc ~nt ~post] applies a store to the
+    [size] bytes from [addr].  [ev] is the trace index of the writing
+    event (recorded into the provenance history when forensics is on;
+    otherwise ignored). *)
+val write :
   t ->
   Xfd_mem.Addr.t ->
+  int ->
   ts:int ->
   ev:int ->
   loc:Xfd_util.Loc.t ->

@@ -79,9 +79,10 @@ let release t =
 let page_index addr = addr lsr page_bits
 let page_offset addr = addr land (page_size - 1)
 
+(* Returns the cached option itself: a hit allocates nothing. *)
 let find_page t addr =
   match t.last with
-  | Some p when p.base = addr land lnot (page_size - 1) -> Some p
+  | Some p as r when p.base = addr land lnot (page_size - 1) -> r
   | _ -> (
     match Hashtbl.find_opt t.pages (page_index addr) with
     | Some _ as r ->

@@ -62,14 +62,26 @@ let positions trace =
    into the fork as if they were the recovery program.  They hit the same
    slots the prefix touched, so the divergence journal captures real
    overlaps; the registry is cloned per fork, so commit/TX framing events
-   are filtered out to keep the slice a plain mutation storm. *)
-let post_slice trace ~pos ~n =
+   are filtered out to keep the slice a plain mutation storm.  With
+   [spread], every addressed event is replayed again 256 bytes and one
+   page up, on bytes the prefix never touched: the journal then captures
+   untracked bytes and a new page too, and outgrows its initial
+   capacity. *)
+let post_slice ?(spread = false) trace ~pos ~n =
   let out = Trace.create () in
+  let add loc kind = ignore (Trace.append out ~kind ~loc) in
+  let shifts = if spread then [ 0; 256; 4096 ] else [ 0 ] in
   Trace.iter_range trace ~from:pos ~upto:(min (pos + n) (Trace.length trace)) (fun ev ->
+      let loc = ev.Event.loc in
+      let each f = List.iter (fun d -> add loc (f d)) shifts in
       match ev.Event.kind with
-      | Event.Write _ | Event.Nt_write _ | Event.Clwb _ | Event.Clflush _
-      | Event.Clflushopt _ | Event.Sfence | Event.Mfence | Event.Read _ ->
-        ignore (Trace.append out ~kind:ev.Event.kind ~loc:ev.Event.loc)
+      | Event.Write { addr; size } -> each (fun d -> Event.Write { addr = addr + d; size })
+      | Event.Nt_write { addr; size } -> each (fun d -> Event.Nt_write { addr = addr + d; size })
+      | Event.Read { addr; size } -> each (fun d -> Event.Read { addr = addr + d; size })
+      | Event.Clwb { addr } -> each (fun d -> Event.Clwb { addr = addr + d })
+      | Event.Clflush { addr } -> each (fun d -> Event.Clflush { addr = addr + d })
+      | Event.Clflushopt { addr } -> each (fun d -> Event.Clflushopt { addr = addr + d })
+      | (Event.Sfence | Event.Mfence) as kind -> add loc kind
       | _ -> ());
   out
 
@@ -92,37 +104,61 @@ let dump d =
   done;
   Buffer.contents b
 
+(* The store reuses one divergence journal for every fork.  Forks at
+   successive positions alternate between plain slices of 24 events, which
+   stay inside the journal's initial capacity of 64 bytes, and spread
+   slices of 400 events, which overflow it; each position forks twice,
+   once with each length, so a short slice also runs on scratch a long
+   one just grew. *)
+let slice_lengths k = if k mod 2 = 0 then [ 24; 400 ] else [ 400; 24 ]
+let journal_capacity = 64
+
+(* Fork [inc] at its position [p] once per slice length, replay the slice
+   and rewind.  [check what dump] receives the base's dump while the
+   divergence is live (post-failure mutations in the journal must be
+   invisible to base reads) and after the rewind.  Returns the largest
+   journal, in bytes. *)
+let fork_twice inc trace ~k ~p check =
+  List.fold_left
+    (fun largest n ->
+      let fork = Detector.fork_for_post inc in
+      let slice = post_slice ~spread:(n > 24) trace ~pos:p ~n in
+      Detector.replay fork slice ~from:0 ~upto:(Trace.length slice);
+      let journal = Shadow.tracked_bytes (Detector.shadow fork) in
+      check (Printf.sprintf "live divergence, %d-event slice" n) (dump inc);
+      Detector.rewind fork;
+      check (Printf.sprintf "after rewind, %d-event slice" n) (dump inc);
+      max largest journal)
+    0 (slice_lengths k)
+
 let state_equivalence_case profile =
   Tu.case
     (Printf.sprintf "shadow state matches the fresh oracle at every prefix (%s)"
        (Gen.profile_to_string profile))
     (fun () ->
+      let largest = ref 0 in
       for seed = 0 to 11 do
         let trace = pre_trace (gen profile seed) in
         let inc = Detector.create () in
         let pos = ref 0 in
-        List.iter
-          (fun p ->
+        List.iteri
+          (fun k p ->
             Detector.replay inc trace ~from:!pos ~upto:p;
             pos := p;
-            (* Divergence live: post-failure mutations in the journal must
-               be invisible to base reads. *)
-            let fork = Detector.fork_for_post inc in
-            let slice = post_slice trace ~pos:p ~n:24 in
-            Detector.replay fork slice ~from:0 ~upto:(Trace.length slice);
-            let live = dump inc in
-            Detector.rewind fork;
-            let rewound = dump inc in
             let oracle = Detector.create () in
             Detector.replay oracle trace ~from:0 ~upto:p;
             let expected = dump oracle in
             Detector.release oracle;
-            let name what = Printf.sprintf "seed %d pos %d (%s)" seed p what in
-            Alcotest.(check string) (name "live divergence") expected live;
-            Alcotest.(check string) (name "after rewind") expected rewound)
+            let check what got =
+              Alcotest.(check string) (Printf.sprintf "seed %d pos %d (%s)" seed p what) expected got
+            in
+            largest := max !largest (fork_twice inc trace ~k ~p check))
           (positions trace);
         Detector.release inc
-      done)
+      done;
+      if !largest <= journal_capacity then
+        Alcotest.failf "no fork outgrew the journal's initial capacity (largest: %d bytes)"
+          !largest)
 
 let state_tests = List.map state_equivalence_case profiles
 
@@ -140,18 +176,15 @@ let qcheck_state_prop =
       let inc = Detector.create () in
       let pos = ref 0 in
       let ok = ref true in
-      List.iter
-        (fun p ->
+      List.iteri
+        (fun k p ->
           Detector.replay inc trace ~from:!pos ~upto:p;
           pos := p;
-          let fork = Detector.fork_for_post inc in
-          let slice = post_slice trace ~pos:p ~n:24 in
-          Detector.replay fork slice ~from:0 ~upto:(Trace.length slice);
-          Detector.rewind fork;
           let oracle = Detector.create () in
           Detector.replay oracle trace ~from:0 ~upto:p;
-          if dump inc <> dump oracle then ok := false;
-          Detector.release oracle)
+          let expected = dump oracle in
+          Detector.release oracle;
+          ignore (fork_twice inc trace ~k ~p (fun _ got -> if got <> expected then ok := false)))
         (positions trace);
       Detector.release inc;
       !ok)
@@ -203,6 +236,48 @@ let verdict_tests =
           "pool-create bug keys"
           (List.sort compare (List.map Report.dedup_key b.Engine.unique_bugs))
           (List.sort compare (List.map Report.dedup_key a.Engine.unique_bugs)));
+  ]
+
+(* An unflushed write the post stage reads back: every failure point
+   after it reports the same race, so each fork must check the read
+   afresh (the checked set is shared scratch, cleared at every fork). *)
+let stays_racy_program () =
+  let base = Xfd_mem.Addr.pool_base in
+  let l = Loc.of_pos __POS__ in
+  {
+    Engine.name = "stays-racy";
+    setup = (fun _ -> ());
+    pre =
+      (fun ctx ->
+        Ctx.roi_begin ctx ~loc:l;
+        Ctx.write_i64 ctx ~loc:l base 1L;
+        for i = 1 to 3 do
+          Ctx.write_i64 ctx ~loc:l (base + (64 * i)) (Int64.of_int i);
+          Ctx.persist_barrier ctx ~loc:l (base + (64 * i)) 8
+        done;
+        Ctx.roi_end ctx ~loc:l);
+    post =
+      (fun ctx ->
+        Ctx.roi_begin ctx ~loc:l;
+        ignore (Ctx.read_i64 ctx ~loc:l base);
+        Ctx.roi_end ctx ~loc:l);
+  }
+
+let checked_tests =
+  [
+    Tu.case "a race at consecutive failure points is reported at each" (fun () ->
+        let per_point o =
+          List.map
+            (fun (r : Report.failure_report) ->
+              (r.Report.failure_point, List.map Report.dedup_key r.Report.bugs))
+            o.Engine.reports
+        in
+        let inc = per_point (Engine.detect ~config:incremental (stays_racy_program ())) in
+        let oracle = per_point (Engine.detect ~config:fresh (stays_racy_program ())) in
+        Alcotest.(check (list (pair int (list string)))) "per-point reports" oracle inc;
+        let racy = List.filter (fun (_, keys) -> keys <> []) inc in
+        if List.length racy < 2 then
+          Alcotest.failf "expected the race at two or more points, got %d" (List.length racy));
   ]
 
 (* ---- level 3: the fuzz sweep ---- *)
@@ -319,7 +394,7 @@ let suite =
     ("incremental.state", state_tests);
     ( "incremental.props",
       List.map QCheck_alcotest.to_alcotest [ qcheck_state_prop; qcheck_verdict_prop ] );
-    ("incremental.verdicts", verdict_tests);
+    ("incremental.verdicts", verdict_tests @ checked_tests);
     ("incremental.sweep", sweep_tests);
     ("incremental.release", release_tests);
   ]
