@@ -469,54 +469,30 @@ let () =
   let trace_out, args = extract_flag "--trace-out" [] args in
   let pulse_port, args = extract_flag "--pulse-port" [] args in
   let pulse_interval, args = extract_flag "--pulse-interval" [] args in
-  let pulse =
+  let port =
     Option.map
-      (fun port ->
-        let port =
-          match int_of_string_opt port with
-          | Some p when p >= 0 && p <= 65535 -> p
-          | _ ->
-            prerr_endline "bench: --pulse-port wants a port number";
-            exit 2
-        in
-        let interval =
-          match Option.map float_of_string_opt pulse_interval with
-          | None -> 0.25
-          | Some (Some s) when s > 0.0 -> s
-          | Some _ ->
-            prerr_endline "bench: --pulse-interval wants seconds > 0";
-            exit 2
-        in
-        let tsdb = Xfd_pulse.Tsdb.create () in
-        Xfd_pulse.Tsdb.start tsdb ~interval;
-        let srv = Xfd_pulse.Pulse.start ~port ~tsdb () in
-        Printf.printf "(pulse: serving http://127.0.0.1:%d/ every %gs)\n%!"
-          (Xfd_pulse.Pulse.port srv) interval;
-        (tsdb, srv))
+      (fun p ->
+        match int_of_string_opt p with
+        | Some p when p >= 0 && p <= 65535 -> p
+        | _ ->
+          prerr_endline "bench: --pulse-port wants a port number";
+          exit 2)
       pulse_port
   in
-  let sink = Option.map Xfd_obs.Obs.Sink.to_file metrics_out in
-  Option.iter Xfd_obs.Obs.Sink.install sink;
-  let collector =
-    Option.map (fun path -> (path, Xfd_flight.Perfetto.Collector.start ())) trace_out
+  let interval =
+    match Option.map float_of_string_opt pulse_interval with
+    | None -> Xfd_pulse.Session.default.interval
+    | Some (Some s) when s > 0.0 -> s
+    | Some _ ->
+      prerr_endline "bench: --pulse-interval wants seconds > 0";
+      exit 2
   in
-  at_exit (fun () ->
-      Option.iter
-        (fun (tsdb, srv) ->
-          Xfd_pulse.Tsdb.sample tsdb;
-          Xfd_pulse.Tsdb.stop tsdb;
-          Xfd_pulse.Pulse.stop srv)
-        pulse;
-      Option.iter
-        (fun (path, c) ->
-          let n = Xfd_flight.Perfetto.Collector.stop_to_file c path in
-          Printf.printf "(trace: %d slices written to %s)\n" n path)
-        collector;
-      Option.iter
-        (fun s ->
-          Xfd_obs.Obs.write_summary ();
-          Xfd_obs.Obs.Sink.uninstall s)
-        sink);
+  (* at_exit, not [Session.with_]: an experiment may [exit] early. *)
+  let session =
+    Xfd_pulse.Session.start
+      { Xfd_pulse.Session.default with metrics_out; trace_out; port; interval }
+  in
+  at_exit (fun () -> Xfd_pulse.Session.stop session);
   let what = match args with [] -> "all" | w :: _ -> w in
   let header () =
     Printf.printf "XFDetector reproduction: evaluation harness (Liu et al., ASPLOS 2020)\n"

@@ -2,77 +2,138 @@
 
      xfd run --workload btree --init 5 --test 5 [--patch skip-tx-add=0,2]
      xfd lint --workload btree [--patch ...] [--triage]
-     xfd list
-     xfd newbugs
-     xfd table5 [--workload btree]
+     xfd lint --trace pre.trace [--domain eadr | --diff-domains]
+     xfd trace record -w btree --test 3 --pre pre.trace --post post.trace
+     xfd trace stats pre.trace | dump pre.trace --head 20 | explain pre.trace --at 7
+     xfd trace check --pre pre.trace --post post.trace
+     xfd list | newbugs | table5 [--workload btree]
+     xfd fuzz --seed 42 --budget 200 [--corpus DIR]
+     xfd top --connect 9900
      xfd serve --port 8080 --workers 4 [--quota 2 --corpus corpus/]
      xfd submit --connect 8080 -w btree --patch skip-tx-add=0 --await
      xfd await --connect 8080 --job j1 --report-out report.json
 
    [run] executes one workload under full cross-failure detection and
    prints the report; [--patch] seeds mechanical bugs like the artifact's
-   patch files.  [serve] keeps the same pipeline resident behind an HTTP
-   job protocol; [submit]/[await] are its client. *)
+   patch files.  [trace] is the section 5.5 decoupling: traces are plain
+   one-line-per-event text, so they can be recorded here or by any other
+   tracer, inspected, linted ([lint --trace]) and checked offline.
+   [serve] keeps the same pipeline resident behind an HTTP job protocol;
+   [submit]/[await] are its client.
+
+   A usage error — an unknown workload, domain or rule id, a bad patch, an
+   unreadable trace — prints one line and exits 2. *)
 
 open Cmdliner
+module Session = Xfd_pulse.Session
 
-(* "skip-tx-add=0,2;dup-flush=1" — one parser shared with the detection
-   service, so a patch that works locally works over the wire too. *)
-let parse_patch spec =
-  match Xfd_serve.Job.faults_of_spec spec with Ok f -> f | Error e -> failwith e
+let usage fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 2)
+    fmt
+
+(* ---- the workload a command runs: -w / --init / --test / --patch ---- *)
 
 let workload_names =
   List.map
     (fun e -> String.lowercase_ascii e.Xfd_experiments.Workload_set.name)
     Xfd_experiments.Workload_set.extended
 
-(* Live progress bar for the post-failure stage.  The engine may invoke
-   the callback from whichever worker domain finished a run, so renders
-   are serialized with a mutex and throttled; the final report always
-   renders and ends the line. *)
-let progress_renderer () =
-  let mu = Mutex.create () in
-  let t0 = Unix.gettimeofday () in
-  let last = ref 0.0 in
-  fun (p : Xfd.Engine.progress) ->
-    Mutex.protect mu (fun () ->
-        let now = Unix.gettimeofday () in
-        let final = p.completed >= p.total in
-        if final || now -. !last >= 0.05 then begin
-          last := now;
-          let elapsed = now -. t0 in
-          let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
-          let eta =
-            if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0
-          in
-          let width = 24 in
-          let filled =
-            if p.total <= 0 then width else min width (width * p.completed / p.total)
-          in
-          let bar = String.make filled '#' ^ String.make (width - filled) '-' in
-          Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar
-            p.completed p.total rate eta;
-          if final then prerr_newline ()
-        end)
+let workload_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "w"; "workload" ] ~docv:"NAME"
+        ~doc:
+          (Printf.sprintf "Workload (%s; case and punctuation are ignored)."
+             (String.concat ", " workload_names)))
 
-(* ---- pulse: live exposition, time-series recording, dashboard ----
+let test_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "test" ] ~docv:"N" ~doc:"Insertions/queries inside the RoI (default 1).")
 
-   One option bundle shared by [run] and [fuzz].  Any of the flags
-   switches the pulse machinery on: a Tsdb sampler thread over the Obs
-   registry, optionally an HTTP exposition server (--pulse-port), an
-   in-process dashboard on stderr (--pulse, TTY only), and an end-of-run
-   JSONL dump of the sampled series (--pulse-out).  All of it is
-   observation-only: the verdict is byte-identical with or without. *)
-
-type pulse_opts = {
-  pulse_live : bool;
-  pulse_port : int option;
-  pulse_interval : float;
-  pulse_linger : float;
-  pulse_out : string option;
+type workload = {
+  name : string option;
+  init : int option;
+  test : int option;
+  patch : string option;
 }
 
-let pulse_term =
+let workload_term =
+  let init =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "init" ] ~docv:"N" ~doc:"Warm-up insertions before the RoI (default 0).")
+  in
+  let patch =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "patch" ] ~docv:"SPEC"
+          ~doc:
+            "Seed mechanical bugs: semicolon-separated kind=occurrences, e.g. \
+             $(b,skip-tx-add=0,2;dup-flush=1).  Kinds: skip-flush, skip-fence, \
+             skip-tx-add, dup-flush, dup-tx-add.")
+  in
+  Term.(
+    const (fun name init test patch -> { name; init; test; patch })
+    $ workload_arg $ init $ test_arg $ patch)
+
+let find_workload = function
+  | None -> usage "a workload is required (-w NAME)"
+  | Some name -> (
+    try Xfd_experiments.Workload_set.find name
+    with Invalid_argument _ ->
+      usage "unknown workload %S (want one of %s)" name (String.concat ", " workload_names))
+
+(* The program a workload term names and its fault plan; the patch parser
+   is the detection service's, so a patch that works locally works over
+   the wire too. *)
+let resolve w =
+  let entry = find_workload w.name in
+  let faults =
+    match w.patch with
+    | None -> Xfd_sim.Faults.none
+    | Some s -> (
+      match Xfd_serve.Job.faults_of_spec s with Ok f -> f | Error e -> usage "bad --patch: %s" e)
+  in
+  ( entry.Xfd_experiments.Workload_set.make
+      ~init:(Option.value w.init ~default:0)
+      ~test:(Option.value w.test ~default:1),
+    faults )
+
+(* ---- telemetry: one session term for every command that runs the engine ---- *)
+
+let session_term =
+  let file name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc) in
+  let metrics_out =
+    file "metrics-out"
+      "Stream telemetry as JSONL to $(docv): one record per pipeline span plus a final \
+       summary record (counters — the pm.*, engine.* and fuzz.* families — histograms \
+       and per-phase span durations)."
+  in
+  let quiet_metrics =
+    Arg.(
+      value & flag
+      & info [ "quiet-metrics" ] ~doc:"Do not print the human-readable telemetry summary.")
+  in
+  let trace_out =
+    file "trace-out"
+      "Export every span of the command as Chrome trace-event JSON to $(docv) — open it in \
+       ui.perfetto.dev or chrome://tracing.  One track per domain, so parallel \
+       post-failure runs show as overlapping post_run slices."
+  in
+  let flight_out =
+    file "flight-out"
+      "Write the flight-recorder run log as JSONL to $(docv): lifecycle events (run.begin, \
+       fp.scheduled/started/verdict, snapshot.recorded/dropped, worker.join, run.end) with \
+       per-run id and sampled GC gauges.  Enables debug-level recording."
+  in
   let live =
     Arg.(
       value & flag
@@ -107,85 +168,56 @@ let pulse_term =
             "Keep the pulse server and sampler alive $(docv) seconds after the command \
              finishes, so a scraper can observe the final (done) state.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pulse-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the sampled time series as JSONL to $(docv) at the end of the run \
-             (one line per series).  Implies the time-series sampler.")
+  let pulse_out =
+    file "pulse-out"
+      "Write the sampled time series as JSONL to $(docv) at the end of the run (one line \
+       per series).  Implies the time-series sampler."
   in
   Term.(
-    const (fun pulse_live pulse_port pulse_interval pulse_linger pulse_out ->
-        { pulse_live; pulse_port; pulse_interval; pulse_linger; pulse_out })
-    $ live $ port $ interval $ linger $ out)
+    const
+      (fun metrics_out quiet_metrics trace_out flight_out live port interval linger pulse_out ->
+        {
+          Session.metrics_out;
+          trace_out;
+          flight_out;
+          summary = not quiet_metrics;
+          live;
+          port;
+          interval;
+          linger;
+          pulse_out;
+        })
+    $ metrics_out $ quiet_metrics $ trace_out $ flight_out $ live $ port $ interval $ linger
+    $ pulse_out)
 
-(* Redraw-in-place renderer: moves the cursor back up over the previous
-   frame.  Only used when stderr is a TTY. *)
-let dash_local_renderer tsdb =
-  let prev_lines = ref 0 in
-  fun () ->
-    let s = Xfd_pulse.Dash.render (Xfd_pulse.Dash.snap_local tsdb) in
-    let lines = String.split_on_char '\n' s in
-    let lines = match List.rev lines with "" :: rest -> List.rev rest | _ -> lines in
-    let b = Buffer.create 256 in
-    if !prev_lines > 0 then Buffer.add_string b (Printf.sprintf "\x1b[%dA" !prev_lines);
-    List.iter
-      (fun l ->
-        Buffer.add_string b l;
-        Buffer.add_string b "\x1b[K\n")
-      lines;
-    prev_lines := List.length lines;
-    prerr_string (Buffer.contents b);
-    flush stderr
-
-(* [with_pulse opts f] runs [f] with the pulse machinery (if any flag
-   asked for it) started before and torn down after — including on
-   exceptions.  [f] receives a progress callback to merge into the
-   engine's [on_progress], and must return rather than [exit] so the
-   teardown (pulse-out dump, server stop) always runs. *)
-let with_pulse opts f =
-  let enabled = opts.pulse_live || opts.pulse_port <> None || opts.pulse_out <> None in
-  if not enabled then f ~pulse_progress:None
-  else begin
-    let tsdb = Xfd_pulse.Tsdb.create () in
-    Xfd_pulse.Tsdb.start tsdb ~interval:opts.pulse_interval;
-    let server =
-      Option.map
-        (fun port ->
-          let s = Xfd_pulse.Pulse.start ~port ~tsdb () in
-          Format.eprintf "pulse: serving http://127.0.0.1:%d/ (try /metrics, /health)@."
-            (Xfd_pulse.Pulse.port s);
-          s)
-        opts.pulse_port
-    in
-    let live = opts.pulse_live && Unix.isatty Unix.stderr in
-    let render = dash_local_renderer tsdb in
-    let dash =
-      if live then
-        Some (Xfd_pulse.Ticker.start ~interval:(Float.max 0.2 opts.pulse_interval) render)
-      else None
-    in
-    let pulse_progress (p : Xfd.Engine.progress) =
-      Xfd_pulse.Pulse.note_progress ~completed:p.completed ~total:p.total
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Xfd_pulse.Ticker.stop dash;
-        Xfd_pulse.Tsdb.sample tsdb;
-        (* end-state sample *)
-        if live then render ();
-        if opts.pulse_linger > 0.0 then Unix.sleepf opts.pulse_linger;
-        Xfd_pulse.Tsdb.stop tsdb;
-        Option.iter Xfd_pulse.Pulse.stop server;
-        Option.iter
-          (fun file ->
-            let n = Xfd_pulse.Tsdb.write_jsonl tsdb file in
-            Format.eprintf "pulse series written to %s (%d series)@." file n)
-          opts.pulse_out)
-      (fun () -> f ~pulse_progress:(Some pulse_progress))
-  end
+(* Live progress bar for the post-failure stage.  The engine may invoke
+   the callback from whichever worker domain finished a run, so renders
+   are serialized with a mutex and throttled; the final report always
+   renders and ends the line. *)
+let progress_renderer () =
+  let mu = Mutex.create () in
+  let t0 = Unix.gettimeofday () in
+  let last = ref 0.0 in
+  fun (p : Xfd.Engine.progress) ->
+    Mutex.protect mu (fun () ->
+        let now = Unix.gettimeofday () in
+        let final = p.completed >= p.total in
+        if final || now -. !last >= 0.05 then begin
+          last := now;
+          let elapsed = now -. t0 in
+          let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
+          let eta =
+            if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0
+          in
+          let width = 24 in
+          let filled =
+            if p.total <= 0 then width else min width (width * p.completed / p.total)
+          in
+          let bar = String.make filled '#' ^ String.make (width - filled) '-' in
+          Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar
+            p.completed p.total rate eta;
+          if final then prerr_newline ()
+        end)
 
 (* Merge independent progress observers into one callback. *)
 let merge_progress observers =
@@ -194,29 +226,6 @@ let merge_progress observers =
   | fs -> Some (fun p -> List.iter (fun f -> f p) fs)
 
 let run_cmd =
-  let workload =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "w"; "workload" ] ~docv:"NAME"
-          ~doc:(Printf.sprintf "Workload to test (%s)." (String.concat ", " workload_names)))
-  in
-  let init =
-    Arg.(value & opt int 0 & info [ "init" ] ~docv:"N" ~doc:"Warm-up insertions before the RoI.")
-  in
-  let test =
-    Arg.(value & opt int 1 & info [ "test" ] ~docv:"N" ~doc:"Insertions/queries inside the RoI.")
-  in
-  let patch =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "patch" ] ~docv:"SPEC"
-          ~doc:
-            "Seed mechanical bugs: semicolon-separated kind=occurrences, e.g. \
-             $(b,skip-tx-add=0,2;dup-flush=1).  Kinds: skip-flush, skip-fence, \
-             skip-tx-add, dup-flush, dup-tx-add.")
-  in
   let naive =
     Arg.(
       value & flag
@@ -244,22 +253,6 @@ let run_cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Print only the summary line.") in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the full outcome as JSON.")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream run telemetry as JSONL to $(docv): one record per pipeline span \
-             plus a final summary record (counters, histograms, per-phase span \
-             durations, and snapshot-footprint accounting: pm.snapshot_bytes, \
-             pm.snapshot_shared_bytes, pm.cow_faults, engine.peak_image_bytes).")
-  in
-  let quiet_metrics =
-    Arg.(
-      value & flag
-      & info [ "quiet-metrics" ] ~doc:"Do not print the human-readable telemetry summary.")
   in
   let report_out =
     Arg.(
@@ -303,17 +296,6 @@ let run_cmd =
              failure points before clean ones.  Scheduling only: the verdict set is \
              identical to the default order.")
   in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Export the run's span tree as Chrome trace-event JSON to $(docv) — open it \
-             in ui.perfetto.dev or chrome://tracing.  One track per domain, so with \
-             $(b,post_jobs > 1) the parallel post-failure stage shows as overlapping \
-             post_run slices.")
-  in
   let progress =
     Arg.(
       value & flag
@@ -323,22 +305,9 @@ let run_cmd =
              stderr while the post-failure stage runs.  Observation-only: the verdict is \
              byte-identical with or without it.")
   in
-  let flight_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the flight-recorder run log as JSONL to $(docv): lifecycle events \
-             (run.begin, fp.scheduled/started/verdict, snapshot.recorded/dropped, \
-             worker.join, run.end) with per-run id and sampled GC gauges.  Enables \
-             debug-level recording for this run.")
-  in
-  let action workload init test patch naive untrusted oracle quiet json metrics_out
-      quiet_metrics report_out explain fail_on_bug allow_perf lint_guided trace_out progress
-      flight_out pulse_opts =
-    let entry = Xfd_experiments.Workload_set.find workload in
-    let faults = match patch with Some s -> parse_patch s | None -> Xfd_sim.Faults.none in
+  let action w naive untrusted oracle quiet json report_out explain fail_on_bug allow_perf
+      lint_guided progress telemetry =
+    let program, faults = resolve w in
     let config =
       {
         Xfd.Config.default with
@@ -349,84 +318,57 @@ let run_cmd =
         engine = (if oracle then `Fresh else `Incremental);
       }
     in
-    let sink = Option.map Xfd_obs.Obs.Sink.to_file metrics_out in
-    Option.iter Xfd_obs.Obs.Sink.install sink;
-    if flight_out <> None then Xfd_flight.Flight.set_level Xfd_flight.Flight.Debug;
-    let program = entry.Xfd_experiments.Workload_set.make ~init ~test in
     let code =
-      with_pulse pulse_opts (fun ~pulse_progress ->
-    let on_progress =
-      merge_progress
-        [ (if progress then Some (progress_renderer ()) else None); pulse_progress ]
-    in
-    let outcome =
-      if lint_guided then begin
-        let lint, outcome = Xfd_lint.Lint.detect_guided ~config ?on_progress program in
-        if not (quiet || json) then Format.printf "%a@." Xfd_lint.Lint.pp_report lint;
-        outcome
-      end
-      else Xfd.Engine.detect ~config ?on_progress program
-    in
-    Option.iter
-      (fun file ->
-        Xfd_flight.Perfetto.to_file ~process_name:outcome.Xfd.Engine.program file
-          outcome.Xfd.Engine.spans;
-        Format.eprintf "trace written to %s (%d spans)@." file
-          (List.length outcome.Xfd.Engine.spans))
-      trace_out;
-    Option.iter
-      (fun file ->
-        let n = Xfd_flight.Flight.write_jsonl file in
-        Format.eprintf "flight log written to %s (%d events)@." file n)
-      flight_out;
-    Option.iter
-      (fun s ->
-        Xfd_obs.Obs.write_summary ();
-        Xfd_obs.Obs.Sink.uninstall s)
-      sink;
-    let r, s, p, e = Xfd.Engine.tally outcome in
-    if json then
-      print_endline (Xfd_util.Json.to_string_pretty (Xfd.Engine.outcome_to_json outcome))
-    else if quiet then
-      Printf.printf "%s: %d failure points, races=%d semantic=%d perf=%d errors=%d (%.1f ms)\n"
-        outcome.Xfd.Engine.program outcome.Xfd.Engine.failure_points r s p e
-        (1000.0 *. Xfd.Engine.total_wall outcome)
-    else Format.printf "%a" Xfd.Engine.pp_outcome outcome;
-    if explain then begin
-      Format.printf "@.-- forensics --@.";
-      List.iter
-        (fun b -> Format.printf "%a" Xfd.Report.pp_bug_explained b)
-        outcome.Xfd.Engine.unique_bugs;
-      Format.printf "%a" Xfd_forensics.Coverage.pp outcome.Xfd.Engine.coverage
-    end;
-    Option.iter
-      (fun file ->
-        let report =
-          Xfd_util.Json.Obj
-            [
-              ("type", Xfd_util.Json.Str "xfd_report");
-              ("schema_version", Xfd_util.Json.Int 1);
-              ("report", Xfd.Engine.outcome_to_json outcome);
-            ]
-        in
-        let oc = open_out file in
-        output_string oc (Xfd_util.Json.to_string_pretty report);
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "report written to %s@." file)
-      report_out;
-    if not quiet_metrics then Format.eprintf "%a" Xfd_obs.Obs.pp_summary ();
-    let failing = if allow_perf then r + s + e else r + s + p + e in
-    if fail_on_bug && failing > 0 then 1 else 0)
+      Session.with_ telemetry (fun session ->
+          let pulse =
+            Option.map
+              (fun note (p : Xfd.Engine.progress) ->
+                note ~completed:p.completed ~total:p.total)
+              (Session.progress session)
+          in
+          let on_progress =
+            merge_progress [ (if progress then Some (progress_renderer ()) else None); pulse ]
+          in
+          let outcome =
+            if lint_guided then begin
+              let lint, outcome = Xfd_lint.Lint.detect_guided ~config ?on_progress program in
+              if not (quiet || json) then Format.printf "%a@." Xfd_lint.Lint.pp_report lint;
+              outcome
+            end
+            else Xfd.Engine.detect ~config ?on_progress program
+          in
+          let r, s, p, e = Xfd.Engine.tally outcome in
+          if json then
+            print_endline (Xfd_util.Json.to_string_pretty (Xfd.Engine.outcome_to_json outcome))
+          else if quiet then
+            Printf.printf
+              "%s: %d failure points, races=%d semantic=%d perf=%d errors=%d (%.1f ms)\n"
+              outcome.Xfd.Engine.program outcome.Xfd.Engine.failure_points r s p e
+              (1000.0 *. Xfd.Engine.total_wall outcome)
+          else Format.printf "%a" Xfd.Engine.pp_outcome outcome;
+          if explain then begin
+            Format.printf "@.-- forensics --@.";
+            List.iter
+              (fun b -> Format.printf "%a" Xfd.Report.pp_bug_explained b)
+              outcome.Xfd.Engine.unique_bugs;
+            Format.printf "%a" Xfd_forensics.Coverage.pp outcome.Xfd.Engine.coverage
+          end;
+          Option.iter
+            (fun file ->
+              Xfd_util.Json.to_file file
+                (Xfd.Engine.report_envelope (Xfd.Engine.outcome_to_json outcome));
+              Format.eprintf "report written to %s@." file)
+            report_out;
+          let failing = if allow_perf then r + s + e else r + s + p + e in
+          if fail_on_bug && failing > 0 then 1 else 0)
     in
     if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under cross-failure detection")
     Term.(
-      const action $ workload $ init $ test $ patch $ naive $ untrusted $ oracle $ quiet
-      $ json $ metrics_out $ quiet_metrics $ report_out $ explain $ fail_on_bug $ allow_perf
-      $ lint_guided $ trace_out $ progress $ flight_out $ pulse_term)
+      const action $ workload_term $ naive $ untrusted $ oracle $ quiet $ json $ report_out
+      $ explain $ fail_on_bug $ allow_perf $ lint_guided $ progress $ session_term)
 
 let list_cmd =
   let action () =
@@ -475,26 +417,32 @@ let table5_cmd =
     (Cmd.info "table5" ~doc:"Run the synthetic-bug validation suite (Table 5)")
     Term.(const action $ workload)
 
+(* ---- trace files ---- *)
+
+let read_trace file =
+  match In_channel.with_open_text file Xfd_trace.Trace.load with
+  | Ok t -> Ok t
+  | Error (n, line) ->
+    let line = if String.length line > 60 then String.sub line 0 60 ^ "..." else line in
+    Error (Printf.sprintf "%s:%d: not a trace event: %S" file n line)
+  | exception Sys_error e -> Error ("cannot read trace: " ^ e)
+
+let load_trace file = match read_trace file with Ok t -> t | Error e -> usage "%s" e
+
+let save_trace t file = Out_channel.with_open_text file (Xfd_trace.Trace.save t)
+
+let trace_file_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+
 let lint_cmd =
-  let workload =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "w"; "workload" ] ~docv:"NAME"
-          ~doc:(Printf.sprintf "Workload to lint (%s)." (String.concat ", " workload_names)))
-  in
-  let init =
-    Arg.(value & opt int 0 & info [ "init" ] ~docv:"N" ~doc:"Warm-up insertions before the RoI.")
-  in
-  let test =
-    Arg.(value & opt int 1 & info [ "test" ] ~docv:"N" ~doc:"Insertions/queries inside the RoI.")
-  in
-  let patch =
+  let trace =
     Arg.(
       value
       & opt (some string) None
-      & info [ "patch" ] ~docv:"SPEC"
-          ~doc:"Seed mechanical bugs before linting (same syntax as $(b,run --patch)).")
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Lint a recorded pre-failure trace ($(b,xfd trace record), or any tracer \
+             writing the same format) instead of tracing a workload.  No execution, no \
+             replay.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the lint report (and triage) as JSON.")
@@ -541,125 +489,412 @@ let lint_cmd =
              key as stable / appears / disappears relative to the $(b,--domain) \
              baseline.")
   in
-  let action workload init test patch json triage triage_out expect domain diff_domains =
+  let action w trace json triage triage_out expect domain_s diff_domains =
     let domain =
-      match Xfd_trace.Domain_model.of_string domain with
+      match Xfd_trace.Domain_model.of_string domain_s with
       | Some d -> d
-      | None ->
-        Printf.eprintf "unknown persistence-domain model %S (want adr|eadr|cxl-gpf)\n"
-          domain;
-        exit 2
+      | None -> usage "unknown persistence-domain model %S (want adr|eadr|cxl-gpf)" domain_s
     in
-    let entry =
-      match
-        List.find_opt
-          (fun e ->
-            String.lowercase_ascii e.Xfd_experiments.Workload_set.name
-            = String.lowercase_ascii workload)
-          Xfd_experiments.Workload_set.extended
-      with
-      | Some e -> e
-      | None ->
-        Printf.eprintf "unknown workload %S (want one of %s)\n" workload
-          (String.concat ", " workload_names);
-        exit 2
-    in
-    let faults =
-      match patch with
-      | None -> Xfd_sim.Faults.none
-      | Some s -> (
-        match Xfd_serve.Job.faults_of_spec s with
-        | Ok f -> f
-        | Error e ->
-          Printf.eprintf "bad --patch: %s\n" e;
-          exit 2)
-    in
-    let config = { Xfd.Config.default with faults; domain } in
-    let program = entry.Xfd_experiments.Workload_set.make ~init ~test in
     let expected =
-      match expect with
-      | None -> []
-      | Some s ->
-        String.split_on_char ',' s
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun id ->
-               match Xfd_lint.Lint.rule_of_id id with
-               | Some _ -> id
-               | None ->
-                 Printf.eprintf "unknown rule id %S\n" id;
-                 exit 2)
+      Option.fold ~none:[] ~some:(String.split_on_char ',') expect
+      |> List.filter (fun id -> id <> "")
+      |> List.map (fun id ->
+             if Xfd_lint.Lint.rule_of_id id = None then usage "unknown rule id %S" id;
+             id)
     in
     let do_triage = triage || triage_out <> None in
-    let diff =
-      if diff_domains then Some (Xfd_lint.Lint.diff_prog ~config ~baseline:domain program)
-      else None
-    in
-    let report, tri =
-      match diff with
-      | Some d -> (List.assoc domain d.Xfd_lint.Lint.reports, None)
+    (* The one input difference: a trace file, or the trace of a workload
+       run (which [--triage] can also detect on). *)
+    let pre, prog =
+      match trace with
+      | Some file ->
+        if w <> { name = None; init = None; test = None; patch = None } || do_triage then
+          usage "lint --trace takes no -w, --init, --test, --patch, --triage or --triage-out";
+        (load_trace file, None)
       | None ->
-        if do_triage then
-          let t = Xfd_lint.Lint.triage ~config program in
-          (t.Xfd_lint.Lint.lint, Some t)
-        else (Xfd_lint.Lint.check_prog ~config program, None)
+        if w.name = None then usage "lint needs -w NAME or --trace FILE";
+        let program, faults = resolve w in
+        let config = { Xfd.Config.default with faults; domain } in
+        (Xfd_lint.Lint.pre_trace ~config program, Some (config, program))
     in
-    (match diff with
-    | Some d ->
-      if json then
-        print_endline (Xfd_util.Json.to_string_pretty (Xfd_lint.Lint.diff_to_json d))
-      else Format.printf "%a@." Xfd_lint.Lint.pp_diff d
-    | None ->
-      if json then
-        print_endline
-          (Xfd_util.Json.to_string_pretty
-             (match tri with
-             | Some t -> Xfd_lint.Lint.triage_to_json t
-             | None -> Xfd_lint.Lint.report_to_json report))
-      else begin
-        Format.printf "%a@." Xfd_lint.Lint.pp_report report;
-        Option.iter (fun t -> Format.printf "%a@." Xfd_lint.Lint.pp_triage t) tri
-      end);
-    Option.iter
-      (fun file ->
-        let t = Option.get tri in
-        let oc = open_out file in
-        output_string oc
-          (Xfd_util.Json.to_string_pretty (Xfd_lint.Lint.triage_to_json t));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "triage written to %s@." file)
-      triage_out;
+    let diff =
+      if diff_domains then Some (Xfd_lint.Lint.diff_domains ~baseline:domain pre) else None
+    in
+    let report =
+      match diff with
+      | Some d -> List.assoc domain d.Xfd_lint.Lint.reports
+      | None -> Xfd_lint.Lint.check_trace ~domain pre
+    in
+    let tri =
+      match prog with
+      | Some (config, program) when do_triage ->
+        Some
+          (Xfd_lint.Lint.triage_of ~program:program.Xfd.Engine.name report
+             (Xfd.Engine.detect ~config program))
+      | _ -> None
+    in
+    if json then
+      print_endline
+        (Xfd_util.Json.to_string_pretty
+           (match (diff, tri) with
+           | Some d, _ -> Xfd_lint.Lint.diff_to_json d
+           | None, Some t -> Xfd_lint.Lint.triage_to_json t
+           | None, None -> Xfd_lint.Lint.report_to_json report))
+    else begin
+      (match diff with
+      | Some d -> Format.printf "%a@." Xfd_lint.Lint.pp_diff d
+      | None -> Format.printf "%a@." Xfd_lint.Lint.pp_report report);
+      Option.iter (fun t -> Format.printf "%a@." Xfd_lint.Lint.pp_triage t) tri
+    end;
+    (match (triage_out, tri) with
+    | Some file, Some t ->
+      Xfd_util.Json.to_file file (Xfd_lint.Lint.triage_to_json t);
+      Format.eprintf "triage written to %s@." file
+    | _ -> ());
+    (* The exit contract: 0 = clean, 1 = findings or a missed expectation,
+       2 = usage or I/O error ([usage]).  With --expect the findings are
+       the point, so meeting every expectation exits 0.  With
+       --diff-domains "clean" means clean under every analysed model. *)
     let fired =
-      List.map
-        (fun f -> Xfd_lint.Lint.rule_id f.Xfd_lint.Lint.rule)
-        report.Xfd_lint.Lint.findings
+      List.map (fun f -> Xfd_lint.Lint.rule_id f.Xfd_lint.Lint.rule) report.Xfd_lint.Lint.findings
     in
-    (* Exit contract (shared with xfd_trace_tool lint): 0 = clean,
-       1 = findings (or a missed expectation), 2 = usage/IO error.  With
-       --expect the findings are the point, so meeting every expectation
-       exits 0.  With --diff-domains "clean" means clean under every
-       analysed model. *)
     let missing = List.filter (fun id -> not (List.mem id fired)) expected in
     if missing <> [] then begin
       Printf.eprintf "expected rule(s) did not fire: %s\n" (String.concat ", " missing);
       exit 1
     end;
-    if expected = [] then
+    let clean =
       match diff with
-      | Some d -> if not (Xfd_lint.Lint.diff_clean d) then exit 1
-      | None -> if not (Xfd_lint.Lint.clean report) then exit 1
+      | Some d -> Xfd_lint.Lint.diff_clean d
+      | None -> Xfd_lint.Lint.clean report
+    in
+    if expected = [] && not clean then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Statically analyse a workload's pre-failure trace for crash-consistency \
-          rule violations, optionally under different persistence-domain models \
-          ($(b,--domain), $(b,--diff-domains)) or cross-checked against the dynamic \
-          detector. Exits 0 when clean, 1 on findings or a missed $(b,--expect), 2 \
-          on usage errors.")
+         "Statically analyse a pre-failure trace — a workload's ($(b,-w)) or a recorded \
+          one ($(b,--trace)) — for crash-consistency rule violations, optionally under \
+          different persistence-domain models ($(b,--domain), $(b,--diff-domains)) or \
+          cross-checked against the dynamic detector. Exits 0 when clean, 1 on findings \
+          or a missed $(b,--expect), 2 on usage or I/O errors.")
     Term.(
-      const action $ workload $ init $ test $ patch $ json $ triage $ triage_out $ expect
-      $ domain $ diff_domains)
+      const action $ workload_term $ trace $ json $ triage $ triage_out $ expect $ domain
+      $ diff_domains)
+
+(* ---- xfd trace: record, inspect and offline-check trace files ---- *)
+
+let record_cmd =
+  let pre_out =
+    Arg.(
+      value & opt string "pre.trace"
+      & info [ "pre" ] ~docv:"FILE" ~doc:"Pre-failure trace output.")
+  in
+  let post_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "post" ] ~docv:"FILE"
+          ~doc:"Also save the post-failure trace (run after the complete pre-failure stage).")
+  in
+  let action name test pre_out post_out =
+    let entry = find_workload name in
+    let program =
+      entry.Xfd_experiments.Workload_set.make ~init:0 ~test:(Option.value test ~default:1)
+    in
+    let _, pre, post = Xfd.Engine.run_once program in
+    save_trace pre pre_out;
+    Printf.printf "recorded %d pre-failure events to %s\n" (Xfd_trace.Trace.length pre) pre_out;
+    Option.iter
+      (fun file ->
+        save_trace post file;
+        Printf.printf "recorded %d post-failure events to %s\n"
+          (Xfd_trace.Trace.length post) file)
+      post_out
+  in
+  Cmd.v
+    (Cmd.info "record" ~doc:"Trace one failure-free run of a workload to files")
+    Term.(const action $ workload_arg $ test_arg $ pre_out $ post_out)
+
+let stats_cmd =
+  let json =
+    Arg.(value & flag & info [ "json" ] ~doc:"Print the summary as one JSON object.")
+  in
+  let watch =
+    Arg.(
+      value & flag
+      & info [ "watch" ]
+          ~doc:
+            "Keep running and re-render whenever $(i,FILE) changes (polled by \
+             mtime/size) — live view of a trace being recorded.")
+  in
+  let interval =
+    Arg.(
+      value & opt float 1.0
+      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Poll interval for $(b,--watch).")
+  in
+  let watch_count =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "watch-count" ] ~docv:"N"
+          ~doc:"With $(b,--watch), exit after $(docv) renders (for scripting/tests).")
+  in
+  let render file t json =
+    let c = Xfd_trace.Trace.counts t in
+    (* Access-size distributions, through the same histogram machinery the
+       online pipeline reports with. *)
+    let h_writes = Xfd_obs.Obs.Histogram.make "trace.write_bytes" in
+    let h_reads = Xfd_obs.Obs.Histogram.make "trace.read_bytes" in
+    Xfd_trace.Trace.iter t (fun ev ->
+        match ev.Xfd_trace.Event.kind with
+        | Xfd_trace.Event.Write { size; _ } | Xfd_trace.Event.Nt_write { size; _ } ->
+          Xfd_obs.Obs.Histogram.observe h_writes size
+        | Xfd_trace.Event.Read { size; _ } -> Xfd_obs.Obs.Histogram.observe h_reads size
+        | _ -> ());
+    if json then begin
+      let hist h =
+        Xfd_util.Json.Obj
+          [
+            ("count", Xfd_util.Json.Int (Xfd_obs.Obs.Histogram.count h));
+            ("sum", Xfd_util.Json.Int (Xfd_obs.Obs.Histogram.sum h));
+            ("max", Xfd_util.Json.Int (Xfd_obs.Obs.Histogram.max_value h));
+            ( "buckets",
+              Xfd_util.Json.Arr
+                (List.map
+                   (fun (le, n) ->
+                     Xfd_util.Json.Obj
+                       [ ("le", Xfd_util.Json.Int le); ("count", Xfd_util.Json.Int n) ])
+                   (Xfd_obs.Obs.Histogram.buckets h)) );
+          ]
+      in
+      print_endline
+        (Xfd_util.Json.to_string
+           (Xfd_util.Json.Obj
+              [
+                ("type", Xfd_util.Json.Str "trace_stats");
+                ("file", Xfd_util.Json.Str file);
+                ("events", Xfd_util.Json.Int (Xfd_trace.Trace.length t));
+                ("writes", Xfd_util.Json.Int c.Xfd_trace.Trace.writes);
+                ("reads", Xfd_util.Json.Int c.Xfd_trace.Trace.reads);
+                ("flushes", Xfd_util.Json.Int c.Xfd_trace.Trace.flushes);
+                ("fences", Xfd_util.Json.Int c.Xfd_trace.Trace.fences);
+                ("tx_ops", Xfd_util.Json.Int c.Xfd_trace.Trace.tx_ops);
+                ("annotations", Xfd_util.Json.Int c.Xfd_trace.Trace.annotations);
+                ("write_bytes", hist h_writes);
+                ("read_bytes", hist h_reads);
+              ]))
+    end
+    else begin
+      Printf.printf "%s: %d events\n" file (Xfd_trace.Trace.length t);
+      Printf.printf "  writes       %d\n" c.Xfd_trace.Trace.writes;
+      Printf.printf "  reads        %d\n" c.Xfd_trace.Trace.reads;
+      Printf.printf "  flushes      %d\n" c.Xfd_trace.Trace.flushes;
+      Printf.printf "  fences       %d\n" c.Xfd_trace.Trace.fences;
+      Printf.printf "  tx ops       %d\n" c.Xfd_trace.Trace.tx_ops;
+      Printf.printf "  annotations  %d\n" c.Xfd_trace.Trace.annotations;
+      let print_hist label h =
+        if Xfd_obs.Obs.Histogram.count h > 0 then begin
+          Printf.printf "  %s: count=%d sum=%d max=%d\n" label
+            (Xfd_obs.Obs.Histogram.count h) (Xfd_obs.Obs.Histogram.sum h)
+            (Xfd_obs.Obs.Histogram.max_value h);
+          List.iter
+            (fun (le, n) -> Printf.printf "    le %-8d %d\n" le n)
+            (Xfd_obs.Obs.Histogram.buckets h)
+        end
+      in
+      print_hist "write sizes" h_writes;
+      print_hist "read sizes" h_reads
+    end
+  in
+  let action file json watch interval watch_count =
+    if not watch then render file (load_trace file) json
+    else begin
+      (* Poll mtime/size on the pulse layer's shared ticker; re-render on
+         change.  The access-size histograms are process-global Obs
+         metrics, so they are reset before every render — otherwise each
+         pass would accumulate on the last. *)
+      let renders = ref 0 in
+      let last = ref None in
+      ignore
+        (Xfd_pulse.Ticker.loop ~interval (fun _tick ->
+             (match Unix.stat file with
+             | exception Unix.Unix_error (e, _, _) ->
+               Printf.printf "%s: %s (waiting)\n%!" file (Unix.error_message e)
+             | st ->
+               let key = Some (st.Unix.st_mtime, st.Unix.st_size) in
+               if key <> !last then begin
+                 last := key;
+                 incr renders;
+                 if not json then Printf.printf "\n-- render #%d --\n" !renders;
+                 Xfd_obs.Obs.reset ();
+                 (match read_trace file with
+                 | Ok t -> render file t json
+                 | Error e -> print_endline e);
+                 flush stdout
+               end);
+             match watch_count with
+             | Some k when !renders >= k -> `Stop
+             | _ -> `Continue))
+    end
+  in
+  Cmd.v
+    (Cmd.info "stats" ~doc:"Event counts and access-size histograms of a trace file")
+    Term.(const action $ trace_file_arg $ json $ watch $ interval $ watch_count)
+
+
+let dump_cmd =
+  let head = Arg.(value & opt int max_int & info [ "head" ] ~docv:"N") in
+  let range =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "range" ] ~docv:"FROM:TO"
+          ~doc:
+            "Print only events $(i,FROM) to $(i,TO) (half-open, clamped to the \
+             trace), rendered as a timeline.  Overrides $(b,--head).")
+  in
+  let parse_range s =
+    match String.split_on_char ':' s with
+    | [ a; b ] -> begin
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some from, Some upto when from >= 0 && upto >= from -> (from, upto)
+      | _ -> usage "bad --range %S (want FROM:TO, 0 <= FROM <= TO)" s
+    end
+    | _ -> usage "bad --range %S (want FROM:TO)" s
+  in
+  let action file head range =
+    let t = load_trace file in
+    match range with
+    | Some spec ->
+      let from, upto = parse_range spec in
+      List.iter print_endline (Xfd_forensics.Timeline.range t ~from ~upto ~marks:[])
+    | None ->
+      Xfd_trace.Trace.iter_prefix t head (fun ev ->
+          Format.printf "%a@." Xfd_trace.Event.pp ev)
+  in
+  Cmd.v
+    (Cmd.info "dump" ~doc:"Pretty-print a trace file")
+    Term.(const action $ trace_file_arg $ head $ range)
+
+let explain_cmd =
+  let at =
+    Arg.(
+      required
+      & opt (some int) None
+      & info [ "at" ] ~docv:"INDEX" ~doc:"Event index to explain.")
+  in
+  let radius =
+    Arg.(
+      value
+      & opt int Xfd_forensics.Timeline.default_radius
+      & info [ "radius" ] ~docv:"N" ~doc:"Context events on each side.")
+  in
+  let action file at radius =
+    let t = load_trace file in
+    let len = Xfd_trace.Trace.length t in
+    if at < 0 || at >= len then usage "index %d out of range (trace has %d events)" at len;
+    let ev = Xfd_trace.Trace.get t at in
+    Format.printf "%s: event %d of %d@." file at len;
+    (* For a store, chase its persistence through the rest of the trace:
+       which later flush captured the line, and which fence persisted it —
+       the manual walk a provenance chain automates. *)
+    (match ev.Xfd_trace.Event.kind with
+    | Xfd_trace.Event.Write { addr; size } | Xfd_trace.Event.Nt_write { addr; size } ->
+      let line = Xfd_mem.Addr.line_of addr in
+      let nt =
+        match ev.Xfd_trace.Event.kind with Xfd_trace.Event.Nt_write _ -> true | _ -> false
+      in
+      let flush_at = ref (if nt then Some at else None) in
+      let fence_at = ref None in
+      (try
+         for i = at + 1 to len - 1 do
+           let e = Xfd_trace.Trace.get t i in
+           match e.Xfd_trace.Event.kind with
+           | Xfd_trace.Event.Clwb { addr = a }
+           | Xfd_trace.Event.Clflush { addr = a }
+           | Xfd_trace.Event.Clflushopt { addr = a } ->
+             if !flush_at = None && Xfd_mem.Addr.line_of a = line then flush_at := Some i
+           | Xfd_trace.Event.Sfence | Xfd_trace.Event.Mfence ->
+             if !flush_at <> None then begin
+               fence_at := Some i;
+               raise Exit
+             end
+           | Xfd_trace.Event.Write { addr = a; size = s }
+           | Xfd_trace.Event.Nt_write { addr = a; size = s } ->
+             (* Overwritten before being written back: stop the chase. *)
+             if !flush_at = None && Xfd_mem.Addr.overlap (a, s) (addr, size) then raise Exit
+           | _ -> ()
+         done
+       with Exit -> ());
+      (match (!flush_at, !fence_at) with
+      | None, _ ->
+        Format.printf "store to %a+%d: never written back in this trace@."
+          Xfd_mem.Addr.pp addr size
+      | Some f, None ->
+        Format.printf
+          "store to %a+%d: written back at event %d but no later fence — not \
+           guaranteed persisted@."
+          Xfd_mem.Addr.pp addr size f
+      | Some f, Some s ->
+        if nt && f = at then
+          Format.printf "store to %a+%d: non-temporal, persisted by fence at event %d@."
+            Xfd_mem.Addr.pp addr size s
+        else
+          Format.printf
+            "store to %a+%d: written back at event %d, persisted by fence at event %d@."
+            Xfd_mem.Addr.pp addr size f s)
+    | _ -> ());
+    Format.printf "timeline:@.";
+    List.iter
+      (fun (e : Xfd_forensics.Timeline.excerpt) ->
+        List.iter (fun l -> Format.printf "  %s@." l) e.Xfd_forensics.Timeline.lines)
+      (Xfd_forensics.Timeline.excerpts t ~indices:[ at ] ~radius)
+  in
+  Cmd.v
+    (Cmd.info "explain"
+       ~doc:
+         "Show the timeline around one event; for stores, chase the writeback and \
+          fence that (fail to) persist them")
+    Term.(const action $ trace_file_arg $ at $ radius)
+
+
+let check_cmd =
+  let pre = Arg.(required & opt (some string) None & info [ "pre" ] ~docv:"FILE") in
+  let post = Arg.(required & opt (some string) None & info [ "post" ] ~docv:"FILE") in
+  let explain =
+    Arg.(
+      value & flag
+      & info [ "explain" ] ~doc:"Attach a provenance chain to every finding.")
+  in
+  let action pre post explain =
+    let pre_t = load_trace pre and post_t = load_trace post in
+    let det = Xfd.Detector.create ~forensics:explain () in
+    Xfd.Detector.replay det pre_t ~from:0 ~upto:(Xfd_trace.Trace.length pre_t);
+    let fork = Xfd.Detector.fork_for_post det in
+    Xfd.Detector.replay fork post_t ~from:0 ~upto:(Xfd_trace.Trace.length post_t);
+    let bugs = Xfd.Detector.bugs fork @ Xfd.Detector.bugs det in
+    Printf.printf "offline check (%d pre + %d post events): %d finding(s)\n"
+      (Xfd_trace.Trace.length pre_t) (Xfd_trace.Trace.length post_t) (List.length bugs);
+    List.iter
+      (fun b ->
+        if explain then Format.printf "  %a" Xfd.Report.pp_bug_explained b
+        else Format.printf "  %a@." Xfd.Report.pp_bug b)
+      bugs;
+    if bugs <> [] then exit 1
+  in
+  Cmd.v
+    (Cmd.info "check" ~doc:"Run the detection backend over recorded traces")
+    Term.(const action $ pre $ post $ explain)
+
+
+let trace_cmd =
+  Cmd.group
+    (Cmd.info "trace"
+       ~doc:
+         "Record, inspect and offline-check PM-operation trace files (lint them with \
+          $(b,xfd lint --trace))")
+    [ record_cmd; stats_cmd; dump_cmd; explain_cmd; check_cmd ]
 
 let fuzz_cmd =
   let seed =
@@ -718,65 +953,20 @@ let fuzz_cmd =
              fuzzing.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Print only the summary.") in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream run telemetry as JSONL to $(docv), including the fuzz.* counters \
-             (programs, divergences, meta_failures, shrink_evals, repros).")
-  in
-  let quiet_metrics =
-    Arg.(
-      value & flag
-      & info [ "quiet-metrics" ] ~doc:"Do not print the human-readable telemetry summary.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Export every span of the whole fuzz sweep as Chrome trace-event JSON to \
-             $(docv) (collected from the telemetry stream — each engine run drains its \
-             own span buffer).")
-  in
-  let action seed budget profile corpus max_repros shrink_budget replay quiet metrics_out
-      quiet_metrics trace_out pulse_opts =
+  (* A fuzz sweep has no single-run progress; the pulse sampler still
+     captures the fuzz.* counters as they advance. *)
+  let action seed budget profile corpus max_repros shrink_budget replay quiet telemetry =
     let ok =
-      with_pulse pulse_opts (fun ~pulse_progress ->
-          (* A fuzz sweep has no single-run progress; the pulse sampler
-             still captures the fuzz.* counters as they advance. *)
-          ignore pulse_progress;
-          let sink = Option.map Xfd_obs.Obs.Sink.to_file metrics_out in
-          Option.iter Xfd_obs.Obs.Sink.install sink;
-          let collector =
-            Option.map (fun path -> (path, Xfd_flight.Perfetto.Collector.start ())) trace_out
-          in
-          let finish ok =
-            Option.iter
-              (fun (path, c) ->
-                let n = Xfd_flight.Perfetto.Collector.stop_to_file c path in
-                Format.eprintf "trace written to %s (%d slices)@." path n)
-              collector;
-            Option.iter
-              (fun s ->
-                Xfd_obs.Obs.write_summary ();
-                Xfd_obs.Obs.Sink.uninstall s)
-              sink;
-            if not quiet_metrics then Format.eprintf "%a" Xfd_obs.Obs.pp_summary ();
-            ok
-          in
+      Session.with_ telemetry (fun _ ->
           match replay with
           | Some file -> (
             match Xfd_fuzz.Corpus.check file with
             | Ok () ->
               Printf.printf "%s: verdicts match\n" file;
-              finish true
+              true
             | Error e ->
               Printf.printf "%s\n" e;
-              finish false)
+              false)
           | None ->
             let cfg =
               {
@@ -791,7 +981,7 @@ let fuzz_cmd =
             let out = if quiet then None else Some Format.std_formatter in
             let summary = Xfd_fuzz.Fuzz.run ?out cfg in
             Format.printf "%a" Xfd_fuzz.Fuzz.pp_summary summary;
-            finish (Xfd_fuzz.Fuzz.clean summary))
+            Xfd_fuzz.Fuzz.clean summary)
     in
     if not ok then exit 1
   in
@@ -803,7 +993,11 @@ let fuzz_cmd =
           reproducible corpus")
     Term.(
       const action $ seed $ budget $ profile $ corpus $ max_repros $ shrink_budget $ replay
-      $ quiet $ metrics_out $ quiet_metrics $ trace_out $ pulse_term)
+      $ quiet $ session_term)
+
+(* "HOST:PORT" or a bare port. *)
+let endpoint s =
+  match Xfd_pulse.Httpc.parse_endpoint s with Ok hp -> hp | Error e -> usage "%s" e
 
 let top_cmd =
   let connect =
@@ -828,46 +1022,25 @@ let top_cmd =
   in
   let once = Arg.(value & flag & info [ "once" ] ~doc:"Print one snapshot and exit.") in
   let action connect interval count once =
-    match Xfd_pulse.Httpc.parse_endpoint connect with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok (host, port) ->
-      let count = if once then 1 else count in
-      let tty = Unix.isatty Unix.stdout in
-      let prev_lines = ref 0 in
-      let show s =
-        let lines = String.split_on_char '\n' s in
-        let lines = match List.rev lines with "" :: r -> List.rev r | _ -> lines in
-        let b = Buffer.create 256 in
-        if tty && !prev_lines > 0 then
-          Buffer.add_string b (Printf.sprintf "\x1b[%dA" !prev_lines);
-        List.iter
-          (fun l ->
-            Buffer.add_string b l;
-            if tty then Buffer.add_string b "\x1b[K";
-            Buffer.add_char b '\n')
-          lines;
-        prev_lines := List.length lines;
-        print_string (Buffer.contents b);
-        flush stdout
-      in
-      let failed = ref false in
-      ignore
-        (Xfd_pulse.Ticker.loop ~interval (fun tick ->
-             match Xfd_pulse.Dash.snap_remote ~host ~port with
-             | Error e ->
-               Printf.eprintf "top: %s\n%!" e;
-               failed := true;
-               `Stop
-             | Ok snap ->
-               show (Xfd_pulse.Dash.render snap);
-               let last = count > 0 && tick >= count - 1 in
-               (* A finished run stops the watch on its own once we have
-                  shown the done state. *)
-               if last || (count = 0 && snap.Xfd_pulse.Dash.status = "done") then `Stop
-               else `Continue));
-      if !failed then exit 1
+    let host, port = endpoint connect in
+    let count = if once then 1 else count in
+    let show = Xfd_pulse.Dash.redrawer stdout in
+    let failed = ref false in
+    ignore
+      (Xfd_pulse.Ticker.loop ~interval (fun tick ->
+           match Xfd_pulse.Dash.snap_remote ~host ~port with
+           | Error e ->
+             Printf.eprintf "top: %s\n%!" e;
+             failed := true;
+             `Stop
+           | Ok snap ->
+             show (Xfd_pulse.Dash.render snap);
+             let last = count > 0 && tick >= count - 1 in
+             (* A finished run stops the watch on its own once we have
+                shown the done state. *)
+             if last || (count = 0 && snap.Xfd_pulse.Dash.status = "done") then `Stop
+             else `Continue));
+    if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "top"
@@ -1096,25 +1269,6 @@ let await_flags =
     $ timeout $ interval $ json $ report_out)
 
 let submit_cmd =
-  let workload =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workload" ] ~docv:"NAME"
-          ~doc:(Printf.sprintf "Workload to submit (%s)." (String.concat ", " workload_names)))
-  in
-  let init =
-    Arg.(value & opt int 0 & info [ "init" ] ~docv:"N" ~doc:"Warm-up insertions before the RoI.")
-  in
-  let test =
-    Arg.(value & opt int 1 & info [ "test" ] ~docv:"N" ~doc:"Insertions/queries inside the RoI.")
-  in
-  let patch =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "patch" ] ~docv:"SPEC" ~doc:"Seed mechanical bugs (same syntax as $(b,run --patch)).")
-  in
   let program_file =
     Arg.(
       value
@@ -1139,67 +1293,58 @@ let submit_cmd =
           ~doc:"Client identity for quota accounting (sent as $(b,x-client)).")
   in
   let await = Arg.(value & flag & info [ "await" ] ~doc:"Wait for the verdict.") in
-  let action connect workload init test patch program_file engine client await
-      (timeout, interval, json, report_out) =
-    match Xfd_pulse.Httpc.parse_endpoint connect with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok (host, port) ->
-      let fields =
-        match (workload, program_file) with
-        | Some w, None ->
-          [
-            ("kind", Xfd_util.Json.Str "workload");
-            ("workload", Xfd_util.Json.Str w);
-            ("init", Xfd_util.Json.Int init);
-            ("test", Xfd_util.Json.Int test);
-          ]
-          @ (match patch with Some p -> [ ("patch", Xfd_util.Json.Str p) ] | None -> [])
-        | None, Some file ->
-          let ic = open_in_bin file in
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          [ ("kind", Xfd_util.Json.Str "xfdprog"); ("program", Xfd_util.Json.Str text) ]
-        | _ ->
-          prerr_endline "submit: need exactly one of --workload or --program";
-          exit 2
-      in
-      let body =
-        Xfd_util.Json.to_string
-          (Xfd_util.Json.Obj (fields @ [ ("engine", Xfd_util.Json.Str engine) ]))
-      in
-      let headers = if client = "" then [] else [ ("x-client", client) ] in
-      let code =
-        match Xfd_pulse.Httpc.post ~headers ~body ~host ~port "/v1/jobs" with
+  let action connect w program_file engine client await (timeout, interval, json, report_out) =
+    let host, port = endpoint connect in
+    let fields =
+      match (w.name, program_file) with
+      | Some name, None ->
+        [
+          ("kind", Xfd_util.Json.Str "workload");
+          ("workload", Xfd_util.Json.Str name);
+          ("init", Xfd_util.Json.Int (Option.value w.init ~default:0));
+          ("test", Xfd_util.Json.Int (Option.value w.test ~default:1));
+        ]
+        @ (match w.patch with Some p -> [ ("patch", Xfd_util.Json.Str p) ] | None -> [])
+      | None, Some file ->
+        let text = In_channel.with_open_bin file In_channel.input_all in
+        [ ("kind", Xfd_util.Json.Str "xfdprog"); ("program", Xfd_util.Json.Str text) ]
+      | _ -> usage "submit: need exactly one of --workload or --program"
+    in
+    let body =
+      Xfd_util.Json.to_string
+        (Xfd_util.Json.Obj (fields @ [ ("engine", Xfd_util.Json.Str engine) ]))
+    in
+    let headers = if client = "" then [] else [ ("x-client", client) ] in
+    let code =
+      match Xfd_pulse.Httpc.post ~headers ~body ~host ~port "/v1/jobs" with
+      | Error e ->
+        Printf.eprintf "submit: %s\n" e;
+        2
+      | Ok (202, _, resp) -> (
+        match Result.bind (Xfd_util.Json.of_string resp) (fun j ->
+                  Option.to_result ~none:"no id in response" (jstr_of "id" j))
+        with
         | Error e ->
-          Printf.eprintf "submit: %s\n" e;
+          Printf.eprintf "submit: bad response: %s\n" e;
           2
-        | Ok (202, _, resp) -> (
-          match Result.bind (Xfd_util.Json.of_string resp) (fun j ->
-                    Option.to_result ~none:"no id in response" (jstr_of "id" j))
-          with
-          | Error e ->
-            Printf.eprintf "submit: bad response: %s\n" e;
-            2
-          | Ok id ->
-            if await || report_out <> None then
-              await_job ~host ~port ~id ~timeout ~interval ~json ~report_out
-            else begin
-              Printf.printf "%s accepted (poll with: xfd await --connect %s --job %s)\n" id
-                connect id;
-              0
-            end)
-        | Ok (status, headers, resp) ->
-          let retry =
-            match List.assoc_opt "retry-after" headers with
-            | Some s -> Printf.sprintf " (retry after %ss)" s
-            | None -> ""
-          in
-          Printf.eprintf "submit: HTTP %d%s: %s\n" status retry (String.trim resp);
-          1
-      in
-      if code <> 0 then exit code
+        | Ok id ->
+          if await || report_out <> None then
+            await_job ~host ~port ~id ~timeout ~interval ~json ~report_out
+          else begin
+            Printf.printf "%s accepted (poll with: xfd await --connect %s --job %s)\n" id
+              connect id;
+            0
+          end)
+      | Ok (status, headers, resp) ->
+        let retry =
+          match List.assoc_opt "retry-after" headers with
+          | Some s -> Printf.sprintf " (retry after %ss)" s
+          | None -> ""
+        in
+        Printf.eprintf "submit: HTTP %d%s: %s\n" status retry (String.trim resp);
+        1
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "submit"
@@ -1207,8 +1352,8 @@ let submit_cmd =
          "Submit one detection job to a running $(b,xfd serve); optionally wait for the \
           verdict and fetch the forensics report.")
     Term.(
-      const action $ connect_arg $ workload $ init $ test $ patch $ program_file $ engine
-      $ client $ await $ await_flags)
+      const action $ connect_arg $ workload_term $ program_file $ engine $ client $ await
+      $ await_flags)
 
 let await_cmd =
   let job =
@@ -1218,13 +1363,9 @@ let await_cmd =
       & info [ "job" ] ~docv:"ID" ~doc:"Job id returned by $(b,xfd submit).")
   in
   let action connect job (timeout, interval, json, report_out) =
-    match Xfd_pulse.Httpc.parse_endpoint connect with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok (host, port) ->
-      let code = await_job ~host ~port ~id:job ~timeout ~interval ~json ~report_out in
-      if code <> 0 then exit code
+    let host, port = endpoint connect in
+    let code = await_job ~host ~port ~id:job ~timeout ~interval ~json ~report_out in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "await"
@@ -1243,6 +1384,7 @@ let () =
             newbugs_cmd;
             table5_cmd;
             lint_cmd;
+            trace_cmd;
             fuzz_cmd;
             top_cmd;
             serve_cmd;

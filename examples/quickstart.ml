@@ -21,18 +21,8 @@ let file_arg flag =
   in
   go (Array.to_list Sys.argv)
 
-let () =
-  print_endline "XFDetector quickstart: the paper's Figure 2 example";
-  print_endline "---------------------------------------------------";
-
-  let sink = Option.map Xfd_obs.Obs.Sink.to_file (file_arg "--metrics-out") in
-  Option.iter Xfd_obs.Obs.Sink.install sink;
-  let collector =
-    Option.map
-      (fun path -> (path, Xfd_flight.Perfetto.Collector.start ()))
-      (file_arg "--trace-out")
-  in
-
+(* Returns whether the Figure 2 bugs reproduced. *)
+let figure2 () =
   (* 1. Build the program under test (buggy variant). *)
   let buggy = Xfd_workloads.Array_update.program ~size:1 () in
 
@@ -50,12 +40,11 @@ let () =
   Format.printf "%a@." Xfd.Engine.pp_outcome (Xfd.Engine.detect fixed);
 
   let races, semantics, _, _ = Xfd.Engine.tally outcome in
-  if races >= 1 && semantics >= 1 then
-    print_endline "OK: the buggy variant shows both a cross-failure race and a semantic bug."
-  else begin
-    print_endline "UNEXPECTED: detection did not reproduce the Figure 2 bugs.";
-    exit 1
-  end;
+  let reproduced = races >= 1 && semantics >= 1 in
+  print_endline
+    (if reproduced then
+       "OK: the buggy variant shows both a cross-failure race and a semantic bug."
+     else "UNEXPECTED: detection did not reproduce the Figure 2 bugs.");
 
   (* 4. Forensics: ask any bug why it was reported.  The chain names the
         pre-failure write, the writeback/fence that did (not) persist it,
@@ -87,18 +76,8 @@ let () =
   (* Optional machine-readable report for CI artifacts. *)
   Option.iter
     (fun file ->
-      let report =
-        Xfd_util.Json.Obj
-          [
-            ("type", Xfd_util.Json.Str "xfd_report");
-            ("schema_version", Xfd_util.Json.Int 1);
-            ("report", Xfd.Engine.outcome_to_json outcome);
-          ]
-      in
-      let oc = open_out file in
-      output_string oc (Xfd_util.Json.to_string_pretty report);
-      output_char oc '\n';
-      close_out oc;
+      Xfd_util.Json.to_file file
+        (Xfd.Engine.report_envelope (Xfd.Engine.outcome_to_json outcome));
       Printf.printf "report written to %s\n" file)
     (file_arg "--report-out");
 
@@ -106,13 +85,16 @@ let () =
         taken, failure points fired vs elided, bugs by class, time per
         phase — was recorded by the observability layer as it went. *)
   Format.printf "@.%a@." Xfd_obs.Obs.pp_summary ();
-  Option.iter
-    (fun (path, c) ->
-      let n = Xfd_flight.Perfetto.Collector.stop_to_file c path in
-      Printf.printf "trace written to %s (%d slices)\n" path n)
-    collector;
-  Option.iter
-    (fun s ->
-      Xfd_obs.Obs.write_summary ();
-      Xfd_obs.Obs.Sink.uninstall s)
-    sink
+  reproduced
+
+let () =
+  print_endline "XFDetector quickstart: the paper's Figure 2 example";
+  print_endline "---------------------------------------------------";
+  let telemetry =
+    {
+      Xfd_pulse.Session.default with
+      metrics_out = file_arg "--metrics-out";
+      trace_out = file_arg "--trace-out";
+    }
+  in
+  if not (Xfd_pulse.Session.with_ telemetry (fun _ -> figure2 ())) then exit 1

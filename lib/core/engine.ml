@@ -605,3 +605,10 @@ let outcome_to_json o =
              (Obs.Span.aggregate o.spans)) );
       ("coverage", Xfd_forensics.Coverage.to_json o.coverage);
     ]
+
+let report_envelope ?job report =
+  let open Xfd_util.Json in
+  Obj
+    ([ ("type", Str "xfd_report"); ("schema_version", Int 1) ]
+    @ Option.to_list (Option.map (fun j -> ("job", j)) job)
+    @ [ ("report", report) ])

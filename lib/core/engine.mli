@@ -138,3 +138,9 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** JSON form of a whole outcome (per-failure-point reports, unique bugs,
     statistics), for machine consumption. *)
 val outcome_to_json : outcome -> Xfd_util.Json.t
+
+(** The saved-report envelope
+    [{"type":"xfd_report","schema_version":1,"job":..,"report":..}]
+    around an {!outcome_to_json} value; only the service passes a [job]
+    block. *)
+val report_envelope : ?job:Xfd_util.Json.t -> Xfd_util.Json.t -> Xfd_util.Json.t

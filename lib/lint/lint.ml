@@ -348,8 +348,8 @@ let check_trace ?(domain = D.Adr) trace =
   { findings; events; errors = count Error; warnings = count Warning; perf = count Perf }
 
 (* Record the setup + pre-failure trace of [p] exactly as [Engine.detect]
-   would see it, hand it to [f], then release the device. *)
-let with_pre_trace (config : Config.t) (p : Engine.program) f =
+   would see it, then release the device. *)
+let pre_trace ?(config = Config.default) (p : Engine.program) =
   Xfd_sim.Faults.reset config.Config.faults;
   let dev = Xfd_mem.Pm_device.create () in
   let trace = Trace.create () in
@@ -362,12 +362,11 @@ let with_pre_trace (config : Config.t) (p : Engine.program) f =
   (match p.Engine.pre ctx with
   | () -> ()
   | exception Xfd_sim.Ctx.Detection_complete -> ());
-  let r = f trace in
   Xfd_mem.Pm_device.release dev;
-  r
+  trace
 
-let check_prog ?(config = Config.default) (p : Engine.program) =
-  with_pre_trace config p (check_trace ~domain:config.Config.domain)
+let check_prog ?(config = Config.default) p =
+  check_trace ~domain:config.Config.domain (pre_trace ~config p)
 
 (* ---- differential analysis across persistence-domain models ---- *)
 
@@ -431,8 +430,7 @@ let diff_domains ?(baseline = D.Adr) ?(models = D.all) trace =
   in
   { baseline; models; reports; entries }
 
-let diff_prog ?(config = Config.default) ?baseline ?models (p : Engine.program) =
-  with_pre_trace config p (diff_domains ?baseline ?models)
+let diff_prog ?config ?baseline ?models p = diff_domains ?baseline ?models (pre_trace ?config p)
 
 let diff_clean d = List.for_all (fun (_, r) -> clean r) d.reports
 

@@ -91,6 +91,10 @@ val finding_key : finding -> string
     [Adr] — byte-identical to the pre-parametric analyzer). *)
 val check_trace : ?domain:Xfd_trace.Domain_model.t -> Xfd_trace.Trace.t -> report
 
+(** The setup and pre-failure trace {!check_prog} analyses, recorded as
+    it does. *)
+val pre_trace : ?config:Xfd.Config.t -> Xfd.Engine.program -> Xfd_trace.Trace.t
+
 (** Trace the program's [setup] and [pre] stages (honouring the
     configuration's fault injection, library trust and strategy — but with
     no failure injection and no detection) and analyse the trace under the

@@ -225,3 +225,19 @@ let render ?(width = 72) snap =
   | "" -> ()
   | s -> line "fp fired  %s  (%d samples)" s snap.samples);
   Buffer.contents b
+
+let redrawer oc =
+  let tty = Unix.isatty (Unix.descr_of_out_channel oc) in
+  let prev_lines = ref 0 in
+  fun frame ->
+    let lines = String.split_on_char '\n' frame in
+    let lines = match List.rev lines with "" :: r -> List.rev r | _ -> lines in
+    if tty && !prev_lines > 0 then Printf.fprintf oc "\x1b[%dA" !prev_lines;
+    List.iter
+      (fun l ->
+        output_string oc l;
+        if tty then output_string oc "\x1b[K";
+        output_char oc '\n')
+      lines;
+    prev_lines := List.length lines;
+    flush oc

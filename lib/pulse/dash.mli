@@ -38,3 +38,8 @@ val sparkline : (float * float) list -> string
 
 (** Render a snapshot as a few lines of text (no cursor control). *)
 val render : ?width:int -> snap -> string
+
+(** [redrawer oc] prints successive frames to [oc].  On a terminal each
+    frame moves the cursor back up over the previous one and overwrites
+    it in place; elsewhere frames are appended. *)
+val redrawer : out_channel -> string -> unit

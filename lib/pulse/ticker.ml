@@ -3,7 +3,7 @@
    Two shapes: [start] runs a callback on a background thread until
    [stop]ped — the Tsdb sampler, the in-process dashboard; [loop] runs a
    callback on the calling thread until it says stop — `xfd_cli top
-   --connect` and `xfd_trace_tool stats --watch`.
+   --connect` and `xfd trace stats --watch`.
 
    The background variant waits on a self-pipe with [Unix.select] rather
    than sleeping: OCaml's stdlib [Condition] has no timed wait, and a

@@ -365,19 +365,14 @@ let report_json t =
   match t.result with
   | None -> None
   | Some r ->
-    Some
-      (Json.Obj
-         [
-           ("type", Json.Str "xfd_report");
-           ("schema_version", Json.Int 1);
-           ( "job",
-             Json.Obj
-               [
-                 ("id", Json.Str t.id);
-                 ("client", Json.Str t.client);
-                 ("label", Json.Str (label t.spec));
-                 ("engine", Json.Str (engine_to_string t.spec.engine));
-                 ("fingerprint", Json.Str r.fingerprint);
-               ] );
-           ("report", r.report);
-         ])
+    let job =
+      Json.Obj
+        [
+          ("id", Json.Str t.id);
+          ("client", Json.Str t.client);
+          ("label", Json.Str (label t.spec));
+          ("engine", Json.Str (engine_to_string t.spec.engine));
+          ("fingerprint", Json.Str r.fingerprint);
+        ]
+    in
+    Some (Engine.report_envelope ~job r.report)

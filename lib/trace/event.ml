@@ -130,7 +130,7 @@ let to_line { seq; kind; loc } =
     (escape_field loc.Xfd_util.Loc.file)
     loc.Xfd_util.Loc.line
 
-let of_line line =
+let parse_line line =
   match String.split_on_char '|' line with
   | [ seq; kind_str; file; lnum ] -> begin
     let loc = Xfd_util.Loc.make ~file:(unescape_field file) ~line:(int_of_string lnum) in
@@ -170,3 +170,5 @@ let of_line line =
     Option.map (fun kind -> { seq; kind; loc }) kind
   end
   | _ -> None
+
+let of_line line = try parse_line line with Failure _ -> None

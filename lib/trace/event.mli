@@ -60,4 +60,5 @@ val pp : Format.formatter -> t -> unit
     lines without escapes parse unchanged. *)
 val to_line : t -> string
 
+(** [None] for anything that is not an event line, a bad number included. *)
 val of_line : string -> t option

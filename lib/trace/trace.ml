@@ -54,12 +54,15 @@ let save t oc = iter t (fun ev -> output_string oc (Event.to_line ev ^ "\n"))
 
 let load ic =
   let t = create () in
-  (try
-     while true do
-       let line = input_line ic in
-       match Event.of_line line with
-       | Some ev -> ignore (append t ~kind:ev.Event.kind ~loc:ev.Event.loc)
-       | None -> ()
-     done
-   with End_of_file -> ());
-  t
+  let rec go n =
+    match input_line ic with
+    | exception End_of_file -> Ok t
+    | line when String.trim line = "" -> go (n + 1)
+    | line -> (
+      match Event.of_line line with
+      | Some ev ->
+        ignore (append t ~kind:ev.Event.kind ~loc:ev.Event.loc);
+        go (n + 1)
+      | None -> Error (n, line))
+  in
+  go 1

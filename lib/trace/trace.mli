@@ -45,4 +45,6 @@ val pp : Format.formatter -> t -> unit
 (** Serialize to / parse from the one-line-per-event text format. *)
 val save : t -> out_channel -> unit
 
-val load : in_channel -> t
+(** Blank lines are skipped; [Error (n, line)] is the first line that is
+    not an event, numbered from 1. *)
+val load : in_channel -> (t, int * string) result

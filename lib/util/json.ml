@@ -84,6 +84,11 @@ let to_string_pretty t =
   write buf ~indent:true ~level:0 t;
   Buffer.contents buf
 
+let to_file path t =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string_pretty t);
+      output_char oc '\n')
+
 exception Parse_error of string
 
 let parse_error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt

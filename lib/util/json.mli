@@ -19,6 +19,9 @@ val to_string : t -> string
 (** Pretty-printed with two-space indentation. *)
 val to_string_pretty : t -> string
 
+(** Write {!to_string_pretty} and a newline to a fresh file. *)
+val to_file : string -> t -> unit
+
 (** Escape a string body per RFC 8259 (without the surrounding quotes). *)
 val escape : string -> string
 

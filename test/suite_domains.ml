@@ -558,28 +558,47 @@ let dynamic_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The lint exit-code contract of both binaries: 0 = clean,
-   1 = findings, 2 = usage or I/O error. *)
+(* The xfd command's exit contract: 0 = clean, 1 = findings, 2 = usage or
+   I/O error; and its trace files, which lint like the workload runs they
+   were recorded from. *)
 
 let cli = Filename.concat ".." "bin/xfd_cli.exe"
-let trace_tool = Filename.concat ".." "bin/xfd_trace_tool.exe"
 
 let run_exit exe args =
   Sys.command (Filename.quote_command exe args ^ " >/dev/null 2>&1")
 
-let with_trace_file t f =
+(* Exit code and stdout. *)
+let run_out args =
+  let out = Filename.temp_file "xfd_domains" ".out" in
+  let code = Sys.command (Filename.quote_command cli ~stdout:out ~stderr:Filename.null args) in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let with_temp f =
   let file = Filename.temp_file "xfd_domains" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> if Sys.file_exists file then Sys.remove file) (fun () -> f file)
+
+let with_trace_file t f =
+  with_temp (fun file ->
       Out_channel.with_open_text file (Trace.save t);
       f file)
+
+let json_of text =
+  match Xfd_util.Json.of_string text with Ok j -> j | Error e -> Alcotest.fail e
+
+let int_field key j =
+  match Xfd_util.Json.member key j with
+  | Some (Xfd_util.Json.Int n) -> n
+  | _ -> Alcotest.failf "no integer %S" key
 
 let exit_tests =
   [
     Tu.case "xfd_cli lint: 0 clean / 1 findings / 2 usage" (fun () ->
         Alcotest.(check int) "clean workload exits 0" 0
           (run_exit cli [ "lint"; "-w"; "hashmap-tx" ]);
+        Alcotest.(check int) "names ignore punctuation, as in run" 0
+          (run_exit cli [ "lint"; "-w"; "btree"; "--init"; "2"; "--test"; "3" ]);
         Alcotest.(check int) "seeded findings exit 1" 1
           (run_exit cli [ "lint"; "-w"; "hashmap-atomic"; "--patch"; "skip-fence=1" ]);
         Alcotest.(check int) "meeting an expectation exits 0" 0
@@ -593,7 +612,8 @@ let exit_tests =
         Alcotest.(check int) "unknown workload exits 2" 2
           (run_exit cli [ "lint"; "-w"; "no-such-workload" ]);
         Alcotest.(check int) "unparseable patch exits 2" 2
-          (run_exit cli [ "lint"; "-w"; "hashmap-tx"; "--patch"; "frobnicate=Q" ]));
+          (run_exit cli [ "lint"; "-w"; "hashmap-tx"; "--patch"; "frobnicate=Q" ]);
+        Alcotest.(check int) "no input exits 2" 2 (run_exit cli [ "lint" ]));
     Tu.case "xfd_cli lint --domain changes the verdict, same exit contract"
       (fun () ->
         Alcotest.(check int) "skip-fence error under adr exits 1" 1
@@ -608,21 +628,89 @@ let exit_tests =
           (run_exit cli
              [ "lint"; "-w"; "hashmap-atomic"; "--patch"; "skip-fence=1";
                "--diff-domains"; "--json" ]));
-    Tu.case "xfd_trace_tool lint: 0 clean / 1 findings / 2 usage-or-IO" (fun () ->
+    Tu.case "xfd lint --trace: 0 clean / 1 findings / 2 usage-or-IO" (fun () ->
         with_trace_file (gpf_trace ()) (fun file ->
-            Alcotest.(check int) "findings exit 1" 1 (run_exit trace_tool [ "lint"; file ]);
+            Alcotest.(check int) "findings exit 1" 1 (run_exit cli [ "lint"; "--trace"; file ]);
             Alcotest.(check int) "clean under eadr exits 0" 0
-              (run_exit trace_tool [ "lint"; "--domain"; "eadr"; file ]);
+              (run_exit cli [ "lint"; "--trace"; file; "--domain"; "eadr" ]);
             Alcotest.(check int) "diff over a dirty trace exits 1" 1
-              (run_exit trace_tool [ "lint"; "--diff-domains"; file ]);
+              (run_exit cli [ "lint"; "--trace"; file; "--diff-domains" ]);
             Alcotest.(check int) "unknown domain exits 2" 2
-              (run_exit trace_tool [ "lint"; "--domain"; "nope"; file ]));
+              (run_exit cli [ "lint"; "--trace"; file; "--domain"; "nope" ]);
+            List.iter
+              (fun extra ->
+                Alcotest.(check int) (String.concat " " extra ^ " with --trace exits 2") 2
+                  (run_exit cli ([ "lint"; "--trace"; file ] @ extra)))
+              [
+                [ "-w"; "btree" ]; [ "--init"; "0" ]; [ "--test"; "1" ];
+                [ "--patch"; "skip-fence=1" ]; [ "--triage" ]; [ "--triage-out"; "t.json" ];
+              ]);
         Alcotest.(check int) "unreadable trace exits 2" 2
-          (run_exit trace_tool [ "lint"; "/nonexistent-xfd-domains.trace" ]);
+          (run_exit cli [ "lint"; "--trace"; "/nonexistent-xfd-domains.trace" ]);
+        with_temp (fun file ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc "{\"type\": \"xfd_report\", \"schema_version\": 1}\n");
+            Alcotest.(check int) "a file that is not a trace exits 2" 2
+              (run_exit cli [ "lint"; "--trace"; file ]);
+            Alcotest.(check int) "so does trace check" 2
+              (run_exit cli [ "trace"; "check"; "--pre"; file; "--post"; file ]);
+            Alcotest.(check int) "and trace stats" 2 (run_exit cli [ "trace"; "stats"; file ]));
         let empty = mk_trace [ (Event.Roi_begin, l 1); (Event.Roi_end, l 2) ] in
         with_trace_file empty (fun file ->
             Alcotest.(check int) "clean trace exits 0" 0
-              (run_exit trace_tool [ "lint"; file ])));
+              (run_exit cli [ "lint"; "--trace"; file ])));
+    Tu.case "xfd run: an unknown workload or a bad patch exits 2" (fun () ->
+        Alcotest.(check int) "unknown workload" 2 (run_exit cli [ "run"; "-w"; "nosuch" ]);
+        Alcotest.(check int) "bad patch" 2
+          (run_exit cli [ "run"; "-w"; "btree"; "--patch"; "bogus=1" ]));
+    Tu.case "lint --trace of a recorded trace = lint -w, under every model" (fun () ->
+        List.iter
+          (fun w ->
+            with_temp (fun file ->
+                Alcotest.(check int) (w ^ " recorded") 0
+                  (run_exit cli [ "trace"; "record"; "-w"; w; "--test"; "3"; "--pre"; file ]);
+                List.iter
+                  (fun d ->
+                    let d = D.to_string d in
+                    let of_file = run_out [ "lint"; "--trace"; file; "--domain"; d; "--json" ] in
+                    let of_run =
+                      run_out [ "lint"; "-w"; w; "--test"; "3"; "--domain"; d; "--json" ]
+                    in
+                    Alcotest.(check (pair int string)) (w ^ " under " ^ d) of_run of_file)
+                  D.all))
+          [ "b-tree"; "c-tree"; "rb-tree"; "hashmap-tx"; "hashmap-atomic" ]);
+    Tu.case "trace record, stats and check agree" (fun () ->
+        with_temp (fun pre ->
+            with_temp (fun post ->
+                let code, out =
+                  run_out
+                    [ "trace"; "record"; "-w"; "btree"; "--test"; "3"; "--pre"; pre; "--post"; post ]
+                in
+                Alcotest.(check int) "record exits 0" 0 code;
+                let recorded = Scanf.sscanf out "recorded %d" Fun.id in
+                let code, stats = run_out [ "trace"; "stats"; pre; "--json" ] in
+                Alcotest.(check int) "stats exits 0" 0 code;
+                Alcotest.(check int) "stats counts every recorded event" recorded
+                  (int_field "events" (json_of stats));
+                let code, out = run_out [ "trace"; "check"; "--pre"; pre; "--post"; post ] in
+                let findings = Scanf.sscanf out "offline check (%_d pre + %_d post events): %d" Fun.id in
+                Alcotest.(check int) "a correct B-Tree checks clean" 0 findings;
+                Alcotest.(check int) "clean check exits 0" 0 code));
+        (* A store never written back, read after the failure: a race. *)
+        let stranded =
+          mk_trace
+            [
+              (Event.Roi_begin, l 8);
+              (Event.Read { addr = base + Addr.line_size; size = 8 }, l 9);
+              (Event.Roi_end, l 10);
+            ]
+        in
+        with_trace_file (gpf_trace ()) (fun pre ->
+            with_trace_file stranded (fun post ->
+                let code, out = run_out [ "trace"; "check"; "--pre"; pre; "--post"; post ] in
+                let findings = Scanf.sscanf out "offline check (%_d pre + %_d post events): %d" Fun.id in
+                Alcotest.(check bool) "a stranded store is found" true (findings > 0);
+                Alcotest.(check int) "findings exit 1" 1 code)));
   ]
 
 let suite =

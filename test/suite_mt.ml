@@ -154,7 +154,7 @@ let offline_tests =
           let t' = Trace.load ic in
           close_in ic;
           Sys.remove file;
-          t'
+          Result.get_ok t'
         in
         let pre_t = via_file pre_t and post_t = via_file post_t in
         let det = Xfd.Detector.create () in

@@ -14,6 +14,7 @@ module Httpd = Xfd_pulse.Httpd
 module Httpc = Xfd_pulse.Httpc
 module Pulse = Xfd_pulse.Pulse
 module Dash = Xfd_pulse.Dash
+module Session = Xfd_pulse.Session
 
 (* A workload with a healthy number of failure points, so a fast sampler
    gets several sweeps mid-run. *)
@@ -635,6 +636,62 @@ let acceptance_tests =
                 (String.length (Dash.render remote) > 0)));
   ]
 
+let lines_of file = In_channel.with_open_text file In_channel.input_lines
+
+let session_tests =
+  [
+    Tu.case "a session writes every file, also when its body raises" (fun () ->
+        with_flight (fun () ->
+            let tmp ext = Filename.temp_file "xfd_session" ext in
+            let metrics = tmp ".jsonl" and trace = tmp ".json" in
+            let flight = tmp ".jsonl" and series = tmp ".jsonl" in
+            let sinks0 = Obs.Sink.active () in
+            let off = Tu.detect (program ()) in
+            let on = ref None in
+            let opts =
+              {
+                Session.default with
+                metrics_out = Some metrics;
+                trace_out = Some trace;
+                flight_out = Some flight;
+                pulse_out = Some series;
+                interval = 0.01;
+              }
+            in
+            (match
+               Session.with_ opts (fun s ->
+                   let on_progress =
+                     Option.map
+                       (fun note (p : Engine.progress) ->
+                         note ~completed:p.completed ~total:p.total)
+                       (Session.progress s)
+                   in
+                   Alcotest.(check bool) "pulse_out starts the sampler" true
+                     (on_progress <> None);
+                   on := Some (Engine.detect ?on_progress (program ()));
+                   raise Exit)
+             with
+            | () -> ()
+            | exception Exit -> ());
+            Alcotest.(check bool) "verdict-neutral" true
+              (fingerprint off = fingerprint (Option.get !on));
+            Alcotest.(check bool) "sinks uninstalled" sinks0 (Obs.Sink.active ());
+            let records = List.map parse_json (lines_of metrics) in
+            Alcotest.(check string) "metrics end with the summary" "summary"
+              (jstr "type" (List.nth records (List.length records - 1)));
+            (match Json.member "traceEvents" (parse_json (String.concat "\n" (lines_of trace))) with
+            | Some (Json.Arr (_ :: _)) -> ()
+            | _ -> Alcotest.fail "empty Perfetto trace");
+            Alcotest.(check bool) "flight log written" true (lines_of flight <> []);
+            Alcotest.(check bool) "series written" true (lines_of series <> []);
+            List.iter Sys.remove [ metrics; trace; flight; series ]));
+    Tu.case "the default session starts nothing; stop is idempotent" (fun () ->
+        let s = Session.start Session.default in
+        Alcotest.(check bool) "no progress hook" true (Session.progress s = None);
+        Session.stop s;
+        Session.stop s);
+  ]
+
 let suite =
   [
     ("pulse.ticker", ticker_tests);
@@ -644,4 +701,5 @@ let suite =
     ("pulse.routes", route_tests);
     ("pulse.dash", dash_tests);
     ("pulse.acceptance", acceptance_tests);
+    ("pulse.session", session_tests);
   ]

@@ -166,10 +166,31 @@ let trace_tests =
         Trace.save t oc;
         close_out oc;
         let ic = open_in file in
-        let t' = Trace.load ic in
+        let t' = Result.get_ok (Trace.load ic) in
         close_in ic;
         Sys.remove file;
-        Alcotest.(check int) "same length" (Trace.length t) (Trace.length t'));
+        Alcotest.(check int) "same length" (Trace.length t) (Trace.length t');
+        Alcotest.(check (list string)) "same lines"
+          (List.map Event.to_line (Trace.to_list t))
+          (List.map Event.to_line (Trace.to_list t')));
+    Tu.case "load names the first line that is not an event" (fun () ->
+        let load text =
+          let file = Filename.temp_file "xfd_trace" ".txt" in
+          Out_channel.with_open_text file (fun oc -> output_string oc text);
+          let r = In_channel.with_open_text file Trace.load in
+          Sys.remove file;
+          Result.map Trace.length r
+        in
+        let ok = "0|SFENCE|a.ml|1\n" in
+        Alcotest.(check (result int (pair int string))) "blank lines skipped" (Ok 2)
+          (load (ok ^ "\n" ^ ok));
+        Alcotest.(check (result int (pair int string))) "a JSON file" (Error (1, "{"))
+          (load "{\n  \"type\": \"xfd_report\"\n}\n");
+        Alcotest.(check (result int (pair int string))) "a bad number"
+          (Error (3, "2|WRITE 0x10 eight|a.ml|3"))
+          (load (ok ^ ok ^ "2|WRITE 0x10 eight|a.ml|3\n" ^ ok));
+        Alcotest.(check bool) "of_line rejects a bad number" true
+          (Event.of_line "x|SFENCE|a.ml|1" = None));
   ]
 
 let util_tests =
