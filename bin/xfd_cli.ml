@@ -128,12 +128,6 @@ let session_term =
        ui.perfetto.dev or chrome://tracing.  One track per domain, so parallel \
        post-failure runs show as overlapping post_run slices."
   in
-  let flight_out =
-    file "flight-out"
-      "Write the flight-recorder run log as JSONL to $(docv): lifecycle events (run.begin, \
-       fp.scheduled/started/verdict, snapshot.recorded/dropped, worker.join, run.end) with \
-       per-run id and sampled GC gauges.  Enables debug-level recording."
-  in
   let live =
     Arg.(
       value & flag
@@ -175,11 +169,11 @@ let session_term =
   in
   Term.(
     const
-      (fun metrics_out quiet_metrics trace_out flight_out live port interval linger pulse_out ->
+      (fun metrics_out quiet_metrics trace_out live port interval linger pulse_out ->
         {
           Session.metrics_out;
           trace_out;
-          flight_out;
+          flight_out = None;
           summary = not quiet_metrics;
           live;
           port;
@@ -187,8 +181,7 @@ let session_term =
           linger;
           pulse_out;
         })
-    $ metrics_out $ quiet_metrics $ trace_out $ flight_out $ live $ port $ interval $ linger
-    $ pulse_out)
+    $ metrics_out $ quiet_metrics $ trace_out $ live $ port $ interval $ linger $ pulse_out)
 
 (* Live progress bar for the post-failure stage.  The engine may invoke
    the callback from whichever worker domain finished a run, so renders
@@ -305,8 +298,19 @@ let run_cmd =
              stderr while the post-failure stage runs.  Observation-only: the verdict is \
              byte-identical with or without it.")
   in
+  let flight_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flight-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the flight-recorder run log as JSONL to $(docv): lifecycle events \
+             (run.begin, fp.scheduled/started/verdict, snapshot.recorded/dropped, \
+             worker.join, run.end) with per-run id and sampled GC gauges.  Enables \
+             debug-level recording for this run.")
+  in
   let action w naive untrusted oracle quiet json report_out explain fail_on_bug allow_perf
-      lint_guided progress telemetry =
+      lint_guided progress flight_out telemetry =
     let program, faults = resolve w in
     let config =
       {
@@ -319,7 +323,7 @@ let run_cmd =
       }
     in
     let code =
-      Session.with_ telemetry (fun session ->
+      Session.with_ { telemetry with flight_out } (fun session ->
           let pulse =
             Option.map
               (fun note (p : Xfd.Engine.progress) ->
@@ -368,7 +372,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one workload under cross-failure detection")
     Term.(
       const action $ workload_term $ naive $ untrusted $ oracle $ quiet $ json $ report_out
-      $ explain $ fail_on_bug $ allow_perf $ lint_guided $ progress $ session_term)
+      $ explain $ fail_on_bug $ allow_perf $ lint_guided $ progress $ flight_out
+      $ session_term)
 
 let list_cmd =
   let action () =

@@ -1,5 +1,5 @@
 (** Trace timeline rendering: the excerpts a provenance chain embeds and
-    the printer behind [xfd_trace dump --range] and [xfd_trace explain].
+    the printer behind [xfd trace dump --range] and [xfd trace explain].
 
     Lines look like
 

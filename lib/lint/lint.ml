@@ -430,8 +430,6 @@ let diff_domains ?(baseline = D.Adr) ?(models = D.all) trace =
   in
   { baseline; models; reports; entries }
 
-let diff_prog ?config ?baseline ?models p = diff_domains ?baseline ?models (pre_trace ?config p)
-
 let diff_clean d = List.for_all (fun (_, r) -> clean r) d.reports
 
 (* Does finding [f] anticipate dynamic bug [b]?  Correctness findings match
@@ -505,11 +503,6 @@ let triage_of ~program report (outcome : Engine.outcome) =
     static_only;
     post_errors;
   }
-
-let triage ?config p =
-  let report = check_prog ?config p in
-  let outcome = Engine.detect ?config p in
-  triage_of ~program:p.Engine.name report outcome
 
 (* Score of a failure point = findings whose firing event the point's image
    already contains but the previous point's did not (end-of-trace findings

@@ -16,7 +16,7 @@
     not prove the absence of cross-failure bugs (a fence skipped between two
     later-refenced stores leaves no end-state evidence, yet opens a real
     race window).  It is therefore used to {e prioritize} failure points,
-    never to prune them, and {!triage} quantifies exactly what it would have
+    never to prune them, and {!triage_of} quantifies exactly what it would have
     missed by cross-checking against the dynamic detector. *)
 
 (** Everything the linter can complain about. *)
@@ -69,7 +69,7 @@ type finding = {
   related : (string * Xfd_util.Loc.t) list;
       (** named co-implicated locations (["writer"], ["writeback"],
           ["commit-store"], ...) — the static analogue of a provenance
-          chain, and what {!triage} matches dynamic verdicts against *)
+          chain, and what {!triage_of} matches dynamic verdicts against *)
   hint : string;  (** one fix-hint sentence *)
 }
 
@@ -142,15 +142,6 @@ val diff_domains :
   Xfd_trace.Trace.t ->
   diff_report
 
-(** Trace the program once (like {!check_prog}) and {!diff_domains} the
-    recorded trace — the models see the identical event stream. *)
-val diff_prog :
-  ?config:Xfd.Config.t ->
-  ?baseline:Xfd_trace.Domain_model.t ->
-  ?models:Xfd_trace.Domain_model.t list ->
-  Xfd.Engine.program ->
-  diff_report
-
 (** Every analysed model reported zero findings. *)
 val diff_clean : diff_report -> bool
 
@@ -179,13 +170,10 @@ type triage = {
   post_errors : int;  (** dynamic post-failure errors (outside the table) *)
 }
 
-(** Classify a lint report against a detection outcome. *)
+(** Classify a lint report against a detection outcome of the same program
+    and configuration, in both directions — the static-vs-dynamic
+    precision/recall table. *)
 val triage_of : program:string -> report -> Xfd.Engine.outcome -> triage
-
-(** Lint the program, run full dynamic detection on the same workload (same
-    configuration, faults re-armed), and classify both directions — the
-    static-vs-dynamic precision/recall table. *)
-val triage : ?config:Xfd.Config.t -> Xfd.Engine.program -> triage
 
 (** {1 Lint-guided failure-point scheduling} *)
 

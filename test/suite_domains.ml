@@ -364,7 +364,7 @@ let diff_tests =
     Tu.case "skip-fence: missing-flush error disappears outside ADR" (fun () ->
         let faults = Faults.make ~skip_fence:[ 1 ] () in
         let d =
-          Lint.diff_prog ~config:{ Config.default with Config.faults } (hashmap ())
+          Lint.diff_domains (Lint.pre_trace ~config:{ Config.default with Config.faults } (hashmap ()))
         in
         Alcotest.(check (list model_t)) "models" D.all d.Lint.models;
         Alcotest.(check model_t) "baseline" D.Adr d.Lint.baseline;
@@ -379,7 +379,7 @@ let diff_tests =
     Tu.case "skip-flush: unflushed store disappears under eADR only" (fun () ->
         let faults = Faults.make ~skip_flush:[ 1 ] () in
         let d =
-          Lint.diff_prog ~config:{ Config.default with Config.faults } (hashmap ())
+          Lint.diff_domains (Lint.pre_trace ~config:{ Config.default with Config.faults } (hashmap ()))
         in
         Alcotest.(check bool) "unflushed-at-trace-end disappears under eadr" true
           (has_rule d Lint.Unflushed_at_trace_end (`Disappears_in [ D.Eadr ]));
@@ -419,7 +419,7 @@ let diff_tests =
     Tu.case "correct workloads: eADR adds warnings but never errors" (fun () ->
         List.iter
           (fun (name, p) ->
-            let d = Lint.diff_prog (p ()) in
+            let d = Lint.diff_domains (Lint.pre_trace (p ())) in
             Alcotest.(check bool) (name ^ " adr clean") true
               (Lint.clean (report_of d D.Adr));
             Alcotest.(check bool) (name ^ " cxl-gpf clean") true
@@ -440,7 +440,7 @@ let diff_tests =
     Tu.case "diff JSON carries per-model reports and classifications" (fun () ->
         let faults = Faults.make ~skip_fence:[ 1 ] () in
         let d =
-          Lint.diff_prog ~config:{ Config.default with Config.faults } (hashmap ())
+          Lint.diff_domains (Lint.pre_trace ~config:{ Config.default with Config.faults } (hashmap ()))
         in
         match Lint.diff_to_json d with
         | Xfd_util.Json.Obj kvs ->

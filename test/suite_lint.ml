@@ -13,6 +13,12 @@ module Faults = Xfd_sim.Faults
 module Config = Xfd.Config
 module Report = Xfd.Report
 
+(* Triage the way [xfd lint --triage] does: lint the recorded pre-failure
+   trace, detect dynamically under the same configuration, classify. *)
+let triage ?(config = Config.default) (p : Xfd.Engine.program) =
+  let report = Lint.check_trace ~domain:config.Config.domain (Lint.pre_trace ~config p) in
+  Lint.triage_of ~program:p.Xfd.Engine.name report (Xfd.Engine.detect ~config p)
+
 let l n = Loc.make ~file:"lintfix.ml" ~line:n
 let base = Addr.pool_base
 
@@ -309,7 +315,7 @@ let json_tests =
     Tu.case "triage JSON includes both directions" (fun () ->
         let faults () = Faults.make ~skip_tx_add:[ 0 ] () in
         let config = { Config.default with Config.faults = faults () } in
-        let t = Lint.triage ~config (Xfd_workloads.Btree.program ~init_size:2 ~size:2 ()) in
+        let t = triage ~config (Xfd_workloads.Btree.program ~init_size:2 ~size:2 ()) in
         match Json.of_string (Json.to_string (Lint.triage_to_json t)) with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok j ->
@@ -366,7 +372,7 @@ let golden_tests =
             let config =
               { Config.default with Config.faults = Faults.make ~skip_tx_add:[ 0 ] () }
             in
-            let t = Lint.triage ~config (program ()) in
+            let t = triage ~config (program ()) in
             Alcotest.(check int) (name ^ " static misses") 0 t.Lint.static_misses;
             Alcotest.(check bool) (name ^ " anticipated some") true (t.Lint.anticipated >= 1))
           [
@@ -375,7 +381,7 @@ let golden_tests =
             ("rbtree", fun () -> Xfd_workloads.Rbtree.program ~size:3 ());
           ]);
     Tu.case "triage on a correct workload is all-quiet" (fun () ->
-        let t = Lint.triage (Xfd_workloads.Btree.program ~init_size:2 ~size:2 ()) in
+        let t = triage (Xfd_workloads.Btree.program ~init_size:2 ~size:2 ()) in
         Alcotest.(check int) "anticipated" 0 t.Lint.anticipated;
         Alcotest.(check int) "misses" 0 t.Lint.static_misses;
         Alcotest.(check int) "static only" 0 t.Lint.static_only;
