@@ -5,20 +5,58 @@ type 'm t = {
   pages : Pages.t;
   domain : Xfd_trace.Domain_model.t;
   make_meta : unit -> 'm;
-  fence_target : int; (* the code a fence gives a writeback-pending byte *)
-  meta : (int, 'm) Hashtbl.t;
-  (* One-entry cache: [last_meta] is the page [last_idx]'s fields, kept as
-     the option {!meta} returns so a hit allocates nothing. *)
+  (* The packed bytes a store and a non-temporal store leave, and the
+     codes a flushed modified byte, a fenced pending byte and a byte
+     drained by the GPF barrier take; whether fences and the barrier
+     persist at all. *)
+  write_packed : int;
+  nt_write_packed : int;
+  flush_code : int;
+  fence_code : int;
+  gpf_code : int;
+  fence_persists : bool;
+  gpf_persists : bool;
+  (* Page index to the page's cold fields, stored as the option {!meta}
+     returns so a lookup allocates nothing. *)
+  meta : (int, 'm option) Hashtbl.t;
+  (* One-entry cache: [last_meta] is the page [last_idx]'s fields. *)
   mutable last_idx : int;
   mutable last_meta : 'm option;
 }
 
+let c_modified = Pstate.code Pstate.Modified
+let c_pending = Pstate.code Pstate.Writeback_pending
+let c_persisted = Pstate.code Pstate.Persisted
+
+let state packed = Pstate.of_code (Pages.state_of packed)
+let pending_bit code = if code = c_pending then Pages.bit_pending else 0
+
+let pack s =
+  let code = Pstate.code s in
+  code lor Pages.bit_tracked lor pending_bit code
+
+let all_states = Pstate.[ Unmodified; Modified; Writeback_pending; Persisted ]
+
 let create ~domain make_meta =
+  let constant f = List.for_all (fun s -> Pstate.equal (f s) (f Pstate.Unmodified)) all_states in
+  (* The write kernels store one target per event, whatever each byte
+     held before: that holds in every model. *)
+  assert (constant (Pstate.on_write_in domain) && constant (Pstate.on_nt_write_in domain));
+  let drain = Pstate.on_gpf_in domain in
+  assert (
+    Pstate.equal (drain Pstate.Modified) (drain Pstate.Writeback_pending)
+    || not (Pstate.persists_at_gpf domain));
   {
     pages = Pages.create ();
     domain;
     make_meta;
-    fence_target = Pstate.code (Pstate.on_fence_in domain Pstate.Writeback_pending);
+    write_packed = pack (Pstate.on_write_in domain Pstate.Unmodified);
+    nt_write_packed = pack (Pstate.on_nt_write_in domain Pstate.Unmodified);
+    flush_code = Pstate.code (Pstate.on_flush_in domain Pstate.Modified);
+    fence_code = Pstate.code (Pstate.on_fence_in domain Pstate.Writeback_pending);
+    gpf_code = Pstate.code (drain Pstate.Modified);
+    fence_persists = Pstate.persists_at_fence domain;
+    gpf_persists = Pstate.persists_at_gpf domain;
     meta = Hashtbl.create 16;
     last_idx = -1;
     last_meta = None;
@@ -33,99 +71,85 @@ let release t =
   t.last_idx <- -1;
   t.last_meta <- None
 
-(* The per-byte loops below compare raw codes: with cross-module inlining
-   off (dune's dev profile) a [Pstate] call per byte costs measurably. *)
-let c_modified = Pstate.code Pstate.Modified
-let c_pending = Pstate.code Pstate.Writeback_pending
-let c_persisted = Pstate.code Pstate.Persisted
-
-let state packed = Pstate.of_code (Pages.state_of packed)
-let pending_bit code = if code = c_pending then Pages.bit_pending else 0
-
-let pack s =
-  let code = Pstate.code s in
-  code lor Pages.bit_tracked lor pending_bit code
-
-let repack packed code =
-  Pages.with_state packed code land lnot Pages.bit_pending lor pending_bit code
-
 let page_index addr = addr lsr 12
-let offset addr = addr land 4095
+let offset = Pages.offset
 
 let meta t addr =
   let idx = page_index addr in
   if idx = t.last_idx then t.last_meta
   else
-    match Hashtbl.find_opt t.meta idx with
-    | Some _ as r ->
+    match Hashtbl.find t.meta idx with
+    | r ->
       t.last_idx <- idx;
       t.last_meta <- r;
       r
-    | None -> None
+    | exception Not_found -> None
 
 let own_meta t addr =
   match meta t addr with
   | Some m -> m
   | None ->
     let m = t.make_meta () in
+    let r = Some m in
     let idx = page_index addr in
-    Hashtbl.replace t.meta idx m;
+    Hashtbl.replace t.meta idx r;
     t.last_idx <- idx;
-    t.last_meta <- Some m;
+    t.last_meta <- r;
     m
 
-let own_range t addr size f =
-  let a = ref addr and stop = addr + size in
-  while !a < stop do
-    let off = offset !a in
-    let n = min (stop - !a) (Pages.page_size - off) in
-    f (own_meta t !a) off n;
-    a := !a + n
-  done
+(* ------------------------------------------------------------------ *)
+(* Transfers *)
 
-type store = Addr.t -> old:int -> int -> unit
+let write_target t ~nt = if nt then t.nt_write_packed else t.write_packed
+let flush_pends t = t.flush_code = c_pending
+let restate_bits code set = code lor pending_bit code lor set
+let only code = 1 lsl code
 
-let flush_line t line store =
-  let modified = ref false and pending = ref false and persisted = ref false in
-  (* First pass: only observe, so a wasted flush stores nothing. *)
-  Pages.iter_line t.pages line Addr.line_size (fun _ packed ->
-      if packed <> 0 then
-        let s = Pages.state_of packed in
-        if s = c_modified then modified := true
-        else if s = c_pending then pending := true
-        else if s = c_persisted then persisted := true);
-  if !modified then begin
-    let target = Pstate.code (Pstate.on_flush_in t.domain Pstate.Modified) in
-    Addr.iter_bytes line Addr.line_size (fun a ->
-        let old = Pages.get t.pages a in
-        if old <> 0 && Pages.state_of old = c_modified then store a ~old (repack old target));
+let flush_line t line ~set =
+  let states = Pages.scan t.pages line Addr.line_size in
+  if states land only c_modified <> 0 then begin
+    Pages.restate t.pages line Addr.line_size ~states:(only c_modified)
+      ~bits:(restate_bits t.flush_code set);
     `Had_modified
   end
-  else if !pending then `Waste Pstate.Double_flush
-  else if !persisted then `Waste Pstate.Unnecessary_flush
+  else if states land only c_pending <> 0 then `Waste Pstate.Double_flush
+  else if states land only c_persisted <> 0 then `Waste Pstate.Unnecessary_flush
   else `Clean
 
-(* [bit_pending] is set exactly on writeback-pending bytes, so one target
-   serves every promoted byte. *)
-let promote t a store =
-  let old = Pages.get t.pages a in
-  if Pages.has old Pages.bit_pending then store a ~old (repack old t.fence_target)
+let fence t ~set =
+  if not t.fence_persists then 0
+  else begin
+    Pages.restate_all t.pages ~pending:true ~states:(only c_pending)
+      ~bits:(restate_bits t.fence_code set);
+    Pages.changes t.pages
+  end
 
-let fence t store =
-  if Pstate.persists_at_fence t.domain then
-    List.iter (fun a -> promote t a store) (Pages.pending_addrs t.pages)
+let fence_list t addrs n ~set =
+  if not t.fence_persists then 0
+  else begin
+    Pages.restate_list t.pages addrs n ~states:(only c_pending) ~having:0
+      ~bits:(restate_bits t.fence_code set);
+    Pages.changes t.pages
+  end
 
-let outstanding t =
-  let acc = ref [] in
+let outstanding_states = only c_modified lor only c_pending
+
+let gpf t ~set =
+  if not t.gpf_persists then 0
+  else begin
+    Pages.restate_all t.pages ~pending:false ~states:outstanding_states
+      ~bits:(restate_bits t.gpf_code set);
+    Pages.changes t.pages
+  end
+
+let gpf_list t addrs n ~having ~set =
+  if not t.gpf_persists then 0
+  else begin
+    Pages.restate_list t.pages addrs n ~states:outstanding_states ~having
+      ~bits:(restate_bits t.gpf_code set);
+    Pages.changes t.pages
+  end
+
+let iter_outstanding t f =
   Pages.iter_tracked t.pages (fun a packed ->
-      let s = Pages.state_of packed in
-      if s = c_modified || s = c_pending then acc := a :: !acc);
-  !acc
-
-let gpf t store =
-  if Pstate.persists_at_gpf t.domain then
-    List.iter
-      (fun a ->
-        let old = Pages.get t.pages a in
-        store a ~old (repack old (Pstate.code (Pstate.on_gpf_in t.domain (state old)))))
-      (outstanding t)
+      if outstanding_states land only (Pages.state_of packed) <> 0 then f a packed)

@@ -9,10 +9,12 @@
     choosing live in one parallel ['m] page per touched 4 KiB page.
 
     This module owns that layout and the transfers that act on more than
-    one byte: flush-line classification, fence promotion and the GPF
-    barrier.  Owners keep their own rules (journals, counters, histories,
-    hits): a transfer computes each byte's new packed value and hands it to
-    the owner's {!store} callback, which writes it. *)
+    one byte: the write target, flush-line classification, fence
+    promotion and the GPF barrier.  A transfer stores through the
+    {!Xfd_mem.Shadow_pages} kernels, with no per-byte call or closure;
+    its changes are in the pages' change log, which owners read to keep
+    their own rules (journals, counters, histories, provenance).  Every
+    transfer takes [~set], flag bits or-ed into each byte it stores. *)
 
 type 'm t
 
@@ -41,25 +43,28 @@ val pack : Pstate.t -> int
 val offset : Xfd_mem.Addr.t -> int
 
 (** The cold fields of [addr]'s page, if the page was ever owned.  A
-    one-entry cache makes runs of lookups on one page cheap. *)
+    one-entry cache makes runs of lookups on one page cheap; no lookup
+    allocates. *)
 val meta : 'm t -> Xfd_mem.Addr.t -> 'm option
 
 (** Like {!meta}, creating the page on first use. *)
 val own_meta : 'm t -> Xfd_mem.Addr.t -> 'm
 
-(** [own_range t addr size f] calls [f m off n] once per page the range
-    touches: its [n] bytes start at index [off] of that page's cold fields
-    [m] (created on first use).  Owners fill a store's worth of fields
-    this way without a lookup per byte. *)
-val own_range : 'm t -> Xfd_mem.Addr.t -> int -> ('m -> int -> int -> unit) -> unit
-
 (** {1 Transfers} *)
 
-(** [store addr ~old packed] writes [packed] over [old] at [addr]. *)
-type store = Xfd_mem.Addr.t -> old:int -> int -> unit
+(** The packed byte a store ([nt] for a non-temporal one) leaves.  In
+    every model it does not depend on the byte's old state, so an owner
+    stores it over a whole segment with
+    {!Xfd_mem.Shadow_pages.update}. *)
+val write_target : 'm t -> nt:bool -> int
 
-(** Flush the 64-byte [line]: when it holds a modified byte, store every
-    modified byte's {!Pstate.on_flush_in} image and answer
+(** Does a flushed modified byte land writeback-pending (rather than
+    persisted)? *)
+val flush_pends : 'm t -> bool
+
+(** Flush the 64-byte [line] with one scan of its bytes: when it holds a
+    modified byte, restate every modified byte to its
+    {!Pstate.on_flush_in} image (the change log lists them) and answer
     [`Had_modified].  Otherwise nothing is stored and the answer is the
     waste the flush represents ([Double_flush] when some byte is pending,
     else [Unnecessary_flush] when some byte is persisted), or [`Clean] for
@@ -68,23 +73,31 @@ type store = Xfd_mem.Addr.t -> old:int -> int -> unit
 val flush_line :
   'm t ->
   Xfd_mem.Addr.t ->
-  store ->
+  set:int ->
   [ `Had_modified | `Clean | `Waste of Pstate.flush_waste ]
 
-(** [promote t addr store]: the {!Pstate.on_fence_in} image of [addr],
-    if it is still writeback-pending. *)
-val promote : 'm t -> Xfd_mem.Addr.t -> store -> unit
+(** A fence: when the model persists at a fence
+    ({!Pstate.persists_at_fence}), promote every writeback-pending byte,
+    walking the pending bitmaps in place.  Answers the number of bytes
+    stored, [0] (and the change log untouched) when the model does not
+    persist. *)
+val fence : 'm t -> set:int -> int
 
-(** A fence: promote every writeback-pending byte, when the model persists
-    at a fence ({!Pstate.persists_at_fence}). *)
-val fence : 'm t -> store -> unit
+(** [fence_list t addrs n]: {!fence} restricted to the first [n]
+    addresses of [addrs]. *)
+val fence_list : 'm t -> Xfd_mem.Addr.t array -> int -> set:int -> int
 
 (** The GPF barrier: when the model persists at one
     ({!Pstate.persists_at_gpf}), store the {!Pstate.on_gpf_in} image of
-    every {!outstanding} byte.  Targets are collected before anything is
-    stored. *)
-val gpf : 'm t -> store -> unit
+    every modified or writeback-pending byte, walking the tracked bitmaps
+    in place.  Answers the number of bytes stored, as {!fence} does. *)
+val gpf : 'm t -> set:int -> int
 
-(** Every modified or writeback-pending byte, in decreasing address
-    order. *)
-val outstanding : 'm t -> Xfd_mem.Addr.t list
+(** [gpf_list t addrs n ~having]: {!gpf} restricted to the first [n]
+    addresses of [addrs] whose packed byte carries every bit of
+    [having]. *)
+val gpf_list : 'm t -> Xfd_mem.Addr.t array -> int -> having:int -> set:int -> int
+
+(** [f addr packed] for every modified or writeback-pending byte, in
+    increasing address order. *)
+val iter_outstanding : 'm t -> (Xfd_mem.Addr.t -> int -> unit) -> unit

@@ -77,6 +77,7 @@ type store = {
 type t = { store : store; gen : int }
 
 let journal_capacity = 64
+let page_mask = Pages.page_size - 1
 
 let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
   let ps =
@@ -137,19 +138,17 @@ let hist_of store addr =
    mutations record history; divergences read it by reference, exactly as
    the old overlay cells shared their parent's [hist]. *)
 let own_hist store addr =
-  if not store.record_hist then None
-  else
-    let m = Pstore.own_meta store.ps addr in
-    match m.hist with
-    | None -> None
-    | Some rows -> (
-      let off = Pstore.offset addr in
-      match rows.(off) with
-      | Some _ as h -> h
-      | None ->
-        let h = History.create () in
-        rows.(off) <- Some h;
-        Some h)
+  let m = Pstore.own_meta store.ps addr in
+  match m.hist with
+  | None -> None
+  | Some rows -> (
+    let off = Pstore.offset addr in
+    match rows.(off) with
+    | Some _ as h -> h
+    | None ->
+      let h = History.create () in
+      rows.(off) <- Some h;
+      Some h)
 
 (* ------------------------------------------------------------------ *)
 (* Divergence journal *)
@@ -157,14 +156,19 @@ let own_hist store addr =
 let rewind_div store =
   Obs.Counter.incr c_rewinds;
   let j = store.j in
+  (* The captured bytes predate the divergence, so they never carry
+     [bit_journaled]; restoring them also heals the bitmaps and counts. *)
+  Pages.restore store.pages j.j_addr j.j_packed j.n;
+  let idx = ref (-1) and m = ref None in
   for i = j.n - 1 downto 0 do
     let addr = j.j_addr.(i) in
-    (* The captured byte predates the divergence, so it never carries
-       [bit_journaled]; restoring it also heals the bitmaps and counts. *)
-    Pages.set store.pages addr j.j_packed.(i);
-    match Pstore.meta store.ps addr with
+    if addr lsr 12 <> !idx then begin
+      idx := addr lsr 12;
+      m := Pstore.meta store.ps addr
+    end;
+    match !m with
     | Some m ->
-      let off = Pstore.offset addr in
+      let off = addr land page_mask in
       m.tlast.(off) <- j.j_tlast.(i);
       m.writer.(off) <- j.j_writer.(i)
     | None -> ()
@@ -177,29 +181,51 @@ let rewind_div store =
    *reads* do not unwind — they resolve through the journal instead. *)
 let ensure_base store = if store.live <> 0 then rewind_div store
 
-let grow a fill = Array.append a (Array.make (Array.length a) fill)
-
-(* Capture [addr]'s pre-divergence value, once. *)
-let journal store addr packed =
-  if not (Pages.has packed bit_journaled) then begin
-    let j = store.j in
-    if j.n = Array.length j.j_addr then begin
-      j.j_addr <- grow j.j_addr 0;
-      j.j_packed <- grow j.j_packed 0;
-      j.j_tlast <- grow j.j_tlast (-1);
-      j.j_writer <- grow j.j_writer Loc.unknown
-    end;
-    j.j_addr.(j.n) <- addr;
-    j.j_packed.(j.n) <- packed;
-    j.j_tlast.(j.n) <- tlast_of store addr;
-    j.j_writer.(j.n) <- writer_of store addr;
-    j.n <- j.n + 1
+(* [a] with room for [need] entries, doubling. *)
+let grow a need fill =
+  if need <= Array.length a then a
+  else begin
+    let cap = ref (Array.length a) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let a' = Array.make !cap fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
   end
 
-let push_pending j addr =
-  if j.pending_n = Array.length j.pending_post then j.pending_post <- grow j.pending_post 0;
-  j.pending_post.(j.pending_n) <- addr;
-  j.pending_n <- j.pending_n + 1
+(* Journal the [k] bytes the last kernel stored (the pages' change log),
+   all on the page whose cold fields are [m]: each byte's pre-divergence
+   packed value and cold fields, captured once ([bit_journaled] dedups).
+   When the kernel stored [to_pending] bytes, those it made
+   writeback-pending join [pending_post], the set the divergence's own
+   fences promote. *)
+let capture store m k ~to_pending =
+  let j = store.j in
+  let need = j.n + k in
+  if need > Array.length j.j_addr then begin
+    j.j_addr <- grow j.j_addr need 0;
+    j.j_packed <- grow j.j_packed need 0;
+    j.j_tlast <- grow j.j_tlast need (-1);
+    j.j_writer <- grow j.j_writer need Loc.unknown
+  end;
+  if to_pending then j.pending_post <- grow j.pending_post (j.pending_n + k) 0;
+  let addrs = Pages.change_addrs store.pages and olds = Pages.change_olds store.pages in
+  for i = 0 to k - 1 do
+    let a = addrs.(i) and old = olds.(i) in
+    if old land bit_journaled = 0 then begin
+      let n = j.n and off = a land page_mask in
+      j.j_addr.(n) <- a;
+      j.j_packed.(n) <- old;
+      j.j_tlast.(n) <- m.tlast.(off);
+      j.j_writer.(n) <- m.writer.(off);
+      j.n <- n + 1
+    end;
+    if to_pending && old land Pages.bit_pending = 0 then begin
+      j.pending_post.(j.pending_n) <- a;
+      j.pending_n <- j.pending_n + 1
+    end
+  done
 
 let overlay t =
   let store = t.store in
@@ -277,110 +303,128 @@ let find t addr =
 (* ------------------------------------------------------------------ *)
 (* Writes *)
 
-(* Store a packed byte, journaling the pre-image when the handle is a
-   divergence.  Divergence-written bytes carry [bit_journaled] so capture
-   and base-read resolution stay O(1); a byte the divergence makes
-   writeback-pending joins [pending_post], the set its own fences
-   promote. *)
-let put journaling store addr ~old packed =
-  if not journaling then Pages.set store.pages addr (packed land lnot bit_journaled)
-  else begin
-    journal store addr old;
-    if Pages.has packed Pages.bit_pending && not (Pages.has old Pages.bit_pending) then
-      push_pending store.j addr;
-    Pages.set store.pages addr (packed lor bit_journaled)
-  end
+(* Each mutation stores through one {!Pstore} transfer or one
+   {!Pages.update} per page segment, then reads the pages' change log: a
+   divergence journals the stored bytes (which carry [bit_journaled], so
+   capture and base-read resolution stay O(1)); a forensic base layer
+   records them into their histories. *)
 
-(* The history a mutation records into: base mutations only. *)
-let recording journaling store addr = if journaling then None else own_hist store addr
+type mark = Write | Nt_write | Flush | Fence | Alloc
+
+(* Record the [k] logged bytes into their provenance histories: base
+   mutations of a forensic store only. *)
+let record store mark ~ev k =
+  if store.record_hist then begin
+    let addrs = Pages.change_addrs store.pages in
+    for i = 0 to k - 1 do
+      match own_hist store addrs.(i) with
+      | Some h -> (
+        match mark with
+        | Write -> History.record_write h ~ev ~nt:false
+        | Nt_write -> History.record_write h ~ev ~nt:true
+        | Flush -> History.record_flush h ~ev
+        | Fence -> History.record_fence h ~ev
+        | Alloc -> History.record_alloc h ~ev)
+      | None -> ()
+    done
+  end
 
 (* Counters move once per event, not once per byte: an enabled counter
    is an atomic add. *)
 let count c n = if n > 0 then Obs.Counter.add c n
 
+(* The flag bits a mutation through this handle sets on what it stores. *)
+let journal_bit journaling = if journaling then bit_journaled else 0
+
 let write t addr size ~ts ~ev ~loc ~nt ~post =
   let store = t.store in
   let journaling = journaling t in
-  let domain = Pstore.domain store.ps in
-  let next = if nt then Pstate.on_nt_write_in domain else Pstate.on_write_in domain in
-  let to_pending = ref 0 and to_persisted = ref 0 in
-  for a = addr to addr + size - 1 do
-    let old = Pages.get store.pages a in
-    let pst' = next (Pstore.state old) in
-    if Pstate.equal pst' Pstate.Writeback_pending then incr to_pending
-    else if Pstate.equal pst' Pstate.Persisted then incr to_persisted;
-    let packed = Pstore.pack pst' lor (if post then bit_post else old land bit_post) in
-    put journaling store a ~old packed;
-    let m = Pstore.own_meta store.ps a in
-    let off = Pstore.offset a in
-    m.tlast.(off) <- ts;
-    m.writer.(off) <- loc;
-    match recording journaling store a with
-    | Some h -> History.record_write h ~ev ~nt
-    | None -> ()
+  (* A store's target does not depend on the byte's old state, so each
+     segment is one fill; only [bit_post] survives from the old byte. *)
+  let target = Pstore.write_target store.ps ~nt in
+  let set = target lor (if post then bit_post else 0) lor journal_bit journaling in
+  let keep = if post then 0 else bit_post in
+  let to_pending = Pages.has target Pages.bit_pending in
+  (* One page lookup and one cold-field lookup per page segment. *)
+  let stop = addr + size and a = ref addr in
+  while !a < stop do
+    let off = !a land page_mask in
+    let n = min (stop - !a) (Pages.page_size - off) in
+    Pages.update store.pages !a n ~keep ~set;
+    let m = Pstore.own_meta store.ps !a in
+    if journaling then capture store m n ~to_pending
+    else record store (if nt then Nt_write else Write) ~ev n;
+    Array.fill m.tlast off n ts;
+    Array.fill m.writer off n loc;
+    a := !a + n
   done;
-  count c_to_writeback !to_pending;
-  count c_to_persisted !to_persisted;
-  count c_to_modified (size - !to_pending - !to_persisted)
+  count
+    (match Pstore.state target with
+    | Pstate.Writeback_pending -> c_to_writeback
+    | Pstate.Persisted -> c_to_persisted
+    | Pstate.Modified | Pstate.Unmodified -> c_to_modified)
+    size
 
 let flush_line t line ~ev =
   let store = t.store in
   let journaling = journaling t in
-  let to_pending = ref 0 and to_persisted = ref 0 in
-  (* Where a captured byte lands is the model's call: ADR parks it
-     writeback-pending until a fence, CXL-GPF persists it on arrival at
-     the device (eADR never has modified bytes to capture). *)
-  let found =
-    Pstore.flush_line store.ps line (fun a ~old packed ->
-        incr (if Pages.has packed Pages.bit_pending then to_pending else to_persisted);
-        put journaling store a ~old packed;
-        match recording journaling store a with
-        | Some h -> History.record_flush h ~ev
-        | None -> ())
-  in
-  count c_to_writeback !to_pending;
-  count c_to_persisted !to_persisted;
+  let found = Pstore.flush_line store.ps line ~set:(journal_bit journaling) in
+  (match found with
+  | `Had_modified ->
+    let k = Pages.changes store.pages in
+    (* Where a captured byte lands is the model's call: ADR parks it
+       writeback-pending until a fence, CXL-GPF persists it on arrival at
+       the device (eADR never has modified bytes to capture). *)
+    let to_pending = Pstore.flush_pends store.ps in
+    if journaling then capture store (Pstore.own_meta store.ps line) k ~to_pending
+    else record store Flush ~ev k;
+    count (if to_pending then c_to_writeback else c_to_persisted) k
+  | `Clean | `Waste _ -> ());
   found
 
-(* Promotion at an ordering point: the byte persists. *)
-let persisted journaling store ~ev a ~old packed =
-  Obs.Counter.incr c_to_persisted;
-  put journaling store a ~old packed;
-  match recording journaling store a with Some h -> History.record_fence h ~ev | None -> ()
-
-(* A divergence's fence or GPF promotes only bytes it made pending itself:
-   base-pending bytes belong to the canonical prefix, and data the crash
-   dropped stays dropped.  Entries whose pending bit was since cleared by
-   an overwrite are skipped.  A promoted byte was pending already, so it
-   never re-enters [pending_post] while the loop reads it. *)
-let promote_own store ~ev =
-  let j = store.j in
-  let n = j.pending_n in
-  j.pending_n <- 0;
-  let store_fn = persisted true store ~ev in
-  for i = 0 to n - 1 do
-    Pstore.promote store.ps j.pending_post.(i) store_fn
-  done
-
+(* A divergence's fence promotes only bytes it made pending itself:
+   base-pending bytes belong to the canonical prefix.  Entries whose
+   pending bit was since cleared by an overwrite are skipped. *)
 let fence t ~ev =
   let store = t.store in
-  if journaling t then promote_own store ~ev
-  else Pstore.fence store.ps (persisted false store ~ev)
+  if journaling t then begin
+    let j = store.j in
+    let n = j.pending_n in
+    j.pending_n <- 0;
+    count c_to_persisted (Pstore.fence_list store.ps j.pending_post n ~set:bit_journaled)
+  end
+  else begin
+    let k = Pstore.fence store.ps ~set:0 in
+    record store Fence ~ev k;
+    count c_to_persisted k
+  end
 
+(* A divergence's GPF drains the outstanding bytes it wrote itself (the
+   journaled bytes with [bit_post]): data the crash dropped stays
+   dropped. *)
 let gpf t ~ev =
   let store = t.store in
-  if journaling t then promote_own store ~ev
-  else Pstore.gpf store.ps (persisted false store ~ev)
+  if journaling t then
+    count c_to_persisted
+      (Pstore.gpf_list store.ps store.j.j_addr store.j.n ~having:bit_post ~set:bit_journaled)
+  else begin
+    let k = Pstore.gpf store.ps ~set:0 in
+    record store Fence ~ev k;
+    count c_to_persisted k
+  end
 
 let mark_alloc_raw t addr size ~ev =
   let store = t.store in
   let journaling = journaling t in
-  let packed = Pstore.pack Pstate.Unmodified lor bit_uninit in
-  for a = addr to addr + size - 1 do
-    put journaling store a ~old:(Pages.get store.pages a) packed;
-    match recording journaling store a with
-    | Some h -> History.record_alloc h ~ev
-    | None -> ()
+  let set = Pstore.pack Pstate.Unmodified lor bit_uninit lor journal_bit journaling in
+  let stop = addr + size and a = ref addr in
+  while !a < stop do
+    let off = !a land page_mask in
+    let n = min (stop - !a) (Pages.page_size - off) in
+    Pages.update store.pages !a n ~keep:0 ~set;
+    if journaling then capture store (Pstore.own_meta store.ps !a) n ~to_pending:false
+    else record store Alloc ~ev n;
+    a := !a + n
   done;
   count c_to_unmodified size
 
@@ -388,6 +432,8 @@ let tracked_bytes t =
   if t.gen = 0 then Pages.tracked_bytes t.store.pages
   else if t.store.live = t.gen then t.store.j.n
   else 0
+
+let pending_bytes t = if live t then Pages.pending_bytes t.store.pages else 0
 
 let iter_tracked t f =
   Pages.iter_tracked t.store.pages (fun addr _packed ->

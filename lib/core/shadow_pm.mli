@@ -133,12 +133,11 @@ val flush_line :
     pending: base-pending bytes stay pending for the canonical prefix. *)
 val fence : t -> ev:int -> unit
 
-(** The global persistent flush barrier: promote {e every} outstanding
-    (modified or writeback-pending) byte to persisted.  Only meaningful
-    where the model persists at the barrier — the caller gates on
-    {!Pstate.persists_at_gpf}.  A fork's GPF, like its fence, promotes
-    only bytes the fork itself made pending: data the crash dropped stays
-    dropped. *)
+(** The global persistent flush barrier: where the model persists at it
+    ({!Pstate.persists_at_gpf}), promote {e every} outstanding (modified
+    or writeback-pending) byte to persisted; elsewhere it is inert.  A
+    fork's GPF drains only the outstanding bytes the fork itself wrote:
+    data the crash dropped stays dropped. *)
 val gpf : t -> ev:int -> unit
 
 (** Mark a freshly (re-)allocated raw payload: bytes become
@@ -149,6 +148,11 @@ val mark_alloc_raw : t -> Xfd_mem.Addr.t -> int -> ev:int -> unit
     handle, the journal's byte count for a live overlay (0 once
     rewound). *)
 val tracked_bytes : t -> int
+
+(** Writeback-pending bytes in the store, the live divergence's
+    included: the count the fence's pending bitmaps keep.  [0] through a
+    rewound overlay. *)
+val pending_bytes : t -> int
 
 (** [iter_tracked t f] calls [f addr cell] for every tracked byte in
     increasing address order, through this handle's view. *)

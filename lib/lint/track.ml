@@ -72,33 +72,48 @@ let on_write t loc addr size ~nt =
     let covered = List.exists (fun r -> Addr.overlap r (addr, size)) t.tx_ranges in
     if not covered then t.on_hit (Tx_unlogged_write { loc; addr; size })
   end;
-  let domain = domain t in
-  let state =
-    if nt then Pstate.on_nt_write_in domain Pstate.Unmodified
-    else Pstate.on_write_in domain Pstate.Unmodified
-  in
-  let packed = Pstore.pack state in
-  Addr.iter_bytes addr size (fun a -> Pages.set t.pages a packed);
+  let packed = Pstore.write_target t.ps ~nt in
   let flush = if nt then Some (loc, t.epoch) else None in
-  Pstore.own_range t.ps addr size (fun m off n ->
-      Array.fill m.writer off n loc;
-      Array.fill m.write_epoch off n t.epoch;
-      Array.fill m.flush off n flush)
+  (* One page lookup and one cold-field lookup per page segment. *)
+  let stop = addr + size and a = ref addr in
+  while !a < stop do
+    let off = Pstore.offset !a in
+    let n = min (stop - !a) (Pages.page_size - off) in
+    Pages.update t.pages !a n ~keep:0 ~set:packed;
+    let m = Pstore.own_meta t.ps !a in
+    Array.fill m.writer off n loc;
+    Array.fill m.write_epoch off n t.epoch;
+    Array.fill m.flush off n flush;
+    a := !a + n
+  done
+
+(* Stamp [flush] on the [k] bytes the last transfer stored (the pages'
+   change log), looking the cold fields up once per page. *)
+let stamp_flush t k flush =
+  let addrs = Pages.change_addrs t.pages in
+  if k > 0 then begin
+    let idx = ref (addrs.(0) lsr 12) and m = ref (Pstore.own_meta t.ps addrs.(0)) in
+    for i = 0 to k - 1 do
+      let a = addrs.(i) in
+      if a lsr 12 <> !idx then begin
+        idx := a lsr 12;
+        m := Pstore.own_meta t.ps a
+      end;
+      !m.flush.(Pstore.offset a) <- flush
+    done
+  end
 
 let on_flush t loc addr =
   let line = Addr.line_of addr in
-  match
-    Pstore.flush_line t.ps line (fun a ~old:_ packed ->
-        Pages.set t.pages a packed;
-        (Pstore.own_meta t.ps a).flush.(Pstore.offset a) <- Some (loc, t.epoch))
-  with
+  match Pstore.flush_line t.ps line ~set:0 with
+  | `Had_modified -> stamp_flush t (Pages.changes t.pages) (Some (loc, t.epoch))
   | `Waste already when checking t -> t.on_hit (Redundant_flush { loc; line; already })
-  | `Waste _ | `Had_modified | `Clean -> ()
+  | `Waste _ | `Clean -> ()
 
 (* The epoch ticks at every fence, in every model: fences still order
    program points even where they persist nothing. *)
 let on_fence t =
-  Pstore.fence t.ps (fun a ~old:_ packed -> Pages.set t.pages a packed);
+  ignore (Pstore.fence t.ps ~set:0);
   t.epoch <- t.epoch + 1
 
 (* The global persistent flush barrier: where the model honours it, every
@@ -106,9 +121,7 @@ let on_fence t =
    ordering point; elsewhere the event is inert. *)
 let on_gpf t loc =
   if Pstate.persists_at_gpf (domain t) then begin
-    Pstore.gpf t.ps (fun a ~old:_ packed ->
-        Pages.set t.pages a packed;
-        (Pstore.own_meta t.ps a).flush.(Pstore.offset a) <- Some (loc, t.epoch));
+    stamp_flush t (Pstore.gpf t.ps ~set:0) (Some (loc, t.epoch));
     t.epoch <- t.epoch + 1
   end
 
@@ -161,4 +174,6 @@ let info t a =
   if packed = 0 then None else Some (info_of t a packed)
 
 let unpersisted t =
-  List.map (fun a -> (a, info_of t a (Pages.get t.pages a))) (Pstore.outstanding t.ps)
+  let acc = ref [] in
+  Pstore.iter_outstanding t.ps (fun a packed -> acc := (a, info_of t a packed) :: !acc);
+  !acc

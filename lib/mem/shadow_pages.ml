@@ -6,6 +6,7 @@ let page_size = 1 lsl page_bits (* 4 KiB, matching Image chunks *)
 (* Bitmap words are 32 bits wide so indices stay well inside OCaml's native
    int on every platform: 128 words cover one page. *)
 let word_bits = 5
+let word_size = 1 lsl word_bits
 let words_per_page = page_size lsr word_bits
 
 let g_live = Obs.Gauge.make "shadow.page_bytes_live"
@@ -35,7 +36,6 @@ let peak_bytes () = Atomic.get peak_bytes_a
    bits 5-7 caller flags. *)
 let state_mask = 0b111
 let state_of packed = packed land state_mask
-let with_state packed s = packed land lnot state_mask lor (s land state_mask)
 let bit_tracked = 0b0000_1000
 let bit_pending = 0b0001_0000
 let bit_flag_a = 0b0010_0000
@@ -43,12 +43,11 @@ let bit_flag_b = 0b0100_0000
 let bit_flag_c = 0b1000_0000
 let has packed bit = packed land bit <> 0
 
-type bigstring =
-  (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+type bytes = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type page = {
   base : int; (* address of the page's first byte *)
-  bytes : bigstring;
+  bytes : bytes;
   tracked_w : int array;
   pending_w : int array;
   mutable tracked_n : int;
@@ -56,39 +55,67 @@ type page = {
 }
 
 type t = {
-  pages : (int, page) Hashtbl.t; (* page index = addr lsr page_bits *)
+  (* Page index ([addr lsr page_bits]) to the page, stored as the option
+     {!find_page} returns, so a lookup allocates nothing. *)
+  index : (int, page option) Hashtbl.t;
+  (* Every page, in creation order: the fence and GPF walks run over this
+     without a closure. *)
+  mutable all : page array;
+  mutable n_pages : int;
   mutable last : page option; (* one-slot lookup cache for locality *)
   mutable tracked : int;
   mutable pending : int;
+  (* The change log: the address and previous packed value of every byte
+     the last {!update} or restate stored, in the order stored. *)
+  mutable log_addr : int array;
+  mutable log_old : int array;
+  mutable log_n : int;
   mutable released : bool;
 }
 
+let log_capacity = 64
+
 let create () =
-  { pages = Hashtbl.create 16; last = None; tracked = 0; pending = 0; released = false }
+  {
+    index = Hashtbl.create 16;
+    all = [||];
+    n_pages = 0;
+    last = None;
+    tracked = 0;
+    pending = 0;
+    log_addr = Array.make log_capacity 0;
+    log_old = Array.make log_capacity 0;
+    log_n = 0;
+    released = false;
+  }
 
 let release t =
   if not t.released then begin
     t.released <- true;
-    Hashtbl.iter (fun _ _ -> account_free ()) t.pages;
-    Hashtbl.reset t.pages;
+    for _ = 1 to t.n_pages do
+      account_free ()
+    done;
+    Hashtbl.reset t.index;
+    t.all <- [||];
+    t.n_pages <- 0;
     t.last <- None;
     t.tracked <- 0;
-    t.pending <- 0
+    t.pending <- 0;
+    t.log_n <- 0
   end
 
 let page_index addr = addr lsr page_bits
-let page_offset addr = addr land (page_size - 1)
+let offset addr = addr land (page_size - 1)
 
-(* Returns the cached option itself: a hit allocates nothing. *)
 let find_page t addr =
   match t.last with
   | Some p as r when p.base = addr land lnot (page_size - 1) -> r
   | _ -> (
-    match Hashtbl.find_opt t.pages (page_index addr) with
-    | Some _ as r ->
+    match Hashtbl.find t.index (page_index addr) with
+    | r ->
       t.last <- r;
       r
-    | None -> None)
+    | exception Not_found -> None)
 
 let make_page t addr =
   let p =
@@ -102,79 +129,183 @@ let make_page t addr =
     }
   in
   Bigarray.Array1.fill p.bytes 0;
-  Hashtbl.replace t.pages (page_index addr) p;
-  t.last <- Some p;
+  let r = Some p in
+  Hashtbl.replace t.index (page_index addr) r;
+  t.last <- r;
+  if t.n_pages = Array.length t.all then begin
+    let all = Array.make (max 8 (2 * t.n_pages)) p in
+    Array.blit t.all 0 all 0 t.n_pages;
+    t.all <- all
+  end;
+  t.all.(t.n_pages) <- p;
+  t.n_pages <- t.n_pages + 1;
   account_alloc ();
   p
+
+let own_page t addr = match find_page t addr with Some p -> p | None -> make_page t addr
 
 let get t addr =
   match find_page t addr with
   | None -> 0
-  | Some p -> Bigarray.Array1.unsafe_get p.bytes (page_offset addr)
-
-let set t addr packed =
-  let p =
-    match find_page t addr with Some p -> p | None -> make_page t addr
-  in
-  let off = page_offset addr in
-  let old = Bigarray.Array1.unsafe_get p.bytes off in
-  if old <> packed then begin
-    Bigarray.Array1.unsafe_set p.bytes off packed;
-    let w = off lsr word_bits and bit = 1 lsl (off land ((1 lsl word_bits) - 1)) in
-    let otr = old land bit_tracked <> 0 and ntr = packed land bit_tracked <> 0 in
-    if otr <> ntr then begin
-      let d = if ntr then 1 else -1 in
-      p.tracked_w.(w) <- (if ntr then p.tracked_w.(w) lor bit else p.tracked_w.(w) land lnot bit);
-      p.tracked_n <- p.tracked_n + d;
-      t.tracked <- t.tracked + d
-    end;
-    let ope = old land bit_pending <> 0 and npe = packed land bit_pending <> 0 in
-    if ope <> npe then begin
-      let d = if npe then 1 else -1 in
-      p.pending_w.(w) <- (if npe then p.pending_w.(w) lor bit else p.pending_w.(w) land lnot bit);
-      p.pending_n <- p.pending_n + d;
-      t.pending <- t.pending + d
-    end
-  end
+  | Some p -> Bigarray.Array1.unsafe_get p.bytes (offset addr)
 
 let tracked_bytes t = t.tracked
 let pending_bytes t = t.pending
 
-let sorted_pages t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.pages []
-  |> List.sort (fun a b -> Int.compare a.base b.base)
+(* ------------------------------------------------------------------ *)
+(* Kernels.  Every store goes through [store], which keeps the bitmaps
+   and counts in step with the byte's tracked and pending bits. *)
 
-(* Collect the set bits of [words] as addresses, in increasing order. *)
-let bitmap_addrs p words =
-  let out = ref [] in
-  for w = words_per_page - 1 downto 0 do
-    let m = words.(w) in
-    if m <> 0 then
-      for b = (1 lsl word_bits) - 1 downto 0 do
-        if m land (1 lsl b) <> 0 then out := (p.base + (w lsl word_bits) + b) :: !out
+let store t p off ob nb =
+  Bigarray.Array1.unsafe_set p.bytes off nb;
+  let d = ob lxor nb in
+  if d land (bit_tracked lor bit_pending) <> 0 then begin
+    let w = off lsr word_bits and bit = 1 lsl (off land (word_size - 1)) in
+    if d land bit_tracked <> 0 then begin
+      let dn = if nb land bit_tracked <> 0 then 1 else -1 in
+      p.tracked_w.(w) <- p.tracked_w.(w) lxor bit;
+      p.tracked_n <- p.tracked_n + dn;
+      t.tracked <- t.tracked + dn
+    end;
+    if d land bit_pending <> 0 then begin
+      let dn = if nb land bit_pending <> 0 then 1 else -1 in
+      p.pending_w.(w) <- p.pending_w.(w) lxor bit;
+      p.pending_n <- p.pending_n + dn;
+      t.pending <- t.pending + dn
+    end
+  end
+
+(* Room for [k] more log entries. *)
+let reserve t k =
+  let need = t.log_n + k in
+  if need > Array.length t.log_addr then begin
+    let cap = ref (Array.length t.log_addr) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let grow a =
+      let a' = Array.make !cap 0 in
+      Array.blit a 0 a' 0 t.log_n;
+      a'
+    in
+    t.log_addr <- grow t.log_addr;
+    t.log_old <- grow t.log_old
+  end
+
+(* Append after [reserve]. *)
+let log t addr old =
+  Array.unsafe_set t.log_addr t.log_n addr;
+  Array.unsafe_set t.log_old t.log_n old;
+  t.log_n <- t.log_n + 1
+
+let check_range what off n =
+  if off < 0 || n < 0 || off + n > page_size then
+    invalid_arg (Printf.sprintf "Shadow_pages.%s: [%d, %d) is not inside a page" what off (off + n))
+
+let update t addr n ~keep ~set =
+  let off = offset addr in
+  check_range "update" off n;
+  let p = own_page t addr in
+  t.log_n <- 0;
+  reserve t n;
+  for i = off to off + n - 1 do
+    let ob = Bigarray.Array1.unsafe_get p.bytes i in
+    store t p i ob (ob land keep lor set);
+    log t (p.base + i) ob
+  done
+
+let in_states states b = (states lsr (b land state_mask)) land 1 <> 0
+
+let scan t addr n =
+  check_range "scan" (offset addr) n;
+  match find_page t addr with
+  | None -> 0
+  | Some p ->
+    let mask = ref 0 in
+    for i = offset addr to offset addr + n - 1 do
+      let b = Bigarray.Array1.unsafe_get p.bytes i in
+      if b <> 0 then mask := !mask lor (1 lsl (b land state_mask))
+    done;
+    !mask
+
+(* Restate byte [off] of [p] when it is tracked, its state is in [states]
+   and it carries every bit of [having]; the caller has reserved a log
+   entry. *)
+let restate_byte t p off ~states ~having ~bits =
+  let b = Bigarray.Array1.unsafe_get p.bytes off in
+  if b <> 0 && in_states states b && b land having = having then begin
+    store t p off b (b land lnot (state_mask lor bit_pending) lor bits);
+    log t (p.base + off) b
+  end
+
+let restate t addr n ~states ~bits =
+  check_range "restate" (offset addr) n;
+  t.log_n <- 0;
+  match find_page t addr with
+  | None -> ()
+  | Some p ->
+    reserve t n;
+    for i = offset addr to offset addr + n - 1 do
+      restate_byte t p i ~states ~having:0 ~bits
+    done
+
+(* Each bitmap word is read once, before any of its bytes is restated, so
+   clearing bits while walking is safe. *)
+let restate_all t ~pending ~states ~bits =
+  t.log_n <- 0;
+  for k = 0 to t.n_pages - 1 do
+    let p = t.all.(k) in
+    let words = if pending then p.pending_w else p.tracked_w in
+    let n = if pending then p.pending_n else p.tracked_n in
+    if n > 0 then begin
+      reserve t n;
+      for w = 0 to words_per_page - 1 do
+        let m = words.(w) in
+        if m <> 0 then
+          for b = 0 to word_size - 1 do
+            if m land (1 lsl b) <> 0 then
+              restate_byte t p ((w lsl word_bits) lor b) ~states ~having:0 ~bits
+          done
       done
-  done;
-  !out
+    end
+  done
 
-let pending_addrs t =
-  List.concat_map
-    (fun p -> if p.pending_n = 0 then [] else bitmap_addrs p p.pending_w)
-    (sorted_pages t)
+let restate_list t addrs n ~states ~having ~bits =
+  t.log_n <- 0;
+  reserve t n;
+  for i = 0 to n - 1 do
+    let a = addrs.(i) in
+    match find_page t a with
+    | Some p -> restate_byte t p (offset a) ~states ~having ~bits
+    | None -> ()
+  done
+
+let changes t = t.log_n
+let change_addrs t = t.log_addr
+let change_olds t = t.log_old
+
+let restore t addrs olds n =
+  for i = n - 1 downto 0 do
+    let a = addrs.(i) in
+    let p = own_page t a in
+    let off = offset a in
+    store t p off (Bigarray.Array1.unsafe_get p.bytes off) olds.(i)
+  done
 
 let iter_tracked t f =
-  List.iter
+  let pages = Array.sub t.all 0 t.n_pages in
+  Array.sort (fun a b -> Int.compare a.base b.base) pages;
+  Array.iter
     (fun p ->
       if p.tracked_n > 0 then
-        List.iter
-          (fun a -> f a (Bigarray.Array1.unsafe_get p.bytes (page_offset a)))
-          (bitmap_addrs p p.tracked_w))
-    (sorted_pages t)
-
-let iter_line t line n f =
-  match find_page t line with
-  | None -> for i = 0 to n - 1 do f (line + i) 0 done
-  | Some p ->
-    let off = page_offset line in
-    for i = 0 to n - 1 do
-      f (line + i) (Bigarray.Array1.unsafe_get p.bytes (off + i))
-    done
+        for w = 0 to words_per_page - 1 do
+          let m = p.tracked_w.(w) in
+          if m <> 0 then
+            for b = 0 to word_size - 1 do
+              if m land (1 lsl b) <> 0 then begin
+                let off = (w lsl word_bits) lor b in
+                f (p.base + off) (Bigarray.Array1.unsafe_get p.bytes off)
+              end
+            done
+        done)
+    pages

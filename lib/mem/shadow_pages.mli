@@ -4,8 +4,8 @@
     per tracked PM byte.  Hash maps keyed by address made every replayed
     event chase pointers; this store packs the hot part of that record into
     a single byte inside 4 KiB pages (one [Bigarray] per page, allocated on
-    first touch), with per-page bitmaps so "iterate every writeback-pending
-    byte" — the fence hot loop — touches only set bits instead of the whole
+    first touch), with per-page bitmaps so "visit every writeback-pending
+    byte" — the fence hot loop — walks set bits instead of the whole
     table.
 
     Bits 0–2 of the packed byte hold a state code — [Xfd.Pstate]'s code
@@ -14,8 +14,15 @@
     mechanically.  A byte
     whose packed value is 0 is untracked; callers must set {!bit_tracked}
     on any byte they track so the value stays nonzero.  The [tracked] and
-    [pending] bits are mirrored into per-page bitmaps and global counts on
-    every {!set}.
+    [pending] bits are mirrored into per-page bitmaps and global counts by
+    every kernel that stores.
+
+    Stores go through range kernels that act on one page at a time: a
+    kernel looks its page up once and loops over the bytes with no
+    per-byte call or closure.  Each storing kernel leaves a
+    change log — the address and previous packed value of every byte it
+    stored — that its caller reads to keep its own per-byte fields
+    (journals, histories) without testing the bytes again.
 
     Pages are process-globally accounted, like {!Image} chunks: the
     [shadow.page_bytes_live]/[shadow.page_bytes_peak] gauges expose the
@@ -29,9 +36,6 @@ val page_size : int (* 4096 *)
 
 val state_of : int -> int
 (** Bits 0–2: the state code, [0..7]. *)
-
-val with_state : int -> int -> int
-(** [with_state packed s] replaces the state field. *)
 
 val bit_tracked : int
 val bit_pending : int
@@ -53,25 +57,62 @@ val release : t -> unit
 val get : t -> Addr.t -> int
 (** The packed byte; [0] when untracked / no page. *)
 
-val set : t -> Addr.t -> int -> unit
-(** Store a packed byte, keeping the tracked/pending bitmaps and counts in
-    sync with the byte's [bit_tracked]/[bit_pending] flags. *)
-
 val tracked_bytes : t -> int
 val pending_bytes : t -> int
 
-val pending_addrs : t -> Addr.t list
-(** Addresses whose pending bit is set, in increasing order.  Safe to
-    {!set} (e.g. clear) while consuming the list. *)
-
 val iter_tracked : t -> (Addr.t -> int -> unit) -> unit
-(** [f addr packed] for every tracked byte, in increasing address order.
-    The callback must not create pages. *)
+(** [f addr packed] for every tracked byte, in increasing address order. *)
 
-val iter_line : t -> Addr.t -> int -> (Addr.t -> int -> unit) -> unit
-(** [iter_line t line n f]: [f addr packed] for each of the [n] bytes from
-    [line], including untracked ones (packed [0]); never allocates pages.
-    The range must not cross a page boundary (cache lines never do). *)
+val offset : Addr.t -> int
+(** Index of [addr] within its 4 KiB page. *)
+
+(** {1 Kernels}
+
+    A kernel that stores empties the change log first, then logs every
+    byte it stores.  A restate rewrites a byte's state field and pending
+    bit: [packed'] is [packed] with both cleared, or-ed with [bits].
+    [states] selects bytes by state code: bit [s] of the mask admits
+    code [s].  Ranges must lie inside one page; a kernel given one that
+    does not raises [Invalid_argument]. *)
+
+val update : t -> Addr.t -> int -> keep:int -> set:int -> unit
+(** [update t addr n ~keep ~set] stores [(packed land keep) lor set]
+    into each of the [n] bytes from [addr], tracked or not (creating the
+    page on first use), and logs them all in increasing address order. *)
+
+val scan : t -> Addr.t -> int -> int
+(** [scan t addr n]: the mask of the state codes of the tracked bytes
+    among the [n] from [addr] (bit [s] set when some byte is in state
+    [s]); [0] when none is tracked.  Stores nothing. *)
+
+val restate : t -> Addr.t -> int -> states:int -> bits:int -> unit
+(** Restate the tracked bytes among the [n] from [addr] whose state is in
+    [states]. *)
+
+val restate_all : t -> pending:bool -> states:int -> bits:int -> unit
+(** Restate every tracked byte whose state is in [states], walking the
+    pending bitmaps in place when [pending] (only pending bytes are
+    visited) and the tracked bitmaps otherwise. *)
+
+val restate_list : t -> Addr.t array -> int -> states:int -> having:int -> bits:int -> unit
+(** [restate_list t addrs n]: restate each of the first [n] addresses of
+    [addrs] that is tracked, in a state of [states] and carries every bit
+    of [having]. *)
+
+val changes : t -> int
+(** Entries in the change log. *)
+
+val change_addrs : t -> Addr.t array
+(** The logged addresses: entries [0 .. changes t - 1].  The arrays are
+    the log's own and may be replaced by the next kernel. *)
+
+val change_olds : t -> int array
+(** The packed value each logged byte held before the kernel stored. *)
+
+val restore : t -> Addr.t array -> int array -> int -> unit
+(** [restore t addrs olds n] stores [olds.(i)] back at [addrs.(i)] for
+    the first [n] entries, the last first — an undo log's unwinding.
+    Logs nothing. *)
 
 (** {1 Accounting} *)
 

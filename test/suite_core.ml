@@ -487,6 +487,257 @@ let mk_trace kinds =
 
 let base = Xfd_mem.Addr.pool_base
 
+(* ---- the shadow store against the per-byte reference model ---- *)
+
+module type STORE = sig
+  type t
+
+  val create : ?forensics:bool -> ?domain:Xfd_trace.Domain_model.t -> unit -> t
+  val overlay : t -> t
+  val rewind : t -> unit
+  val write : t -> int -> int -> ts:int -> ev:int -> loc:Loc.t -> nt:bool -> post:bool -> unit
+  val flush_line : t -> int -> ev:int -> [ `Had_modified | `Clean | `Waste of Pstate.flush_waste ]
+  val fence : t -> ev:int -> unit
+  val gpf : t -> ev:int -> unit
+  val mark_alloc_raw : t -> int -> int -> ev:int -> unit
+  val packed : t -> int -> int
+  val tlast : t -> int -> int
+  val writer : t -> int -> Loc.t
+  val tracked_bytes : t -> int
+  val pending_bytes : t -> int
+  val fsm_counts : unit -> int list
+end
+
+module Shadow_store = struct
+  include Shadow
+
+  let fsm_counts () =
+    List.map
+      (fun n -> Option.value ~default:0 (Xfd_obs.Obs.counter_value ("shadow.fsm." ^ n)))
+      [ "to_modified"; "to_writeback_pending"; "to_persisted"; "to_unmodified" ]
+end
+
+(* Operations act through the base handle or the newest overlay (the base
+   before the first): an overlay that a rewind, a base mutation or a newer
+   overlay retired must raise, in both stores. *)
+type via = Base | Newest
+
+type store_op =
+  | S_write of { via : via; addr : int; size : int; nt : bool; post : bool }
+  | S_flush of { via : via; addr : int }
+  | S_fence of via
+  | S_gpf of via
+  | S_alloc of { via : via; addr : int; size : int }
+  | S_overlay
+  | S_rewind
+
+let via_to_string = function Base -> "base" | Newest -> "newest"
+
+let store_op_to_string = function
+  | S_write { via; addr; size; nt; post } ->
+    Printf.sprintf "%swrite%s %s %d+%d" (if nt then "nt-" else "") (if post then "/post" else "")
+      (via_to_string via) addr size
+  | S_flush { via; addr } -> Printf.sprintf "flush %s %d" (via_to_string via) addr
+  | S_fence via -> "fence " ^ via_to_string via
+  | S_gpf via -> "gpf " ^ via_to_string via
+  | S_alloc { via; addr; size } -> Printf.sprintf "alloc %s %d+%d" (via_to_string via) addr size
+  | S_overlay -> "overlay"
+  | S_rewind -> "rewind"
+
+(* Ranges start in [store_lo, store_lo + 256), which straddles the page
+   boundary at 8192, and reach at most 192 bytes further. *)
+let store_lo = 8192 - 128
+let store_window = 256 + 192
+
+module Store_transcript (S : STORE) = struct
+  let guard f = match f () with v -> Some v | exception Invalid_argument _ -> None
+
+  (* A handle's answers: its byte counts, then packed byte, [tlast] and
+     writer of every byte of the window ([None] when reads raise). *)
+  let view h =
+    ( S.tracked_bytes h,
+      S.pending_bytes h,
+      guard (fun () ->
+          List.init store_window (fun i ->
+              let a = store_lo + i in
+              (S.packed h a, S.tlast h a, S.writer h a))) )
+
+  (* Run [ops] from an empty store.  After each operation: its answer
+     ([None] when it raised), the FSM counter moves it caused, and the
+     views of the base and of the newest overlay. *)
+  let run ~domain ~forensics ops =
+    let base = S.create ~forensics ~domain () in
+    let newest = ref None in
+    let via = function Base -> base | Newest -> Option.value ~default:base !newest in
+    List.mapi
+      (fun i op ->
+        let before = S.fsm_counts () in
+        let loc = Loc.make ~file:"store.ml" ~line:i in
+        let answer =
+          guard (fun () ->
+              match op with
+              | S_write { via = v; addr; size; nt; post } ->
+                S.write (via v) addr size ~ts:i ~ev:i ~loc ~nt ~post;
+                ""
+              | S_flush { via = v; addr } -> (
+                match S.flush_line (via v) (Xfd_mem.Addr.line_of addr) ~ev:i with
+                | `Had_modified -> "had-modified"
+                | `Clean -> "clean"
+                | `Waste Pstate.Double_flush -> "double"
+                | `Waste Pstate.Unnecessary_flush -> "unnecessary")
+              | S_fence v ->
+                S.fence (via v) ~ev:i;
+                ""
+              | S_gpf v ->
+                S.gpf (via v) ~ev:i;
+                ""
+              | S_alloc { via = v; addr; size } ->
+                S.mark_alloc_raw (via v) addr size ~ev:i;
+                ""
+              | S_overlay ->
+                newest := Some (S.overlay base);
+                ""
+              | S_rewind ->
+                Option.iter S.rewind !newest;
+                "")
+        in
+        let moved = List.map2 ( - ) (S.fsm_counts ()) before in
+        (answer, moved, view base, Option.map view !newest))
+      ops
+end
+
+module Model_store_run = Store_transcript (Store_model)
+module Shadow_store_run = Store_transcript (Shadow_store)
+
+let describe_view name (mt, mp, mb) (rt, rp, rb) =
+  if mt <> rt then Printf.sprintf "%s: tracked_bytes %d (model) vs %d" name mt rt
+  else if mp <> rp then Printf.sprintf "%s: pending_bytes %d (model) vs %d" name mp rp
+  else
+    match (mb, rb) with
+    | Some mb, Some rb ->
+      let i = Option.get (first_diff 0 (List.combine mb rb)) in
+      let show (p, tl, w) =
+        Printf.sprintf "packed 0x%x tlast %d writer %s" p tl (Loc.to_string w)
+      in
+      Printf.sprintf "%s: byte %d: %s (model) vs %s" name (store_lo + i)
+        (show (List.nth mb i)) (show (List.nth rb i))
+    | _ -> Printf.sprintf "%s: reads raise in only one store" name
+
+(* [Ok ()] when both stores answer alike after every operation, else
+   where they first differ. *)
+let stores_agree ~domain ~forensics ops =
+  let steps =
+    List.combine
+      (Model_store_run.run ~domain ~forensics ops)
+      (Shadow_store_run.run ~domain ~forensics ops)
+  in
+  match first_diff 0 steps with
+  | None -> Ok ()
+  | Some i ->
+    let (ma, mm, mb, mo), (ra, rm, rb, ro) = List.nth steps i in
+    let what =
+      if ma <> ra then "answers differ (or only one raised)"
+      else if mm <> rm then
+        Printf.sprintf "FSM counter moves [%s] (model) vs [%s]"
+          (String.concat "; " (List.map string_of_int mm))
+          (String.concat "; " (List.map string_of_int rm))
+      else if mb <> rb then describe_view "base" mb rb
+      else
+        match (mo, ro) with
+        | Some mo, Some ro -> describe_view "overlay" mo ro
+        | _ -> "only one store has an overlay"
+    in
+    Error
+      (Printf.sprintf "%s: after op %d (%s): %s"
+         (Xfd_trace.Domain_model.to_string domain)
+         i
+         (store_op_to_string (List.nth ops i))
+         what)
+
+let store_op_gen =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (3, map (fun i -> store_lo + i) (int_bound 255));
+        (* ranges that start just below the page boundary *)
+        (1, map (fun i -> 8192 - 16 + i) (int_bound 15));
+      ]
+  in
+  let size = frequency [ (4, oneofl [ 1; 2; 4; 8; 8; 16 ]); (2, int_range 1 64); (1, int_range 65 192) ] in
+  let via = frequency [ (2, return Base); (3, return Newest) ] in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun (via, nt, post) addr size -> S_write { via; addr; size; nt; post })
+          (triple via (frequency [ (3, return false); (1, return true) ]) bool)
+          addr size );
+      (4, map2 (fun via addr -> S_flush { via; addr }) via addr);
+      (2, map (fun v -> S_fence v) via);
+      (1, map (fun v -> S_gpf v) via);
+      (1, map3 (fun via addr size -> S_alloc { via; addr; size }) via addr size);
+      (1, return S_overlay);
+      (1, return S_rewind);
+    ]
+
+(* No [long_factor] here: the nightly job sets QCHECK_LONG_FACTOR. *)
+let store_model_prop =
+  QCheck.Test.make ~count:150
+    ~name:"shadow store answers as the per-byte model, overlays and rewinds included"
+    (QCheck.make
+       ~print:(fun (domain, forensics, ops) ->
+         Printf.sprintf "%s%s: %s"
+           (Xfd_trace.Domain_model.to_string domain)
+           (if forensics then " (forensics)" else "")
+           (String.concat "; " (List.map store_op_to_string ops)))
+       ~shrink:(fun (d, f, ops) yield -> QCheck.Shrink.list ops (fun ops -> yield (d, f, ops)))
+       QCheck.Gen.(
+         triple (oneofl Xfd_trace.Domain_model.all) bool (list_size (int_range 1 40) store_op_gen)))
+    (fun (domain, forensics, ops) ->
+      match stores_agree ~domain ~forensics ops with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+let check_stores_agree domain ops =
+  match stores_agree ~domain ~forensics:false ops with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+let store_model_tests =
+  [
+    Tu.case "model agreement: a fork writes, flushes and fences across a page boundary"
+      (fun () ->
+        check_stores_agree Xfd_trace.Domain_model.Adr
+          [
+            S_write { via = Base; addr = 8150; size = 100; nt = false; post = false };
+            S_flush { via = Base; addr = 8150 };
+            S_overlay;
+            S_write { via = Newest; addr = 8180; size = 30; nt = true; post = true };
+            S_flush { via = Newest; addr = 8192 };
+            S_fence Newest;
+            S_alloc { via = Newest; addr = 8100; size = 120 };
+            S_rewind;
+            S_fence Base;
+            S_flush { via = Newest; addr = 8192 };
+          ]);
+    Tu.case "model agreement: GPF drains what a fork wrote under CXL-GPF" (fun () ->
+        check_stores_agree Xfd_trace.Domain_model.Cxl_gpf
+          [
+            S_write { via = Base; addr = 8170; size = 40; nt = false; post = false };
+            S_overlay;
+            S_write { via = Newest; addr = 8186; size = 4; nt = false; post = true };
+            (* not post-written: the fork's GPF leaves it modified *)
+            S_write { via = Newest; addr = 8200; size = 8; nt = false; post = false };
+            S_gpf Newest;
+            S_flush { via = Newest; addr = 8186 };
+            S_write { via = Base; addr = 8000; size = 8; nt = false; post = false };
+            S_gpf Newest;
+            S_gpf Base;
+          ]);
+  ]
+  @ [ QCheck_alcotest.to_alcotest store_model_prop ]
+
 let detector_tests =
   [
     Tu.case "race detected on unflushed pre-failure write" (fun () ->
@@ -919,15 +1170,45 @@ let fork_tests =
    after one warm-up fork has grown it, a fork + replay + rewind of the
    same recovery allocates nothing directly in the major heap (arrays past
    256 words would go there) and only small, short-lived minor blocks.
-   On this 347-event B-Tree recovery the cycle measures 56.6 minor words
-   per event, most of them the persistent commit registry's map nodes for
-   the 131 log flags the recovery registers; the bound is twice that.
+   On this 347-event B-Tree recovery the cycle measures 55.0 minor words
+   per event (56.6 before the store's segment kernels), nearly all of them
+   the persistent commit registry's map nodes for the 131 log flags the
+   recovery registers; the bound is twice the earlier figure.
    [Gc.minor_words] is exact; [Gc.counters]'s major count includes
    promoted words, hence the difference. *)
 let minor_words_per_event_bound = 113.0
 
+(* The store's write, flush, fence and GPF kernels work in place on the
+   pages and their change log: once a warm-up has created the pages and
+   grown the log, a base handle's mutations allocate nothing. *)
+let store_step s =
+  let lo = (4 * Xfd_mem.Shadow_pages.page_size) - 256 in
+  for i = 0 to 63 do
+    Shadow.write s (lo + (i * 8)) 8 ~ts:i ~ev:i ~loc:l ~nt:(i mod 16 = 0) ~post:false
+  done;
+  for i = 0 to 63 do
+    ignore (Shadow.flush_line s (Xfd_mem.Addr.line_of (lo + (i * 8))) ~ev:i)
+  done;
+  Shadow.fence s ~ev:64;
+  Shadow.gpf s ~ev:65
+
 let alloc_tests =
   [
+    Tu.case "base-handle writes, flushes, fences and GPFs allocate nothing" (fun () ->
+        List.iter
+          (fun domain ->
+            let s = Shadow.create ~domain () in
+            store_step s;
+            let idle =
+              let m = Gc.minor_words () in
+              Gc.minor_words () -. m
+            in
+            let m0 = Gc.minor_words () in
+            store_step s;
+            let words = Gc.minor_words () -. m0 -. idle in
+            Shadow.release s;
+            Alcotest.(check (float 0.)) (Xfd_trace.Domain_model.to_string domain) 0. words)
+          Xfd_trace.Domain_model.all);
     Tu.case "a reused fork replays a B-Tree recovery without major allocation" (fun () ->
         let program = Xfd_workloads.Btree.program ~init_size:4 ~size:4 () in
         let _, pre, post = Xfd.Engine.run_once program in
@@ -959,6 +1240,7 @@ let suite =
     ("core.cstate", cstate_tests);
     ("core.shadow", shadow_tests);
     ("core.registry", registry_tests @ registry_model_tests);
+    ("core.store", store_model_tests);
     ("core.detector", detector_tests);
     ("core.fork", fork_tests);
     ("core.alloc", alloc_tests);

@@ -266,6 +266,39 @@ let gpf_tests =
           (Pstate.equal a Pstate.Persisted);
         Alcotest.(check bool) "eadr: B durable at store" true
           (Pstate.equal b Pstate.Persisted));
+    Tu.case "a fork's GPF drains what the fork wrote, as the base's does" (fun () ->
+        (* A is written before the barrier and flushed after it: once the
+           barrier has drained A, the flush is wasted work. *)
+        let a = base in
+        let t =
+          mk_trace
+            [
+              (Event.Roi_begin, l 1);
+              (Event.Write { addr = a; size = 8 }, l 2);
+              (Event.Gpf, l 3);
+              (Event.Write { addr = a + Addr.line_size; size = 8 }, l 4);
+              (Event.Clwb { addr = a }, l 5);
+              (Event.Roi_end, l 6);
+            ]
+        in
+        let run det =
+          Detector.replay det t ~from:0 ~upto:3;
+          let st =
+            match Detector.probe det a with
+            | Some c -> Pstate.to_string c.Xfd.Shadow_pm.pstate
+            | None -> "untracked"
+          in
+          Detector.replay det t ~from:3 ~upto:(Trace.length t);
+          (st, List.length (List.filter Xfd.Report.is_perf (Detector.bugs det)))
+        in
+        let d = Detector.create ~domain:D.Cxl_gpf () in
+        let on_base = run d in
+        Detector.release d;
+        let d = Detector.create ~domain:D.Cxl_gpf () in
+        let on_fork = run (Detector.fork_for_post d) in
+        Detector.release d;
+        Alcotest.(check (pair string int)) "base: A persisted, one wasted flush" ("P", 1) on_base;
+        Alcotest.(check (pair string int)) "fork agrees with the base" on_base on_fork);
     Tu.case "Ctx.gpf persists the device image and emits the event" (fun () ->
         let dev, trace, ctx = Tu.make_ctx () in
         let loc = Loc.make ~file:"gpfctx.ml" ~line:1 in
