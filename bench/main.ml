@@ -363,9 +363,9 @@ let microbenches () =
   (* A warm detector whose registry holds an undo log's worth of commit
      state: 16 entries, each a valid flag governing 504 bytes, as [Tx]
      registers them.  Forked repeatedly, as the engine forks its base. *)
+  let log = base + 65536 in
   let warm =
     let t = mk_trace 1000 in
-    let log = base + 65536 in
     for i = 0 to 15 do
       let var = log + (512 * i) in
       List.iter
@@ -380,6 +380,17 @@ let microbenches () =
     let det = Xfd.Detector.create () in
     Xfd.Detector.replay det t ~from:0 ~upto:(Xfd_trace.Trace.length t);
     det
+  in
+  (* A recovery's registrations as [Tx.recover] makes them: the valid flag
+     of every undo-log entry, slot 127 down to 0; the warm base already
+     holds the first 16. *)
+  let recover_trace =
+    let t = Xfd_trace.Trace.create () in
+    for slot = 127 downto 0 do
+      let addr = log + (512 * slot) in
+      ignore (Xfd_trace.Trace.append t ~kind:(Xfd_trace.Event.Commit_var { addr; size = 8 }) ~loc:l)
+    done;
+    t
   in
   let snapshot_dev =
     let d = Xfd_mem.Pm_device.create () in
@@ -414,6 +425,12 @@ let microbenches () =
                ~upto:(Xfd_trace.Trace.length replay_trace)));
       Test.make ~name:"backend: fork_for_post of a warm shadow"
         (Staged.stage (fun () -> ignore (Xfd.Detector.fork_for_post warm)));
+      Test.make ~name:"backend: fork + Tx.recover-shaped registrations (128 flags)"
+        (Staged.stage (fun () ->
+             let f = Xfd.Detector.fork_for_post warm in
+             Xfd.Detector.replay f recover_trace ~from:0
+               ~upto:(Xfd_trace.Trace.length recover_trace);
+             Xfd.Detector.rewind f));
       Test.make ~name:"frontend: CoW device snapshot (8 KiB touched)"
         (Staged.stage (fun () ->
              Xfd_mem.Pm_device.release (Xfd_mem.Pm_device.snapshot snapshot_dev)));

@@ -9,19 +9,36 @@
     itself part of a commit variable?" (such reads are benign cross-failure
     races) and "which variable's window governs this byte?".
 
-    The state is persistent: byte ownership is kept as disjoint address
-    segments, every update builds a new version, and a handle points at
-    its current version.  Registrations and writes cost O(log n) in the
-    number of segments, never O(bytes). *)
+    A base registry is persistent: byte ownership is kept as disjoint
+    address segments, every update builds a new version, and the handle
+    points at its current version.  Its registrations and writes cost
+    O(log n) in the number of segments, never O(bytes).
+
+    A {!fork} answers as a copy of its base taken at the fork, but copies
+    nothing: it records what it registers, commits and defers in scratch
+    the base owns (a flat table of variables and sorted segment arrays
+    with room at both ends), and every query reads that scratch first,
+    then the base's version, so the last registration of a byte still
+    wins.  Forking empties the scratch in O(1).  Once the scratch has
+    grown to a workload's size, a fork's registrations allocate nothing,
+    and those arriving in ascending or descending address order (as
+    [Tx.recover]'s do) move no entries.  At most one fork of a base is
+    usable at a time: every call through a fork that a newer fork or
+    {!rewind} retired raises [Invalid_argument]. *)
 
 type t
 
 val create : unit -> t
 
-(** O(1): the clone shares the current version, and later updates to
-    either handle never reach the other.  The post-failure fork registers
-    and commits into its clone without touching the base. *)
-val clone : t -> t
+(** A fork of a base registry: it starts from the base's registrations,
+    windows and deferred commits, and what it registers or commits never
+    reaches the base.  The base may move on while the fork is in use;
+    the fork keeps answering from the fork point.  Retires the previous
+    fork of the same base.  Raises [Invalid_argument] on a fork. *)
+val fork : t -> t
+
+(** Retire this fork now (no-op on a base or an already retired fork). *)
+val rewind : t -> unit
 
 (** Register a commit variable (idempotent). *)
 val register_var : t -> var:Xfd_mem.Addr.t -> size:int -> unit
@@ -45,13 +62,6 @@ val register_range :
     writes that framed a window. *)
 val on_write :
   t -> defer:bool -> addr:Xfd_mem.Addr.t -> size:int -> ts:int -> ev:int -> unit
-
-(** Remove a variable mid-run: its byte set, every associated range and any
-    deferred commit writes it owns are dropped, so its former range bytes
-    fall back to plain race-checked data.  No-op for an unknown variable;
-    the freed ranges may be re-associated with another variable
-    afterwards. *)
-val unregister_var : t -> var:Xfd_mem.Addr.t -> unit
 
 (** Apply deferred commit writes (called at each ordering point). *)
 val apply_pending : t -> unit

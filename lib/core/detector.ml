@@ -35,7 +35,8 @@ type t = {
   mutable bugs_rev : Report.bug list;
   dedup : (string, unit) Hashtbl.t;
   (* Bytes a post-failure read already checked.  Scratch owned by the base
-     detector: every fork shares it, and forking clears it. *)
+     detector: every fork shares it, and forking clears it (as it does the
+     shadow's journal and the registry's fork scratch). *)
   checked : Xfd_util.Int_table.t;
   (* Traces provenance chains resolve against: the shared pre-failure trace
      (set when the base detector replays it; inherited by forks) and the
@@ -67,7 +68,7 @@ let create ?(check_perf = true) ?(commit_at = `Write) ?(forensics = false)
 
 let fork_for_post t =
   Xfd_util.Int_table.clear t.checked;
-  let registry = Commit_registry.clone t.registry in
+  let registry = Commit_registry.fork t.registry in
   (* In persist-time mode, commit writes that never persisted before the
      failure are discarded: the strict image does not contain them. *)
   if t.defer_commits then Commit_registry.drop_pending registry;
@@ -97,7 +98,9 @@ let timestamp t = t.ts
 let probe t addr = Shadow_pm.find t.shadow addr
 let registry t = t.registry
 let shadow t = t.shadow
-let rewind t = Shadow_pm.rewind t.shadow
+let rewind t =
+  Shadow_pm.rewind t.shadow;
+  Commit_registry.rewind t.registry
 let release t = Shadow_pm.release t.shadow
 
 let record t bug =

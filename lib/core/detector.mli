@@ -54,18 +54,20 @@ val replay : t -> Xfd_trace.Trace.t -> from:int -> upto:int -> unit
     divergence of the base shadow: at most one fork is live at a time,
     and advancing the base (or forking again) unwinds the previous fork's
     journal first — recorded bugs stay valid, but replaying further events
-    into the stale fork raises [Invalid_argument].  Forks share the
-    base's scratch (the shadow's journal, the set of checked bytes),
-    emptied at every fork, so a fork allocates nothing once the scratch
-    has grown to the workload's size.  The fork's commit registry is a
-    {!Commit_registry.clone}: it starts from the base's registrations and
-    windows (less deferred commits, which a failure discards), and what
-    the post-failure stage registers or commits never reaches the base or
-    a sibling fork. *)
+    into the stale fork raises [Invalid_argument].  The fork's commit
+    registry is a {!Commit_registry.fork}: it starts from the base's
+    registrations and windows (less deferred commits, which a failure
+    discards), and what the post-failure stage registers or commits never
+    reaches the base.  Forks share the base's scratch (the shadow's
+    journal, the set of checked bytes, the registry's fork scratch),
+    emptied at every fork, so once the scratch has grown to the
+    workload's size a fork allocates nothing, and neither do the 128
+    undo-log flags a [Tx.recover] registers in it. *)
 val fork_for_post : t -> t
 
-(** Unwind this fork's divergence journal now (no-op on a base detector):
-    the base shadow is restored byte-for-byte to the fork point. *)
+(** Unwind this fork's divergence journal now and retire its registry
+    (no-op on a base detector): the base shadow is restored byte-for-byte
+    to the fork point. *)
 val rewind : t -> unit
 
 (** Release the underlying shadow pages (idempotent; call on detectors

@@ -43,10 +43,11 @@ type meta = {
    every byte the post-failure replay touches, the pre-divergence packed
    byte and cold fields, captured once ([bit_journaled] dedups).
    [pending_post] lists the bytes the divergence itself made
-   writeback-pending — the only bytes its fences may promote (base-pending
-   bytes belong to the canonical prefix).  [index] maps the first
-   [indexed] entries' addresses to their positions; only base reads
-   during a live divergence need it, so it is filled on their demand.
+   writeback-pending — the only bytes its fences may promote (a byte the
+   base left pending belongs to the canonical prefix until the divergence
+   stores to it).  [index] maps the first [indexed] entries' addresses to
+   their positions; only base reads during a live divergence need it, so
+   it is filled on their demand.
 
    The journal is scratch the store owns: a rewind empties it, and the
    next divergence reuses its arrays, so a fork allocates nothing once
@@ -197,9 +198,9 @@ let grow a need fill =
 (* Journal the [k] bytes the last kernel stored (the pages' change log),
    all on the page whose cold fields are [m]: each byte's pre-divergence
    packed value and cold fields, captured once ([bit_journaled] dedups).
-   When the kernel stored [to_pending] bytes, those it made
-   writeback-pending join [pending_post], the set the divergence's own
-   fences promote. *)
+   When the kernel stored [to_pending] bytes, those not yet pending in
+   [pending_post] join it, the set the divergence's own fences promote: a
+   byte the base left pending joins once the divergence stores to it. *)
 let capture store m k ~to_pending =
   let j = store.j in
   let need = j.n + k in
@@ -221,7 +222,7 @@ let capture store m k ~to_pending =
       j.j_writer.(n) <- m.writer.(off);
       j.n <- n + 1
     end;
-    if to_pending && old land Pages.bit_pending = 0 then begin
+    if to_pending && (old land bit_journaled = 0 || old land Pages.bit_pending = 0) then begin
       j.pending_post.(j.pending_n) <- a;
       j.pending_n <- j.pending_n + 1
     end
@@ -382,9 +383,10 @@ let flush_line t line ~ev =
   | `Clean | `Waste _ -> ());
   found
 
-(* A divergence's fence promotes only bytes it made pending itself:
-   base-pending bytes belong to the canonical prefix.  Entries whose
-   pending bit was since cleared by an overwrite are skipped. *)
+(* A divergence's fence promotes only bytes it made pending itself: a
+   byte the base left pending belongs to the canonical prefix until the
+   divergence stores to it.  Entries whose pending bit was since cleared
+   by an overwrite are skipped. *)
 let fence t ~ev =
   let store = t.store in
   if journaling t then begin

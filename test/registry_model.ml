@@ -1,16 +1,15 @@
 (* Reference model of [Xfd.Commit_registry]: the straightforward per-byte
    registry, one hash-table entry per commit-variable byte and per
-   commit-range byte, with a deep-copy [clone].  It is slow where the
-   production registry is fast (clone and registration are O(bytes)), and
+   commit-range byte, whose [fork] is a deep copy.  It is slow where the
+   production registry is fast (fork and registration are O(bytes)), and
    that is the point: every answer follows from the per-byte rules with
-   no segment arithmetic to get wrong.  The core.registry property runs
-   random operation sequences against both and compares them. *)
+   no segment arithmetic, layering or scratch to get wrong.  The
+   core.registry property runs random operation sequences against both
+   and compares them. *)
 
 module Addr = Xfd_mem.Addr
 
 type var = {
-  var_addr : Addr.t;
-  var_size : int;
   mutable ranges : (Addr.t * int) list;
   mutable t_prelast : int;
   mutable t_last : int;
@@ -21,11 +20,16 @@ type var = {
   mutable commits : int;
 }
 
+(* Forks taken from one base, and the one still usable (0 = none). *)
+type lineage = { mutable forks : int; mutable live : int }
+
 type t = {
   vars : (Addr.t, var) Hashtbl.t;
   var_bytes : (Addr.t, Addr.t) Hashtbl.t; (* byte -> owning variable *)
   range_bytes : (Addr.t, Addr.t) Hashtbl.t; (* byte -> governing variable *)
   mutable pending : (Addr.t * int * int) list; (* deferred commit writes (var, ts, ev) *)
+  lineage : lineage;
+  gen : int; (* 0 = a base, else the fork's number *)
 }
 
 exception Overlapping_commit_ranges of Addr.t * Addr.t
@@ -36,16 +40,25 @@ let create () =
     var_bytes = Hashtbl.create 256;
     range_bytes = Hashtbl.create 1024;
     pending = [];
+    lineage = { forks = 0; live = 0 };
+    gen = 0;
   }
 
-let clone t =
+(* Every operation on a fork that a newer fork or a rewind retired
+   raises. *)
+let usable t =
+  if t.gen <> 0 && t.lineage.live <> t.gen then
+    invalid_arg "Registry_model: fork used after a newer fork or its rewind"
+
+let fork t =
+  if t.gen <> 0 then invalid_arg "Registry_model.fork: a fork cannot be forked";
+  t.lineage.forks <- t.lineage.forks + 1;
+  t.lineage.live <- t.lineage.forks;
   let vars = Hashtbl.create (Hashtbl.length t.vars) in
   Hashtbl.iter
     (fun k v ->
       Hashtbl.replace vars k
         {
-          var_addr = v.var_addr;
-          var_size = v.var_size;
           ranges = v.ranges;
           t_prelast = v.t_prelast;
           t_last = v.t_last;
@@ -59,14 +72,17 @@ let clone t =
     var_bytes = Hashtbl.copy t.var_bytes;
     range_bytes = Hashtbl.copy t.range_bytes;
     pending = t.pending;
+    lineage = t.lineage;
+    gen = t.lineage.forks;
   }
 
+let rewind t = if t.gen <> 0 && t.lineage.live = t.gen then t.lineage.live <- 0
+
 let register_var t ~var ~size =
+  usable t;
   if not (Hashtbl.mem t.vars var) then begin
     let v =
       {
-        var_addr = var;
-        var_size = size;
         ranges = [];
         t_prelast = -1;
         t_last = -1;
@@ -101,6 +117,7 @@ let commit t var ts ev =
   v.commits <- v.commits + 1
 
 let on_write t ~defer ~addr ~size ~ts ~ev =
+  usable t;
   (* A write spanning several commit variables commits each of them once. *)
   let touched = ref [] in
   Addr.iter_bytes addr size (fun a ->
@@ -113,25 +130,20 @@ let on_write t ~defer ~addr ~size ~ts ~ev =
     !touched
 
 let apply_pending t =
+  usable t;
   List.iter (fun (var, ts, ev) -> commit t var ts ev) (List.rev t.pending);
   t.pending <- []
 
-let drop_pending t = t.pending <- []
+let drop_pending t =
+  usable t;
+  t.pending <- []
 
-let unregister_var t ~var =
-  match Hashtbl.find_opt t.vars var with
-  | None -> ()
-  | Some v ->
-    Addr.iter_bytes v.var_addr v.var_size (fun a -> Hashtbl.remove t.var_bytes a);
-    List.iter
-      (fun (a, n) -> Addr.iter_bytes a n (fun b -> Hashtbl.remove t.range_bytes b))
-      v.ranges;
-    t.pending <- List.filter (fun (w, _, _) -> w <> var) t.pending;
-    Hashtbl.remove t.vars var
-
-let is_commit_byte t addr = Hashtbl.mem t.var_bytes addr
+let is_commit_byte t addr =
+  usable t;
+  Hashtbl.mem t.var_bytes addr
 
 let window_for t addr =
+  usable t;
   match Hashtbl.find_opt t.range_bytes addr with
   | None -> None
   | Some var ->
@@ -140,10 +152,13 @@ let window_for t addr =
     else Some (Some ((if v.commits = 1 then -1 else v.t_prelast), v.t_last))
 
 let frame_for t addr =
+  usable t;
   match Hashtbl.find_opt t.range_bytes addr with
   | None -> None
   | Some var ->
     let v = Hashtbl.find t.vars var in
     if v.commits = 0 then None else Some (v.ev_prelast, v.ev_last)
 
-let var_count t = Hashtbl.length t.vars
+let var_count t =
+  usable t;
+  Hashtbl.length t.vars

@@ -1,9 +1,11 @@
 (* Reference model of [Xfd.Shadow_pm]: the straightforward per-byte store,
    one hash-table cell per tracked byte, stepped through the [Xfd.Pstate]
-   transfers one byte at a time.  A divergence is a deep copy of the base
-   plus the set of bytes it stored (its journal) and the set of bytes it
-   made writeback-pending (the only ones its fences promote); a rewind
-   drops the copy.  It is slow where the production store is fast (an
+   transfers one byte at a time.  A divergence is the base store seeded
+   with the prefix's cells: every copied cell is marked [seeded], and a
+   seeded byte stays outside the divergence's fences and GPFs until the
+   divergence stores to it (which clears the mark).  That is the whole
+   fork rule, shared with no journal or pending-list code; a rewind drops
+   the copy.  It is slow where the production store is fast (an
    overlay copies every cell, a fence visits every byte), and that is the
    point: every answer follows from the per-byte rules with no segment,
    bitmap or journal arithmetic to get wrong.  The core.store property runs
@@ -13,18 +15,19 @@ module Pstate = Xfd.Pstate
 module Pages = Xfd_mem.Shadow_pages
 module Loc = Xfd_util.Loc
 
-type cell = { st : Pstate.t; uninit : bool; post : bool; tlast : int; writer : Loc.t }
-
-type div = {
-  cells : (int, cell) Hashtbl.t;
-  journaled : (int, unit) Hashtbl.t;
-  pending_post : (int, unit) Hashtbl.t;
+type cell = {
+  st : Pstate.t;
+  uninit : bool;
+  post : bool;
+  tlast : int;
+  writer : Loc.t;
+  seeded : bool;
 }
 
 type store = {
   domain : Xfd_trace.Domain_model.t;
   base : (int, cell) Hashtbl.t;
-  mutable div : div option;
+  mutable div : (int, cell) Hashtbl.t option;
   mutable gens : int;
   mutable live : int;
 }
@@ -54,13 +57,9 @@ let overlay t =
   let s = t.store in
   s.gens <- s.gens + 1;
   s.live <- s.gens;
-  s.div <-
-    Some
-      {
-        cells = Hashtbl.copy s.base;
-        journaled = Hashtbl.create 64;
-        pending_post = Hashtbl.create 16;
-      };
+  let cells = Hashtbl.create (Hashtbl.length s.base) in
+  Hashtbl.iter (fun a c -> Hashtbl.replace cells a { c with seeded = true }) s.base;
+  s.div <- Some cells;
   { store = s; gen = s.gens }
 
 let rewind t =
@@ -71,43 +70,32 @@ let rewind t =
 
 let stale () = invalid_arg "Store_model: overlay used after its divergence was rewound"
 
-(* The cells a mutation through [t] acts on, and its divergence if it is
-   one.  A base mutation drops the live divergence first. *)
+(* The cells a mutation through [t] acts on.  A base mutation drops the
+   live divergence first. *)
 let target t =
   let s = t.store in
   if t.gen = 0 then begin
     s.div <- None;
     s.live <- 0;
-    (s.base, None)
+    s.base
   end
-  else if s.live = t.gen then
-    match s.div with Some d -> (d.cells, Some d) | None -> assert false
+  else if s.live = t.gen then match s.div with Some d -> d | None -> assert false
   else stale ()
 
 (* The cells a read through [t] sees. *)
 let view t =
   let s = t.store in
   if t.gen = 0 then s.base
-  else if s.live = t.gen then match s.div with Some d -> d.cells | None -> assert false
+  else if s.live = t.gen then match s.div with Some d -> d | None -> assert false
   else stale ()
 
-let put (cells, div) a c =
-  (match div with
-  | Some d ->
-    Hashtbl.replace d.journaled a ();
-    let was_pending =
-      match Hashtbl.find_opt cells a with
-      | Some o -> Pstate.equal o.st Pstate.Writeback_pending
-      | None -> false
-    in
-    if Pstate.equal c.st Pstate.Writeback_pending && not was_pending then
-      Hashtbl.replace d.pending_post a ()
-  | None -> ());
-  Hashtbl.replace cells a c;
+(* Every store leaves its byte unseeded. *)
+let put cells a c =
+  Hashtbl.replace cells a { c with seeded = false };
   tally c.st
 
 let write t addr size ~ts ~ev:_ ~loc ~nt ~post =
-  let ((cells, _) as tg) = target t in
+  let cells = target t in
   let next =
     if nt then Pstate.on_nt_write_in t.store.domain else Pstate.on_write_in t.store.domain
   in
@@ -115,11 +103,11 @@ let write t addr size ~ts ~ev:_ ~loc ~nt ~post =
     let old = Hashtbl.find_opt cells a in
     let st = next (match old with Some c -> c.st | None -> Pstate.Unmodified) in
     let post = post || match old with Some c -> c.post | None -> false in
-    put tg a { st; uninit = false; post; tlast = ts; writer = loc }
+    put cells a { st; uninit = false; post; tlast = ts; writer = loc; seeded = false }
   done
 
 let flush_line t line ~ev:_ =
-  let ((cells, _) as tg) = target t in
+  let cells = target t in
   let states =
     List.filter_map (fun i -> Hashtbl.find_opt cells (line + i)) (List.init Xfd_mem.Addr.line_size Fun.id)
   in
@@ -128,7 +116,7 @@ let flush_line t line ~ev:_ =
     for a = line to line + Xfd_mem.Addr.line_size - 1 do
       match Hashtbl.find_opt cells a with
       | Some c when Pstate.equal c.st Pstate.Modified ->
-        put tg a { c with st = Pstate.on_flush_in t.store.domain c.st }
+        put cells a { c with st = Pstate.on_flush_in t.store.domain c.st }
       | Some _ | None -> ()
     done;
     `Had_modified
@@ -137,48 +125,39 @@ let flush_line t line ~ev:_ =
   else if some Pstate.Persisted then `Waste Pstate.Unnecessary_flush
   else `Clean
 
-(* Restate every cell of [addrs] that [pick] selects to its [step] image. *)
-let promote tg addrs pick step =
-  let cells, _ = tg in
-  List.iter
-    (fun a ->
-      match Hashtbl.find_opt cells a with
-      | Some c when pick a c -> put tg a { c with st = step c.st }
-      | Some _ | None -> ())
-    (List.sort Int.compare addrs)
-
-let keys h = Hashtbl.fold (fun a _ acc -> a :: acc) h []
+(* Restate every unseeded cell that [pick] selects to its [step] image,
+   in address order. *)
+let promote cells pick step =
+  Hashtbl.fold (fun a c acc -> if (not c.seeded) && pick c then a :: acc else acc) cells []
+  |> List.sort Int.compare
+  |> List.iter (fun a ->
+         let c = Hashtbl.find cells a in
+         put cells a { c with st = step c.st })
 
 let fence t ~ev:_ =
-  let ((cells, div) as tg) = target t in
+  let cells = target t in
   let domain = t.store.domain in
-  let pending _ c = Pstate.equal c.st Pstate.Writeback_pending in
-  match div with
-  | None ->
-    if Pstate.persists_at_fence domain then promote tg (keys cells) pending (Pstate.on_fence_in domain)
-  | Some d ->
-    let own = keys d.pending_post in
-    Hashtbl.reset d.pending_post;
-    if Pstate.persists_at_fence domain then promote tg own pending (Pstate.on_fence_in domain)
+  if Pstate.persists_at_fence domain then
+    promote cells (fun c -> Pstate.equal c.st Pstate.Writeback_pending) (Pstate.on_fence_in domain)
 
 let outstanding c = Pstate.equal c.st Pstate.Modified || Pstate.equal c.st Pstate.Writeback_pending
 
+(* A divergence's GPF drains only the bytes it post-wrote itself. *)
 let gpf t ~ev:_ =
-  let ((cells, div) as tg) = target t in
+  let cells = target t in
   let domain = t.store.domain in
+  let own c = t.gen = 0 || c.post in
   if Pstate.persists_at_gpf domain then
-    match div with
-    | None -> promote tg (keys cells) (fun _ c -> outstanding c) (Pstate.on_gpf_in domain)
-    | Some d ->
-      promote tg (keys d.journaled) (fun _ c -> c.post && outstanding c) (Pstate.on_gpf_in domain)
+    promote cells (fun c -> own c && outstanding c) (Pstate.on_gpf_in domain)
 
 let mark_alloc_raw t addr size ~ev:_ =
-  let ((cells, _) as tg) = target t in
+  let cells = target t in
   for a = addr to addr + size - 1 do
     let tlast, writer =
       match Hashtbl.find_opt cells a with Some c -> (c.tlast, c.writer) | None -> (-1, Loc.unknown)
     in
-    put tg a { st = Pstate.Unmodified; uninit = true; post = false; tlast; writer }
+    put cells a
+      { st = Pstate.Unmodified; uninit = true; post = false; tlast; writer; seeded = false }
   done
 
 (* The packed byte in [Shadow_pm]'s layout: the state code, the tracked
@@ -187,10 +166,7 @@ let packed t a =
   match Hashtbl.find_opt (view t) a with
   | None -> 0
   | Some c ->
-    let journaled =
-      t.gen <> 0
-      && match t.store.div with Some d -> Hashtbl.mem d.journaled a | None -> false
-    in
+    let journaled = t.gen <> 0 && not c.seeded in
     let bit b flag = if b then flag else 0 in
     Pstate.code c.st lor Pages.bit_tracked
     lor bit (Pstate.equal c.st Pstate.Writeback_pending) Pages.bit_pending
@@ -202,12 +178,13 @@ let writer t a = match Hashtbl.find_opt (view t) a with Some c -> c.writer | Non
 
 (* The cells of the store as it stands: the live divergence's, else the
    base's. *)
-let current s = match s.div with Some d -> d.cells | None -> s.base
+let current s = match s.div with Some d -> d | None -> s.base
 
 let tracked_bytes t =
   let s = t.store in
   if t.gen = 0 then Hashtbl.length (current s)
-  else if s.live = t.gen then match s.div with Some d -> Hashtbl.length d.journaled | None -> 0
+  else if s.live = t.gen then
+    Hashtbl.fold (fun _ c n -> if c.seeded then n else n + 1) (current s) 0
   else 0
 
 let pending_bytes t =

@@ -299,6 +299,63 @@ let gpf_tests =
         Detector.release d;
         Alcotest.(check (pair string int)) "base: A persisted, one wasted flush" ("P", 1) on_base;
         Alcotest.(check (pair string int)) "fork agrees with the base" on_base on_fork);
+    Tu.case "a fork's nt-store over a base-pending byte persists at its fence, as the base's does"
+      (fun () ->
+        (* A is flushed but not fenced before the failure (pending under
+           ADR); the recovery nt-stores A and fences, so a later flush of
+           A's line is unnecessary work, not a double flush. *)
+        let a = base in
+        let pre =
+          mk_trace
+            [
+              (Event.Roi_begin, l 1);
+              (Event.Write { addr = a; size = 8 }, l 2);
+              (Event.Clwb { addr = a }, l 3);
+            ]
+        in
+        let recovery =
+          mk_trace
+            [
+              (Event.Roi_begin, l 4);
+              (Event.Nt_write { addr = a; size = 8 }, l 5);
+              (Event.Sfence, l 6);
+              (Event.Clwb { addr = a }, l 7);
+            ]
+        in
+        let run domain ~fork =
+          let d = Detector.create ~domain () in
+          Detector.replay d pre ~from:0 ~upto:(Trace.length pre);
+          let det = if fork then Detector.fork_for_post d else d in
+          Detector.replay det recovery ~from:0 ~upto:3;
+          let st =
+            match Detector.probe det a with
+            | Some c -> Pstate.to_string c.Xfd.Shadow_pm.pstate
+            | None -> "untracked"
+          in
+          Detector.replay det recovery ~from:3 ~upto:4;
+          (* The recovery's flush only: under eADR the pre-failure one is
+             wasted too. *)
+          let wastes =
+            List.filter_map
+              (function
+                | Xfd.Report.Perf { waste = `Flush w; loc; _ } when loc = l 7 -> (
+                  match w with
+                  | Pstate.Double_flush -> Some "double"
+                  | Pstate.Unnecessary_flush -> Some "unnecessary")
+                | _ -> None)
+              (Detector.bugs det)
+          in
+          Detector.release d;
+          (st, wastes)
+        in
+        List.iter
+          (fun domain ->
+            let name = D.to_string domain in
+            Alcotest.(check (pair string (list string)))
+              (name ^ ": base") ("P", [ "unnecessary" ]) (run domain ~fork:false);
+            Alcotest.(check (pair string (list string)))
+              (name ^ ": fork") ("P", [ "unnecessary" ]) (run domain ~fork:true))
+          D.all);
     Tu.case "Ctx.gpf persists the device image and emits the event" (fun () ->
         let dev, trace, ctx = Tu.make_ctx () in
         let loc = Loc.make ~file:"gpfctx.ml" ~line:1 in
