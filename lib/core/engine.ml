@@ -97,19 +97,16 @@ let fatal = function
   | Assert_failure _ | Out_of_memory | Stack_overflow -> true
   | _ -> false
 
-let run_post ~config ~dev ~post =
-  let trace = Trace.create () in
+(* Run [post] on [dev], recording into [trace] (empty on entry). *)
+let run_post ~config ~dev ~post ~trace =
   let ctx =
     Ctx.create ~trust_library:config.Config.trust_library ~stage:Ctx.Post_failure ~dev
       ~trace ()
   in
-  let exn =
-    match post ctx with
-    | () -> None
-    | exception Ctx.Detection_complete -> None
-    | exception e when not (fatal e) -> Some (Printexc.to_string e)
-  in
-  (trace, exn)
+  match post ctx with
+  | () -> None
+  | exception Ctx.Detection_complete -> None
+  | exception e when not (fatal e) -> Some (Printexc.to_string e)
 
 (* The full Figure 7 pipeline.  With [only = Some k] every failure point is
    numbered and elided exactly as in a full run, but only the point with
@@ -259,12 +256,17 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         let pre_pos = ref 0 in
         let post_events = ref 0 in
         (* One post-failure execution per failure point.  The executions are
-           independent (each runs on its own copy of the PM image), so with
-           post_jobs > 1 they run on a small domain pool — the parallelisation
-           the paper leaves as future work.  Trace replay and checking stay
-           sequential: the backend's shadow forks off the incrementally-advanced
-           pre-failure state. *)
-        let run_one s =
+           independent (each runs on its own copy of the PM image).  On the
+           streamed path (one job, no [priority]) each runs when the replay
+           loop below reaches its failure point, recording into one post
+           trace that is emptied before each run, so a detect keeps one
+           post trace alive instead of one per point.  With post_jobs > 1
+           they run up front on a small domain pool — the parallelisation
+           the paper leaves as future work — each into its own trace, and a
+           [priority] hook orders that batch.  Trace replay and checking
+           stay sequential either way: the backend's shadow forks off the
+           incrementally-advanced pre-failure state. *)
+        let run_one s ~trace =
           Flight.record ~level:Flight.Debug "fp.started"
             [ ("failure_point", Xfd_util.Json.Int s.index) ];
           Obs.Span.with_ ~name:sp_post_run
@@ -284,42 +286,44 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                  worker; the registry still frees this run's device. *)
               Fun.protect
                 ~finally:(fun () -> dispose post_id)
-                (fun () -> run_post ~config ~dev:post_dev ~post:program.post))
+                (fun () -> run_post ~config ~dev:post_dev ~post:program.post ~trace))
         in
-        let post_runs =
-          Obs.Span.with_ ~name:sp_post_exec (fun () ->
-              let n = List.length snapshots in
-              let jobs = max 1 (min config.Config.post_jobs n) in
-              let progress_done = Atomic.make 0 in
-              let run_one s =
-                let r = run_one s in
-                notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
-                r
-              in
-              notify_progress 0 n;
-              (* Execution order of the post-failure runs.  The runs are
-                 independent (each on its own image copy) and results are
-                 re-associated with their snapshot by slot below, while
-                 replay stays in trace order — so a [priority] hook reorders
-                 work (highest score first, ties keep failure-point order)
-                 without being able to change the verdict set.  A hook that
-                 raises or returns the wrong arity is ignored. *)
-              let perm =
-                let identity = Array.init n (fun i -> i) in
-                match priority with
-                | None -> identity
-                | Some f -> (
-                  match f (List.map (fun s -> (s.index, s.trace_pos)) snapshots) with
-                  | exception _ -> identity
-                  | scores when List.length scores = n ->
-                    let scores = Array.of_list scores in
-                    let order = Array.init n (fun i -> i) in
-                    Array.stable_sort (fun a b -> compare scores.(b) scores.(a)) order;
-                    order
-                  | _ -> identity)
-              in
-              if jobs = 1 && Option.is_none priority then List.map run_one snapshots
-              else begin
+        let n = List.length snapshots in
+        let jobs = max 1 (min config.Config.post_jobs n) in
+        let streamed = jobs = 1 && Option.is_none priority in
+        let progress_done = Atomic.make 0 in
+        let run_one s ~trace =
+          let r = run_one s ~trace in
+          notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
+          r
+        in
+        notify_progress 0 n;
+        let batch =
+          if streamed then [||]
+          else
+            Obs.Span.with_ ~name:sp_post_exec (fun () ->
+                (* Execution order of the post-failure runs.  The runs are
+                   independent (each on its own image copy) and results are
+                   re-associated with their snapshot by slot below, while
+                   replay stays in trace order — so a [priority] hook
+                   reorders work (highest score first, ties keep
+                   failure-point order) without being able to change the
+                   verdict set.  A hook that raises or returns the wrong
+                   arity is ignored. *)
+                let perm =
+                  let identity = Array.init n (fun i -> i) in
+                  match priority with
+                  | None -> identity
+                  | Some f -> (
+                    match f (List.map (fun s -> (s.index, s.trace_pos)) snapshots) with
+                    | exception _ -> identity
+                    | scores when List.length scores = n ->
+                      let scores = Array.of_list scores in
+                      let order = Array.init n (fun i -> i) in
+                      Array.stable_sort (fun a b -> compare scores.(b) scores.(a)) order;
+                      order
+                    | _ -> identity)
+                in
                 let input = Array.of_list snapshots in
                 let output = Array.make n None in
                 let next = Atomic.make 0 in
@@ -333,7 +337,9 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                       let i = perm.(k) in
                       output.(i) <-
                         Some
-                          (try Ok (run_one input.(i))
+                          (try
+                             let trace = Trace.create () in
+                             Ok (trace, run_one input.(i) ~trace)
                            with e -> Error (e, Printexc.get_raw_backtrace ()));
                       go ()
                     end
@@ -345,14 +351,24 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                 List.iter Domain.join domains;
                 Flight.record ~level:Flight.Debug "worker.join"
                   [ ("jobs", Xfd_util.Json.Int jobs); ("runs", Xfd_util.Json.Int n) ];
-                Array.iter
+                Array.map
                   (function
+                    | Some (Ok r) -> r
                     | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-                    | Some (Ok _) | None -> ())
-                  output;
-                Array.to_list output
-                |> List.map (function Some (Ok r) -> r | Some (Error _) | None -> assert false)
-              end)
+                    | None -> assert false)
+                  output)
+        in
+        (* The streamed path's one post trace.  Nothing outlives a point's
+           replay that could read it: provenance chains render the events
+           they cite when the bug fires, and the fork is rewound. *)
+        let post_trace = Trace.create () in
+        let post_run_for i s =
+          if streamed then begin
+            Trace.clear post_trace;
+            let exn = Obs.Span.with_ ~name:sp_post_exec (fun () -> run_one s ~trace:post_trace) in
+            (post_trace, exn)
+          end
+          else batch.(i)
         in
         (* The prefix-sharing scheduler.  `Incremental advances the single
            canonical shadow to each failure point's arena index — O(delta)
@@ -378,8 +394,9 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
             (det, Some cleanup)
         in
         let reports =
-          List.map2
-            (fun s (post_trace, post_exn) ->
+          List.mapi
+            (fun i s ->
+              let post_trace, post_exn = post_run_for i s in
               let fp_meta = [ ("failure_point", Xfd_util.Json.Int s.index) ] in
               let det, det_cleanup = pre_replay_for s in
               post_events := !post_events + Trace.length post_trace;
@@ -409,7 +426,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                   ("bugs", Xfd_util.Json.Int (List.length bugs));
                 ];
               { Report.failure_point = s.index; trace_pos = s.trace_pos; bugs })
-            snapshots post_runs
+            snapshots
         in
         (* Pre-failure bugs (performance findings fire during pre replay):
            finish the canonical prefix, or rebuild it whole in oracle

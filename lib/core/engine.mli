@@ -8,7 +8,27 @@
     program on it under tracing, and replays both traces through the
     backend.  Results carry the
     per-failure-point reports, the deduplicated bug list and the timing
-    breakdown used by the Figure 12/13 experiments. *)
+    breakdown used by the Figure 12/13 experiments.
+
+    When a post-failure execution runs depends on the path:
+    - {b Streamed} ([post_jobs = 1], no [priority]; also {!detect_at}):
+      the replay loop visits the failure points in trace order and runs
+      each point's post execution when it reaches the point, right before
+      that point's replay.  Every run records into one post trace per
+      detect, emptied ({!Xfd_trace.Trace.clear}) before the next run, so
+      one post trace is alive at a time and its events die young.
+      Nothing keeps a post trace past its replay: a forensic chain renders
+      the events it cites when its bug fires.  Each run gets its own
+      ["post_exec"] span around its ["post_run"].  A fatal exception in
+      the run at point [k] aborts the detect after points [0 .. k-1] were
+      replayed.
+    - {b Batch} ([post_jobs > 1], or a [priority] hook): every post
+      execution runs up front, on the domain pool and in priority order,
+      each into a trace of its own, inside one ["post_exec"] span; then
+      the same replay loop consumes the traces in trace order.
+    On both paths [timings.post_exec] is the total of the ["post_exec"]
+    spans, that is of all post executions, and there is one ["post_run"]
+    span per failure point.  Verdicts do not depend on the path. *)
 
 module Ctx = Xfd_sim.Ctx
 
@@ -50,7 +70,9 @@ type outcome = {
           ["post_exec"], ["pre_replay"], ["post_replay"] phases,
           ["snapshot"] children inside [pre_exec], and per-failure-point
           ["post_run"]/replay children carrying a [failure_point] meta
-          field *)
+          field.  ["post_exec"] is one span per failure point on the
+          streamed path and one span around the batch otherwise (see
+          above). *)
   coverage : Xfd_forensics.Coverage.t;
       (** what this run exercised: failure points fired vs elided, RoI
           ordering points, bytes read-checked vs bytes written, per-class

@@ -16,9 +16,11 @@ type 'm t = {
   gpf_code : int;
   fence_persists : bool;
   gpf_persists : bool;
-  (* Page index to the page's cold fields, stored as the option {!meta}
-     returns so a lookup allocates nothing. *)
-  meta : (int, 'm option) Hashtbl.t;
+  (* Page index to the page's slot in [metas], -1 for a miss.  Each slot
+     holds the option {!meta} returns, so a lookup allocates nothing. *)
+  meta_index : Xfd_util.Int_table.t;
+  mutable metas : 'm option array;
+  mutable n_metas : int;
   (* One-entry cache: [last_meta] is the page [last_idx]'s fields. *)
   mutable last_idx : int;
   mutable last_meta : 'm option;
@@ -57,7 +59,9 @@ let create ~domain make_meta =
     gpf_code = Pstate.code (drain Pstate.Modified);
     fence_persists = Pstate.persists_at_fence domain;
     gpf_persists = Pstate.persists_at_gpf domain;
-    meta = Hashtbl.create 16;
+    meta_index = Xfd_util.Int_table.create 16;
+    metas = [||];
+    n_metas = 0;
     last_idx = -1;
     last_meta = None;
   }
@@ -67,7 +71,9 @@ let pages t = t.pages
 
 let release t =
   Pages.release t.pages;
-  Hashtbl.reset t.meta;
+  Xfd_util.Int_table.clear t.meta_index;
+  t.metas <- [||];
+  t.n_metas <- 0;
   t.last_idx <- -1;
   t.last_meta <- None
 
@@ -78,12 +84,14 @@ let meta t addr =
   let idx = page_index addr in
   if idx = t.last_idx then t.last_meta
   else
-    match Hashtbl.find t.meta idx with
-    | r ->
+    let slot = Xfd_util.Int_table.find t.meta_index idx in
+    if slot < 0 then None
+    else begin
+      let r = Array.unsafe_get t.metas slot in
       t.last_idx <- idx;
       t.last_meta <- r;
       r
-    | exception Not_found -> None
+    end
 
 let own_meta t addr =
   match meta t addr with
@@ -92,7 +100,14 @@ let own_meta t addr =
     let m = t.make_meta () in
     let r = Some m in
     let idx = page_index addr in
-    Hashtbl.replace t.meta idx r;
+    if t.n_metas = Array.length t.metas then begin
+      let metas = Array.make (max 8 (2 * t.n_metas)) None in
+      Array.blit t.metas 0 metas 0 t.n_metas;
+      t.metas <- metas
+    end;
+    t.metas.(t.n_metas) <- r;
+    Xfd_util.Int_table.replace t.meta_index idx t.n_metas;
+    t.n_metas <- t.n_metas + 1;
     t.last_idx <- idx;
     t.last_meta <- r;
     m

@@ -43,8 +43,9 @@ val pack : Pstate.t -> int
 val offset : Xfd_mem.Addr.t -> int
 
 (** The cold fields of [addr]'s page, if the page was ever owned.  A
-    one-entry cache makes runs of lookups on one page cheap; no lookup
-    allocates. *)
+    one-entry cache makes runs of lookups on one page cheap; the rest
+    go through an {!Xfd_util.Int_table}.  No lookup allocates or
+    raises. *)
 val meta : 'm t -> Xfd_mem.Addr.t -> 'm option
 
 (** Like {!meta}, creating the page on first use. *)

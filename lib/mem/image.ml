@@ -52,7 +52,33 @@ let create () = { chunks = Hashtbl.create 64; footprint = 0 }
 let chunk_index addr = addr lsr chunk_bits
 let chunk_offset addr = addr land (chunk_size - 1)
 
-let release_chunk c = if Atomic.fetch_and_add c.refs (-1) = 1 then account_free ()
+(* Chunks whose last reference went are recycled: a 4 KiB payload is
+   allocated straight in the major heap, and a detect frees hundreds.  The
+   bound (1 MiB of payload) covers the pre-failure device of a detect-sized
+   program plus its post runs' copies, so back-to-back detects take their
+   chunks from here; a busier process drops the surplus for the GC. *)
+let free_bound = 256
+let free : chunk Xfd_util.Free_list.t = Xfd_util.Free_list.create ~bound:free_bound
+let free_chunks () = Xfd_util.Free_list.length free
+
+(* A chunk with one reference, whose payload the caller overwrites or
+   fills before anyone reads it. *)
+let fresh_chunk () =
+  let c =
+    Xfd_util.Free_list.take free ~make:(fun () ->
+        { data = Bytes.create chunk_size; refs = Atomic.make 1 })
+  in
+  Atomic.set c.refs 1;
+  account_alloc ();
+  c
+
+(* A chunk no image references any more: no reader can reach its
+   payload, so the next [fresh_chunk] may take it. *)
+let release_chunk c =
+  if Atomic.fetch_and_add c.refs (-1) = 1 then begin
+    account_free ();
+    Xfd_util.Free_list.give free c
+  end
 
 (* The chunk at [idx], exclusively owned so the caller may mutate it.  On a
    shared chunk this is the CoW fault: copy the payload, then drop our
@@ -63,18 +89,18 @@ let writable_chunk t idx =
   match Hashtbl.find_opt t.chunks idx with
   | Some c when Atomic.get c.refs = 1 -> c.data
   | Some c ->
-    let mine = { data = Bytes.copy c.data; refs = Atomic.make 1 } in
+    let mine = fresh_chunk () in
+    Bytes.blit c.data 0 mine.data 0 chunk_size;
     Hashtbl.replace t.chunks idx mine;
-    account_alloc ();
     Obs.Counter.incr c_cow_faults;
     Obs.Counter.add c_cow_bytes chunk_size;
     release_chunk c;
     mine.data
   | None ->
-    let c = { data = Bytes.make chunk_size '\000'; refs = Atomic.make 1 } in
+    let c = fresh_chunk () in
+    Bytes.fill c.data 0 chunk_size '\000';
     Hashtbl.replace t.chunks idx c;
     t.footprint <- t.footprint + chunk_size;
-    account_alloc ();
     c.data
 
 let read_byte t addr =
@@ -125,8 +151,9 @@ let deep_copy t =
   let chunks = Hashtbl.create (max 16 (Hashtbl.length t.chunks)) in
   Hashtbl.iter
     (fun idx c ->
-      Hashtbl.replace chunks idx { data = Bytes.copy c.data; refs = Atomic.make 1 };
-      account_alloc ())
+      let mine = fresh_chunk () in
+      Bytes.blit c.data 0 mine.data 0 chunk_size;
+      Hashtbl.replace chunks idx mine)
     t.chunks;
   { chunks; footprint = t.footprint }
 

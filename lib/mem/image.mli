@@ -85,3 +85,17 @@ val live_bytes : unit -> int
 val peak_bytes : unit -> int
 
 val reset_peak : unit -> unit
+
+(** {1 Chunk recycling}
+
+    A chunk whose last reference goes (by {!release}, or by the
+    copy-on-write fault that replaced it) joins a process-wide free list,
+    and the next chunk any image needs is taken from it.  Pooled chunks
+    count as freed in {!live_bytes}.  The list holds at most
+    {!free_bound} chunks; it is domain-safe. *)
+
+(** Chunks on the free list now. *)
+val free_chunks : unit -> int
+
+(** Most chunks the free list keeps (256, 1 MiB of payload). *)
+val free_bound : int

@@ -46,7 +46,7 @@ let has packed bit = packed land bit <> 0
 type bytes = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type page = {
-  base : int; (* address of the page's first byte *)
+  mutable base : int; (* address of the page's first byte *)
   bytes : bytes;
   tracked_w : int array;
   pending_w : int array;
@@ -55,14 +55,14 @@ type page = {
 }
 
 type t = {
-  (* Page index ([addr lsr page_bits]) to the page, stored as the option
-     {!find_page} returns, so a lookup allocates nothing. *)
-  index : (int, page option) Hashtbl.t;
+  (* Page index ([addr lsr page_bits]) to the page's slot in [all]; a
+     miss is -1, so a lookup allocates nothing and raises nothing. *)
+  index : Xfd_util.Int_table.t;
   (* Every page, in creation order: the fence and GPF walks run over this
      without a closure. *)
   mutable all : page array;
   mutable n_pages : int;
-  mutable last : page option; (* one-slot lookup cache for locality *)
+  mutable last : page; (* one-slot lookup cache for locality *)
   mutable tracked : int;
   mutable pending : int;
   (* The change log: the address and previous packed value of every byte
@@ -75,12 +75,37 @@ type t = {
 
 let log_capacity = 64
 
+let new_page () =
+  {
+    base = 0;
+    bytes = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout page_size;
+    tracked_w = Array.make words_per_page 0;
+    pending_w = Array.make words_per_page 0;
+    tracked_n = 0;
+    pending_n = 0;
+  }
+
+(* What a lookup of a page nobody made returns: its base is no page's. *)
+let no_page =
+  let p = new_page () in
+  p.base <- -1;
+  p
+
+(* Released pages are recycled, bitmaps and all, as {!Image} recycles its
+   chunks: each is a 4 KiB bigarray plus 2 KiB of bitmaps, and a detect
+   makes a fresh store per detector.  A detect of this repository's
+   workloads touches 19-22 pages, so 64 (384 KiB) cover the two detects
+   the service runs at once. *)
+let free_bound = 64
+let free : page Xfd_util.Free_list.t = Xfd_util.Free_list.create ~bound:free_bound
+let free_pages () = Xfd_util.Free_list.length free
+
 let create () =
   {
-    index = Hashtbl.create 16;
+    index = Xfd_util.Int_table.create 16;
     all = [||];
     n_pages = 0;
-    last = None;
+    last = no_page;
     tracked = 0;
     pending = 0;
     log_addr = Array.make log_capacity 0;
@@ -92,13 +117,14 @@ let create () =
 let release t =
   if not t.released then begin
     t.released <- true;
-    for _ = 1 to t.n_pages do
-      account_free ()
+    for k = 0 to t.n_pages - 1 do
+      account_free ();
+      Xfd_util.Free_list.give free t.all.(k)
     done;
-    Hashtbl.reset t.index;
+    Xfd_util.Int_table.clear t.index;
     t.all <- [||];
     t.n_pages <- 0;
-    t.last <- None;
+    t.last <- no_page;
     t.tracked <- 0;
     t.pending <- 0;
     t.log_n <- 0
@@ -107,31 +133,28 @@ let release t =
 let page_index addr = addr lsr page_bits
 let offset addr = addr land (page_size - 1)
 
+(* The page holding [addr], or [no_page]. *)
 let find_page t addr =
-  match t.last with
-  | Some p as r when p.base = addr land lnot (page_size - 1) -> r
-  | _ -> (
-    match Hashtbl.find t.index (page_index addr) with
-    | r ->
-      t.last <- r;
-      r
-    | exception Not_found -> None)
+  if t.last.base = addr land lnot (page_size - 1) then t.last
+  else
+    let slot = Xfd_util.Int_table.find t.index (page_index addr) in
+    if slot < 0 then no_page
+    else begin
+      let p = Array.unsafe_get t.all slot in
+      t.last <- p;
+      p
+    end
 
 let make_page t addr =
-  let p =
-    {
-      base = addr land lnot (page_size - 1);
-      bytes = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout page_size;
-      tracked_w = Array.make words_per_page 0;
-      pending_w = Array.make words_per_page 0;
-      tracked_n = 0;
-      pending_n = 0;
-    }
-  in
+  let p = Xfd_util.Free_list.take free ~make:new_page in
+  p.base <- addr land lnot (page_size - 1);
   Bigarray.Array1.fill p.bytes 0;
-  let r = Some p in
-  Hashtbl.replace t.index (page_index addr) r;
-  t.last <- r;
+  Array.fill p.tracked_w 0 words_per_page 0;
+  Array.fill p.pending_w 0 words_per_page 0;
+  p.tracked_n <- 0;
+  p.pending_n <- 0;
+  Xfd_util.Int_table.replace t.index (page_index addr) t.n_pages;
+  t.last <- p;
   if t.n_pages = Array.length t.all then begin
     let all = Array.make (max 8 (2 * t.n_pages)) p in
     Array.blit t.all 0 all 0 t.n_pages;
@@ -142,12 +165,13 @@ let make_page t addr =
   account_alloc ();
   p
 
-let own_page t addr = match find_page t addr with Some p -> p | None -> make_page t addr
+let own_page t addr =
+  let p = find_page t addr in
+  if p == no_page then make_page t addr else p
 
 let get t addr =
-  match find_page t addr with
-  | None -> 0
-  | Some p -> Bigarray.Array1.unsafe_get p.bytes (offset addr)
+  let p = find_page t addr in
+  if p == no_page then 0 else Bigarray.Array1.unsafe_get p.bytes (offset addr)
 
 let tracked_bytes t = t.tracked
 let pending_bytes t = t.pending
@@ -218,9 +242,9 @@ let in_states states b = (states lsr (b land state_mask)) land 1 <> 0
 
 let scan t addr n =
   check_range "scan" (offset addr) n;
-  match find_page t addr with
-  | None -> 0
-  | Some p ->
+  let p = find_page t addr in
+  if p == no_page then 0
+  else
     let mask = ref 0 in
     for i = offset addr to offset addr + n - 1 do
       let b = Bigarray.Array1.unsafe_get p.bytes i in
@@ -241,13 +265,13 @@ let restate_byte t p off ~states ~having ~bits =
 let restate t addr n ~states ~bits =
   check_range "restate" (offset addr) n;
   t.log_n <- 0;
-  match find_page t addr with
-  | None -> ()
-  | Some p ->
+  let p = find_page t addr in
+  if p != no_page then begin
     reserve t n;
     for i = offset addr to offset addr + n - 1 do
       restate_byte t p i ~states ~having:0 ~bits
     done
+  end
 
 (* Each bitmap word is read once, before any of its bytes is restated, so
    clearing bits while walking is safe. *)
@@ -275,9 +299,8 @@ let restate_list t addrs n ~states ~having ~bits =
   reserve t n;
   for i = 0 to n - 1 do
     let a = addrs.(i) in
-    match find_page t a with
-    | Some p -> restate_byte t p (offset a) ~states ~having ~bits
-    | None -> ()
+    let p = find_page t a in
+    if p != no_page then restate_byte t p (offset a) ~states ~having ~bits
   done
 
 let changes t = t.log_n

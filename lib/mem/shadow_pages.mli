@@ -26,7 +26,11 @@
 
     Pages are process-globally accounted, like {!Image} chunks: the
     [shadow.page_bytes_live]/[shadow.page_bytes_peak] gauges expose the
-    live footprint, and {!release} must be called when a store dies. *)
+    live footprint, and {!release} must be called when a store dies.  A
+    released page joins a bounded free list the next store takes its
+    pages from, as {!Image} recycles its chunks; a pooled page counts as
+    freed.  Pages are looked up through an {!Xfd_util.Int_table}, so a
+    read of a page nobody touched allocates nothing and raises nothing. *)
 
 type t
 
@@ -118,3 +122,10 @@ val restore : t -> Addr.t array -> int array -> int -> unit
 
 val live_bytes : unit -> int
 val peak_bytes : unit -> int
+
+(** Released pages on the free list now; at most {!free_bound}. *)
+val free_pages : unit -> int
+
+(** Most pages the free list keeps (64: 256 KiB of bytes plus 128 KiB
+    of bitmaps). *)
+val free_bound : int

@@ -18,6 +18,10 @@ let append t ev =
 
 let length t = t.len
 
+(* The slots past [len] keep their old events until overwritten: a reader
+   only ever sees [0 .. len), and the events themselves are immutable. *)
+let clear t = t.len <- 0
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Arena.get: out of bounds";
   t.events.(i)

@@ -16,6 +16,11 @@ val append : t -> Event.t -> int
 
 val length : t -> int
 
+(** Empty the arena in O(1), keeping its backing array: the next append
+    takes index 0 again.  Events already handed out stay valid (they are
+    immutable); only indices into the old contents stop resolving. *)
+val clear : t -> unit
+
 (** Bounds-checked lookup. *)
 val get : t -> int -> Event.t
 

@@ -9,6 +9,7 @@ let append t ~kind ~loc =
   ev
 
 let length t = Arena.length t.arena
+let clear t = Arena.clear t.arena
 let get t i = try Arena.get t.arena i with Invalid_argument _ -> invalid_arg "Trace.get: out of bounds"
 let iter_range t ~from ~upto f = Arena.iter_range t.arena ~from ~upto f
 let iter_prefix t n f = iter_range t ~from:0 ~upto:n f

@@ -17,6 +17,12 @@ val arena : t -> Arena.t
 val append : t -> kind:Event.kind -> loc:Xfd_util.Loc.t -> Event.t
 
 val length : t -> int
+
+(** Empty the trace in O(1), keeping its buffer, so one trace can record
+    many runs in turn without allocating a new buffer per run.  Sequence
+    numbers restart at 0. *)
+val clear : t -> unit
+
 val get : t -> int -> Event.t
 
 (** [iter_range t ~from ~upto f] applies [f] to events

@@ -289,9 +289,110 @@ let worker_exception_tests =
           [ 2; 4 ]);
   ]
 
+(* ---- the streamed post path ---- *)
+
+(* [program] whose [k]-th post run (counting from 1) fails an assertion;
+   [calls] counts the post runs started. *)
+let fatal_at k program =
+  let calls = ref 0 in
+  ( {
+      program with
+      Engine.post =
+        (fun ctx ->
+          incr calls;
+          if !calls = k then assert false;
+          program.Engine.post ctx);
+    },
+    calls )
+
+let named name spans = List.filter (fun r -> String.equal r.Xfd_obs.Obs.Span.name name) spans
+
+(* The failure points of [o]'s post_run spans, sorted. *)
+let post_run_points (o : Engine.outcome) =
+  List.filter_map
+    (fun r ->
+      match List.assoc_opt "failure_point" r.Xfd_obs.Obs.Span.meta with
+      | Some (Xfd_util.Json.Int i) -> Some i
+      | _ -> None)
+    (named "post_run" o.Engine.spans)
+  |> List.sort compare
+
+let stream_tests =
+  [
+    Tu.case "a fatal post run mid-stream releases every buffer, within the free-list bounds"
+      (fun () ->
+        let btree () = Xfd_workloads.Btree.program ~init_size:2 ~size:3 () in
+        let clean = Tu.detect (btree ()) in
+        let n = clean.Engine.failure_points in
+        let k = n / 2 in
+        Alcotest.(check bool) "a middle point" true (k > 1 && k < n);
+        let image0 = Xfd_mem.Image.live_bytes () in
+        let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in
+        let program, calls = fatal_at k (btree ()) in
+        let mark = Xfd_obs.Obs.Span.mark () in
+        (match Tu.detect program with
+        | _ -> Alcotest.fail "the assertion was swallowed"
+        | exception Assert_failure _ -> ());
+        (* Streamed: each point's post run comes when the replay reaches
+           it, so the points before [k] were replayed and none after it
+           ran. *)
+        Alcotest.(check int) "post runs started" k !calls;
+        Alcotest.(check int) "points replayed before the abort" (k - 1)
+          (List.length (named "post_replay" (Xfd_obs.Obs.Span.records_since mark)));
+        Alcotest.(check int) "pm chunk bytes released" image0 (Xfd_mem.Image.live_bytes ());
+        Alcotest.(check int) "shadow page bytes released" shadow0
+          (Xfd_mem.Shadow_pages.live_bytes ());
+        let within name n bound =
+          if n > bound then Alcotest.failf "%s: %d pooled, bound %d" name n bound
+        in
+        within "chunks" (Xfd_mem.Image.free_chunks ()) Xfd_mem.Image.free_bound;
+        within "shadow pages" (Xfd_mem.Shadow_pages.free_pages ()) Xfd_mem.Shadow_pages.free_bound;
+        (* The pooled buffers serve the next detect unchanged. *)
+        Alcotest.(check string) "a detect after the abort" (Xfd_serve.Job.fingerprint clean)
+          (Xfd_serve.Job.fingerprint (Tu.detect (btree ()))));
+    Tu.case "sequential, post_jobs=3 and priority runs agree, one post_run per point"
+      (fun () ->
+        let reverse points = List.map (fun (i, _) -> -i) points in
+        List.iter
+          (fun program ->
+            let seq = Tu.detect (program ()) in
+            let batch = Tu.detect ~config:{ Config.default with post_jobs = 3 } (program ()) in
+            let prio = Engine.detect ~priority:reverse (program ()) in
+            let every = List.init seq.Engine.failure_points Fun.id in
+            List.iter
+              (fun (name, (o : Engine.outcome)) ->
+                Alcotest.(check string) (name ^ ": fingerprint") (Xfd_serve.Job.fingerprint seq)
+                  (Xfd_serve.Job.fingerprint o);
+                Alcotest.(check (list int)) (name ^ ": one post_run per point") every
+                  (post_run_points o))
+              [ ("sequential", seq); ("post_jobs=3", batch); ("priority", prio) ];
+            (* A post_exec span per point on the streamed path, one around
+               the batch otherwise; either way they total the post runs. *)
+            let post_exec (o : Engine.outcome) = List.length (named "post_exec" o.Engine.spans) in
+            Alcotest.(check int) "streamed post_exec spans" seq.Engine.failure_points (post_exec seq);
+            Alcotest.(check int) "batch post_exec spans" 1 (post_exec batch);
+            Alcotest.(check int) "priority post_exec spans" 1 (post_exec prio))
+          [
+            (fun () -> Xfd_workloads.Array_update.program ~size:2 ());
+            (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
+          ]);
+    Tu.case "forensic chains are the same whether post traces stream or batch" (fun () ->
+        let config = { Config.default with forensics = true } in
+        let chains (o : Engine.outcome) =
+          List.map (fun b -> Xfd_util.Json.to_string (Xfd.Report.bug_to_json b)) o.Engine.unique_bugs
+        in
+        let program () = Xfd_workloads.Array_update.program ~size:2 () in
+        let seq = Tu.detect ~config (program ()) in
+        let batch = Tu.detect ~config:{ config with post_jobs = 3 } (program ()) in
+        Alcotest.(check bool) "chains were built" true
+          (List.exists (fun b -> Xfd.Report.provenance b <> None) seq.Engine.unique_bugs);
+        Alcotest.(check (list string)) "identical chains" (chains batch) (chains seq));
+  ]
+
 let suite =
   [
     ("engine", tests);
     ("engine.config", config_tests);
     ("engine.workers", worker_exception_tests);
+    ("engine.stream", stream_tests);
   ]

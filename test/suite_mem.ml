@@ -291,10 +291,67 @@ let image_only_tests =
         Alcotest.(check int) "back to baseline" live0 (Image.live_bytes ()));
   ]
 
+(* Recycled buffers come back as if new: a chunk or page taken from a
+   free list carries nothing of its previous owner. *)
+let recycle_tests =
+  let module Pages = Xfd_mem.Shadow_pages in
+  [
+    Tu.case "free lists keep at most their bound" (fun () ->
+        let l = Xfd_util.Free_list.create ~bound:2 in
+        List.iter (Xfd_util.Free_list.give l) [ 1; 2; 3 ];
+        Alcotest.(check int) "kept" 2 (Xfd_util.Free_list.length l);
+        let take () = Xfd_util.Free_list.take l ~make:(fun () -> 0) in
+        let a = take () in
+        let b = take () in
+        Alcotest.(check (list int)) "pooled items" [ 1; 2 ] (List.sort compare [ a; b ]);
+        Alcotest.(check int) "then made" 0 (take ()));
+    Tu.case "a recycled chunk reads as zero and a CoW copy as its source" (fun () ->
+        let dirty () =
+          let img = Image.create () in
+          for c = 0 to 3 do
+            Image.write img (c * Image.chunk_size) (Bytes.make Image.chunk_size '\xff')
+          done;
+          Image.release img
+        in
+        dirty ();
+        let img = Image.create () in
+        Image.write img 8 (b "x");
+        Alcotest.(check bool) "fresh chunk is zero around the write" true
+          (Bytes.equal (Image.read img 0 16) (Bytes.init 16 (fun i -> if i = 8 then 'x' else '\000')));
+        let snap = Image.snapshot img in
+        dirty ();
+        Image.write img 9 (b "y");
+        Alcotest.(check string) "CoW copy keeps the source bytes" "xy"
+          (Bytes.to_string (Image.read img 8 2));
+        Alcotest.(check string) "snapshot unchanged" "x\000" (Bytes.to_string (Image.read snap 8 2));
+        Image.release snap;
+        Image.release img;
+        if Image.free_chunks () > Image.free_bound then Alcotest.fail "chunk list over its bound");
+    Tu.case "a recycled shadow page starts untracked" (fun () ->
+        let p = Pages.create () in
+        for k = 0 to 3 do
+          Pages.update p (k * Pages.page_size) Pages.page_size ~keep:0
+            ~set:(Pages.bit_tracked lor Pages.bit_pending lor 2)
+        done;
+        Pages.release p;
+        let q = Pages.create () in
+        Pages.update q 64 8 ~keep:0 ~set:(Pages.bit_tracked lor 1);
+        Alcotest.(check int) "tracked" 8 (Pages.tracked_bytes q);
+        Alcotest.(check int) "pending" 0 (Pages.pending_bytes q);
+        Alcotest.(check int) "a byte nobody stored" 0 (Pages.get q 0);
+        Alcotest.(check int) "a page nobody touched" 0 (Pages.get q (9 * Pages.page_size));
+        let seen = ref 0 in
+        Pages.iter_tracked q (fun _ _ -> incr seen);
+        Alcotest.(check int) "bitmap walk" 8 !seen;
+        Pages.release q;
+        if Pages.free_pages () > Pages.free_bound then Alcotest.fail "page list over its bound");
+  ]
+
 let suite =
   [
     ("mem.addr", addr_tests);
     ("mem.image", image_tests);
     ("mem.device", device_tests);
     ("mem.image_only", image_only_tests);
+    ("mem.recycle", recycle_tests);
   ]
