@@ -80,15 +80,29 @@ let release_chunk c =
     Xfd_util.Free_list.give free c
   end
 
+(* The chunk at [idx], or [no_chunk].  [Hashtbl.find] allocates nothing
+   on a hit, where [find_opt] would box its answer. *)
+let no_chunk = { data = Bytes.empty; refs = Atomic.make 0 }
+
+let find_chunk t idx =
+  match Hashtbl.find t.chunks idx with c -> c | exception Not_found -> no_chunk
+
 (* The chunk at [idx], exclusively owned so the caller may mutate it.  On a
    shared chunk this is the CoW fault: copy the payload, then drop our
    reference to the shared original.  The copy happens before the decrement,
    so a peer that observes [refs = 1] (and then writes in place) is ordered
    after our read of the shared bytes. *)
 let writable_chunk t idx =
-  match Hashtbl.find_opt t.chunks idx with
-  | Some c when Atomic.get c.refs = 1 -> c.data
-  | Some c ->
+  let c = find_chunk t idx in
+  if c == no_chunk then begin
+    let c = fresh_chunk () in
+    Bytes.fill c.data 0 chunk_size '\000';
+    Hashtbl.replace t.chunks idx c;
+    t.footprint <- t.footprint + chunk_size;
+    c.data
+  end
+  else if Atomic.get c.refs = 1 then c.data
+  else begin
     let mine = fresh_chunk () in
     Bytes.blit c.data 0 mine.data 0 chunk_size;
     Hashtbl.replace t.chunks idx mine;
@@ -96,44 +110,42 @@ let writable_chunk t idx =
     Obs.Counter.add c_cow_bytes chunk_size;
     release_chunk c;
     mine.data
-  | None ->
-    let c = fresh_chunk () in
-    Bytes.fill c.data 0 chunk_size '\000';
-    Hashtbl.replace t.chunks idx c;
-    t.footprint <- t.footprint + chunk_size;
-    c.data
+  end
 
 let read_byte t addr =
-  match Hashtbl.find_opt t.chunks (chunk_index addr) with
-  | Some c -> Bytes.get c.data (chunk_offset addr)
-  | None -> '\000'
+  let c = find_chunk t (chunk_index addr) in
+  if c == no_chunk then '\000' else Bytes.get c.data (chunk_offset addr)
 
 let write_byte t addr v = Bytes.set (writable_chunk t (chunk_index addr)) (chunk_offset addr) v
 
-let read t addr size =
-  let out = Bytes.create size in
+let read_into t addr dst dst_off size =
   let pos = ref 0 in
   while !pos < size do
     let a = addr + !pos in
     let off = chunk_offset a in
     let len = min (size - !pos) (chunk_size - off) in
-    (match Hashtbl.find_opt t.chunks (chunk_index a) with
-    | Some c -> Bytes.blit c.data off out !pos len
-    | None -> Bytes.fill out !pos len '\000');
-    pos := !pos + len
-  done;
-  out
-
-let write t addr b =
-  let size = Bytes.length b in
-  let pos = ref 0 in
-  while !pos < size do
-    let a = addr + !pos in
-    let off = chunk_offset a in
-    let len = min (size - !pos) (chunk_size - off) in
-    Bytes.blit b !pos (writable_chunk t (chunk_index a)) off len;
+    let c = find_chunk t (chunk_index a) in
+    if c == no_chunk then Bytes.fill dst (dst_off + !pos) len '\000'
+    else Bytes.blit c.data off dst (dst_off + !pos) len;
     pos := !pos + len
   done
+
+let read t addr size =
+  let out = Bytes.create size in
+  read_into t addr out 0 size;
+  out
+
+let write_from t addr src src_off size =
+  let pos = ref 0 in
+  while !pos < size do
+    let a = addr + !pos in
+    let off = chunk_offset a in
+    let len = min (size - !pos) (chunk_size - off) in
+    Bytes.blit src (src_off + !pos) (writable_chunk t (chunk_index a)) off len;
+    pos := !pos + len
+  done
+
+let write t addr b = write_from t addr b 0 (Bytes.length b)
 
 let read_i64 t addr = Xfd_util.Bytesx.get_i64 (read t addr 8) 0
 let write_i64 t addr v = write t addr (Xfd_util.Bytesx.i64_to_bytes v)

@@ -31,6 +31,15 @@ val read : t -> Addr.t -> int -> bytes
 (** [write t addr b] stores all of [b] at [addr]. *)
 val write : t -> Addr.t -> bytes -> unit
 
+(** [read_into t addr dst off size] copies [size] bytes at [addr] into
+    [dst] from [off]; it allocates nothing. *)
+val read_into : t -> Addr.t -> bytes -> int -> int -> unit
+
+(** [write_from t addr src off size] stores [size] bytes of [src] from
+    [off] at [addr]; on chunks the image already owns it allocates
+    nothing. *)
+val write_from : t -> Addr.t -> bytes -> int -> int -> unit
+
 val read_i64 : t -> Addr.t -> int64
 val write_i64 : t -> Addr.t -> int64 -> unit
 

@@ -17,6 +17,17 @@
     three useful crash images: full (the paper's footnote-3 copy), strict
     (only guaranteed bytes), and randomized (one possible interleaving).
 
+    The cache state lives in two bitmaps per 4 KiB page, one bit per byte
+    each: dirty and pending.  A line holding pending bytes owns a 64-byte
+    buffer of the values they were captured with.  A store sets one bitmap
+    range per page it touches; a flush moves its line's dirty bits to
+    pending and copies the line out of the image once; a fence writes the
+    pending lines' captured bytes to the persisted image and forgets them
+    (O(pending lines)); a GPF walks the dirty bitmaps a line at a time.
+    The dirty and pending byte counts are kept as the bits change, so
+    {!dirty_bytes} and {!pending_bytes} are O(1).  On pages it has
+    touched before, a store, flush, fence or GPF allocates nothing.
+
     A device made by {!boot_image_only} has no cache model: no persisted
     layer and no dirty or pending sets.  Its stores, flushes and fences do
     only architectural work, which is all a post-failure run needs (the
@@ -29,7 +40,12 @@ type crash_mode =
   | Strict  (** keep only bytes guaranteed persistent *)
   | Randomized of Xfd_util.Rng.t
       (** persisted bytes plus a random subset of in-flight cache lines;
-          enumerates one legal eviction interleaving *)
+          enumerates one legal eviction interleaving.  The in-flight lines
+          (those holding a dirty or pending byte) draw one [Rng.bool] each,
+          in ascending address order, so the image is a function of the
+          device state and the generator's seed.  An evicted line writes
+          each pending byte's captured value, else each dirty byte's
+          current value. *)
 
 val create : unit -> t
 
@@ -54,8 +70,9 @@ val clflush : t -> Addr.t -> unit
 val sfence : t -> unit
 
 (** Global persistent flush barrier (CXL): capture every dirty byte and
-    drain the whole capture set to the persisted image in one step.
-    Counted as a fence in the device stats. *)
+    drain the whole capture set to the persisted image in one step.  A
+    byte stored again after its flush persists its latest value, not the
+    one the flush captured.  Counted as a fence in the device stats. *)
 val gpf : t -> unit
 
 (** Number of bytes currently modified but not captured by any flush
@@ -100,8 +117,10 @@ val boot : Image.t -> t
 val boot_image_only : Image.t -> t
 
 (** Copy-on-write snapshot of the whole device: the images are shared
-    structurally (O(chunk-table)) and only the cache-state delta — the
-    dirty and writeback-pending byte sets — is copied eagerly.  Mutations
+    structurally (O(chunk-table)) and only the cache state — the page
+    bitmaps and the pending lines' captured values — is copied eagerly
+    ([pm.snapshot_bytes] still counts it as the dirty plus pending
+    bytes).  Mutations
     of either side are invisible to the other, exactly as with
     {!deep_snapshot}.  The engine no longer calls it (it {!capture}s the
     crash image instead); it stays for the tests and the snapshotting

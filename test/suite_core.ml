@@ -1418,6 +1418,27 @@ let alloc_tests =
         if per_event > promoted_words_per_post_event_bound then
           Alcotest.failf "%.2f promoted words per post event (bound %.2f)" per_event
             promoted_words_per_post_event_bound);
+    Tu.case "a warm tracking device's store, clwb, sfence and gpf allocate nothing" (fun () ->
+        let module Device = Xfd_mem.Pm_device in
+        let d = Device.create () in
+        (* 64 bytes across a page boundary: two lines on two pages. *)
+        let a = (2 * Xfd_mem.Image.chunk_size) - 24 and b = Bytes.make 64 'x' in
+        let cycle () =
+          Device.store d a b;
+          Device.clwb d a;
+          Device.clwb d (a + 63);
+          Device.sfence d;
+          Device.store d a b;
+          Device.gpf d
+        in
+        cycle ();
+        let idle = idle_minor_words () in
+        let m0 = Gc.minor_words () in
+        cycle ();
+        let words = Gc.minor_words () -. m0 -. idle in
+        Alcotest.(check int) "drained" 0 (Device.dirty_bytes d + Device.pending_bytes d);
+        Device.release d;
+        Alcotest.(check (float 0.)) "minor words" 0. words);
   ]
 
 let suite =

@@ -209,6 +209,19 @@ let device_tests =
         Alcotest.(check int) "loads" 1 s.Device.loads;
         Alcotest.(check int) "flushes" 1 s.Device.flushes;
         Alcotest.(check int) "fences" 1 s.Device.fences);
+    Tu.case "gpf persists the value stored after a flush, not the flushed one" (fun () ->
+        let d = Device.create () in
+        Device.store d 0 (b "\001");
+        Device.clwb d 0;
+        Device.store d 0 (b "\002");
+        Device.gpf d;
+        Alcotest.(check int) "no dirty bytes" 0 (Device.dirty_bytes d);
+        Alcotest.(check int) "no pending bytes" 0 (Device.pending_bytes d);
+        let img = Device.crash d Device.Strict in
+        Alcotest.(check char) "latest value persisted" '\002' (Image.read_byte img 0);
+        Alcotest.(check bool) "persisted range" true (Device.is_persisted_range d 0 1);
+        Image.release img;
+        Device.release d);
   ]
 
 (* The image-only device that post-failure runs boot: architectural work
@@ -347,6 +360,218 @@ let recycle_tests =
         if Pages.free_pages () > Pages.free_bound then Alcotest.fail "page list over its bound");
   ]
 
+(* The device against its per-byte reference model (test/device_model.ml):
+   random stores, NT stores, flushes, fences, GPFs, snapshots and boots
+   over ranges that cross line and page boundaries, compared after every
+   operation. *)
+module Model = Device_model
+
+type slot = Cur | Snap
+
+type dev_op =
+  | D_store of { via : slot; addr : int; size : int; nt : bool; v : int }
+  | D_flush of { via : slot; addr : int; opt : bool }
+  | D_fence of slot
+  | D_gpf of slot
+  | D_snapshot of { deep : bool }
+  | D_boot of { strict : bool; seed : int option }
+
+let slot_to_string = function Cur -> "cur" | Snap -> "snap"
+
+let dev_op_to_string = function
+  | D_store { via; addr; size; nt; v } ->
+    Printf.sprintf "%s.%s %d+%d v%d" (slot_to_string via) (if nt then "store_nt" else "store") addr
+      size v
+  | D_flush { via; addr; opt } ->
+    Printf.sprintf "%s.%s %d" (slot_to_string via) (if opt then "clflush" else "clwb") addr
+  | D_fence via -> slot_to_string via ^ ".sfence"
+  | D_gpf via -> slot_to_string via ^ ".gpf"
+  | D_snapshot { deep } -> if deep then "deep_snapshot" else "snapshot"
+  | D_boot { strict; seed } ->
+    Printf.sprintf "boot %s"
+      (match seed with
+      | Some s -> Printf.sprintf "randomized %d" s
+      | None -> if strict then "strict" else "full")
+
+(* Two regions, each across a page boundary, so lines and pages split
+   ranges and a randomized crash orders lines across pages. *)
+let model_windows = [ (8000, 600); (20380, 360) ]
+
+let model_op_gen =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (3, map (fun i -> 8192 - 192 + i) (int_bound 383)); (1, map (fun i -> 20480 - 100 + i) (int_bound 159)) ]
+  in
+  let size = frequency [ (4, oneofl [ 1; 2; 4; 8; 8; 16 ]); (2, int_range 1 64); (1, int_range 65 200) ] in
+  let via = frequency [ (3, return Cur); (1, return Snap) ] in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun (via, nt) (addr, size) v -> D_store { via; addr; size; nt; v })
+          (pair via (frequency [ (3, return false); (1, return true) ]))
+          (pair addr size)
+          (* few values, so a store often rewrites what is already there *)
+          (frequency [ (1, int_bound 3); (1, int_bound 255) ]) );
+      (4, map3 (fun via addr opt -> D_flush { via; addr; opt }) via addr bool);
+      (2, map (fun v -> D_fence v) via);
+      (1, map (fun v -> D_gpf v) via);
+      (1, map (fun deep -> D_snapshot { deep }) bool);
+      ( 1,
+        map2
+          (fun strict seed -> D_boot { strict; seed })
+          bool
+          (frequency [ (2, return None); (1, map Option.some (int_bound 1000)) ]) );
+    ]
+
+let devices_agree ops =
+  let live0 = Image.live_bytes () in
+  let cur = ref (Device.create (), Model.create ()) in
+  let snap = ref None in
+  let ranges = ref [] in
+  let target = function Snap -> Option.value !snap ~default:!cur | Cur -> !cur in
+  let release_pair (d, m) =
+    Device.release d;
+    Model.release m
+  in
+  let same_crash what (d, m) mode_d mode_m =
+    let id = Device.crash d mode_d and im = Model.crash m mode_m in
+    let ok =
+      List.for_all (fun (lo, n) -> Bytes.equal (Image.read id lo n) (Image.read im lo n)) model_windows
+    in
+    Image.release id;
+    Image.release im;
+    if ok then None else Some (what ^ " crash image")
+  in
+  let compare_pair i (d, m) =
+    let rng () = Xfd_util.Rng.create (Int64.of_int (1000 + i)) in
+    let checks =
+      [
+        (if Device.dirty_bytes d = Model.dirty_bytes m then None
+         else Some (Printf.sprintf "dirty %d vs %d" (Device.dirty_bytes d) (Model.dirty_bytes m)));
+        (if Device.pending_bytes d = Model.pending_bytes m then None
+         else
+           Some (Printf.sprintf "pending %d vs %d" (Device.pending_bytes d) (Model.pending_bytes m)));
+        same_crash "Strict" (d, m) Device.Strict Device.Strict;
+        same_crash "Full" (d, m) Device.Full Device.Full;
+        same_crash "Randomized" (d, m) (Device.Randomized (rng ())) (Device.Randomized (rng ()));
+        List.find_map
+          (fun (a, n) ->
+            if Device.is_persisted_range d a n = Model.is_persisted_range m a n then None
+            else Some (Printf.sprintf "is_persisted_range %d+%d" a n))
+          !ranges;
+      ]
+    in
+    List.find_map Fun.id checks
+  in
+  let step i op =
+    match op with
+    | D_store { via; addr; size; nt; v } ->
+      let bytes = Bytes.init size (fun k -> Char.chr ((v + (k * 7)) land 0xff)) in
+      let d, m = target via in
+      if nt then begin
+        Device.store_nt d addr bytes;
+        Model.store_nt m addr bytes
+      end
+      else begin
+        Device.store d addr bytes;
+        Model.store m addr bytes
+      end;
+      if not (List.mem (addr, size) !ranges) then ranges := (addr, size) :: !ranges
+    | D_flush { via; addr; opt } ->
+      let d, m = target via in
+      if opt then Device.clflush d addr else Device.clwb d addr;
+      Model.clwb m addr
+    | D_fence via ->
+      let d, m = target via in
+      Device.sfence d;
+      Model.sfence m
+    | D_gpf via ->
+      let d, m = target via in
+      Device.gpf d;
+      Model.gpf m
+    | D_snapshot { deep } ->
+      let d, m = !cur in
+      Option.iter release_pair !snap;
+      snap := Some ((if deep then Device.deep_snapshot d else Device.snapshot d), Model.snapshot m)
+    | D_boot { strict; seed } ->
+      let d, m = !cur in
+      let mode () =
+        match seed with
+        | Some s -> Device.Randomized (Xfd_util.Rng.create (Int64.of_int (s + i)))
+        | None -> if strict then Device.Strict else Device.Full
+      in
+      let id = Device.crash d (mode ()) and im = Model.crash m (mode ()) in
+      release_pair !cur;
+      cur := (Device.boot id, Model.boot im);
+      Image.release id;
+      Image.release im
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest -> (
+      step i op;
+      let failure =
+        match compare_pair i !cur with
+        | Some e -> Some ("cur: " ^ e)
+        | None -> Option.bind !snap (fun p -> Option.map (fun e -> "snap: " ^ e) (compare_pair i p))
+      in
+      match failure with
+      | Some e -> Error (Printf.sprintf "after op %d (%s): %s" i (dev_op_to_string op) e)
+      | None -> go (i + 1) rest)
+  in
+  let result = go 0 ops in
+  release_pair !cur;
+  Option.iter release_pair !snap;
+  match result with
+  | Error _ -> result
+  | Ok () ->
+    if Image.live_bytes () = live0 then Ok ()
+    else Error (Printf.sprintf "chunk bytes %d after release, %d before" (Image.live_bytes ()) live0)
+
+(* No [long_factor] here: the nightly job sets QCHECK_LONG_FACTOR. *)
+let device_model_prop =
+  QCheck.Test.make ~count:200 ~name:"device answers as the per-byte model, snapshots and boots included"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map dev_op_to_string ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) model_op_gen))
+    (fun ops ->
+      match devices_agree ops with Ok () -> true | Error msg -> QCheck.Test.fail_report msg)
+
+let check_devices_agree ops =
+  match devices_agree ops with Ok () -> () | Error msg -> Alcotest.fail msg
+
+let device_model_tests =
+  [
+    Tu.case "model agreement: a flush, a later store and a GPF across a page boundary" (fun () ->
+        check_devices_agree
+          [
+            D_store { via = Cur; addr = 8150; size = 100; nt = false; v = 1 };
+            D_flush { via = Cur; addr = 8190; opt = false };
+            D_store { via = Cur; addr = 8180; size = 30; nt = false; v = 2 };
+            D_snapshot { deep = false };
+            D_gpf Cur;
+            D_store { via = Snap; addr = 8185; size = 20; nt = true; v = 3 };
+            D_flush { via = Snap; addr = 8192; opt = true };
+            D_fence Snap;
+            D_boot { strict = true; seed = None };
+          ]);
+    Tu.case "model agreement: a randomized crash draws for lines in address order" (fun () ->
+        check_devices_agree
+          [
+            D_store { via = Cur; addr = 20500; size = 8; nt = false; v = 4 };
+            D_store { via = Cur; addr = 20400; size = 8; nt = false; v = 7 };
+            D_store { via = Cur; addr = 8000; size = 8; nt = true; v = 5 };
+            D_store { via = Cur; addr = 8300; size = 70; nt = false; v = 6 };
+            D_store { via = Cur; addr = 8100; size = 150; nt = false; v = 8 };
+            D_flush { via = Cur; addr = 8320; opt = false };
+            D_boot { strict = false; seed = Some 17 };
+          ]);
+  ]
+  @ [ QCheck_alcotest.to_alcotest device_model_prop ]
+
 let suite =
   [
     ("mem.addr", addr_tests);
@@ -354,4 +579,5 @@ let suite =
     ("mem.device", device_tests);
     ("mem.image_only", image_only_tests);
     ("mem.recycle", recycle_tests);
+    ("mem.device_model", device_model_tests);
   ]
