@@ -56,15 +56,20 @@ let run_mechanisms () =
   E.Mechanisms_exp.print rows;
   Printf.printf "all mechanism verdicts as expected: %b\n" (E.Mechanisms_exp.all_ok rows)
 
-(* ---- deep-copy vs CoW snapshotting (the O(delta) representation) ----
+(* ---- the failure-point capture path ----
 
-   Replicates the engine's snapshot pattern at growing image sizes: F
-   failure points, each preceded by a small persisted delta, every snapshot
-   held until the end (the legacy lifetime).  The deep baseline copies both
-   images eagerly per point — O(F x image) time and peak memory; CoW shares
-   chunks and copies only the cache-state delta, so both columns should
-   stay flat as the image grows.  Results go to BENCH_snapshots.json so
-   later changes have a perf trajectory to compare against. *)
+   Replicates what [Engine.detect] does with a failure point's copy of the
+   PM image, at growing image sizes: F failure points, each after one
+   persisted line, each [capture]d as it fires and held until the post
+   runs, as the pre-failure stage holds them; then, per capture,
+   [boot_image_only], release the capture, one post store into a chunk
+   the live device still shares (a CoW fault), and release the post
+   device.  Copy-on-write keeps [peak_bytes] flat as the image grows;
+   [wall_s] grows with the chunk table each capture and boot copies.
+   [cow_faults] and [snapshot_bytes] are deterministic (F - 1 faults of
+   the live device plus one per post store; no eager copy).  bench_diff
+   gates them and [peak_bytes], and reports [wall_s].  Results go to
+   BENCH_snapshots.json. *)
 
 let snapshot_bench_out = "BENCH_snapshots.json"
 
@@ -74,7 +79,7 @@ let run_snapshot_bench () =
   let base = Xfd_mem.Addr.pool_base in
   let points = 32 in
   let counter name = Option.value ~default:0 (Xfd_obs.Obs.counter_value name) in
-  let measure ~chunks ~snapf =
+  let measure ~chunks =
     let dev = Device.create () in
     for i = 0 to chunks - 1 do
       Device.store_i64 dev (base + (i * Image.chunk_size)) (Int64.of_int i);
@@ -83,47 +88,52 @@ let run_snapshot_bench () =
     Device.sfence dev;
     Image.reset_peak ();
     let live0 = Image.live_bytes () in
+    let faults0 = counter "pm.cow_faults" in
     let copied0 = counter "pm.snapshot_bytes" in
     let t0 = Unix.gettimeofday () in
-    let snaps = ref [] in
+    let captures = ref [] in
     for p = 0 to points - 1 do
       (* the delta an ordering point typically leaves: one persisted line *)
       Device.store_i64 dev (base + (p * 64)) (Int64.of_int (p + 1));
       Device.clwb dev (base + (p * 64));
       Device.sfence dev;
-      snaps := snapf dev :: !snaps
+      captures := Device.capture dev Device.Full :: !captures
     done;
+    List.iter
+      (fun img ->
+        let post = Device.boot_image_only img in
+        Image.release img;
+        Device.store_i64 post (base + ((chunks - 1) * Image.chunk_size)) (-1L);
+        Device.release post)
+      (List.rev !captures);
     let wall = Unix.gettimeofday () -. t0 in
     let peak = Image.peak_bytes () - live0 in
+    let faults = counter "pm.cow_faults" - faults0 in
     let copied = counter "pm.snapshot_bytes" - copied0 in
-    List.iter Device.release !snaps;
     Device.release dev;
-    (wall, peak, copied)
+    (wall, peak, faults, copied)
   in
   let sizes = [ 16; 64; 256; 1024 ] in
-  Printf.printf "\n== Snapshotting: deep-copy baseline vs CoW (%d failure points) ==\n" points;
-  Printf.printf "%-12s %28s   %28s\n" "" "deep copy" "copy-on-write";
-  Printf.printf "%-12s %9s %9s %8s   %9s %9s %8s\n" "image" "wall" "peak" "copied" "wall"
-    "peak" "copied";
+  Printf.printf
+    "\n== Failure-point capture + boot_image_only + one CoW write (%d failure points) ==\n"
+    points;
+  Printf.printf "%-12s %9s %9s %10s %8s\n" "image" "wall" "peak" "cow_faults" "copied";
   let rows =
     List.map
       (fun chunks ->
-        let dw, dp, dc = measure ~chunks ~snapf:Device.deep_snapshot in
-        let cw, cp, cc = measure ~chunks ~snapf:Device.snapshot in
+        let wall, peak, faults, copied = measure ~chunks in
         let kib b = Printf.sprintf "%dK" (b / 1024) in
-        Printf.printf "%-12s %8.2fms %9s %8s   %8.2fms %9s %8s\n"
+        Printf.printf "%-12s %7.2fms %9s %10d %8s\n"
           (kib (chunks * Image.chunk_size))
-          (1000.0 *. dw) (kib dp) (kib dc) (1000.0 *. cw) (kib cp) (kib cc);
+          (1000.0 *. wall) (kib peak) faults (kib copied);
         let open Xfd_util.Json in
         Obj
           [
             ("image_bytes", Int (chunks * Image.chunk_size));
-            ( "deep",
-              Obj [ ("wall_s", Float dw); ("peak_bytes", Int dp); ("snapshot_bytes", Int dc) ]
-            );
-            ( "cow",
-              Obj [ ("wall_s", Float cw); ("peak_bytes", Int cp); ("snapshot_bytes", Int cc) ]
-            );
+            ("wall_s", Float wall);
+            ("peak_bytes", Int peak);
+            ("cow_faults", Int faults);
+            ("snapshot_bytes", Int copied);
           ])
       sizes
   in
@@ -131,7 +141,7 @@ let run_snapshot_bench () =
     Xfd_util.Json.Obj
       [
         ("type", Xfd_util.Json.Str "BENCH_snapshots");
-        ("schema_version", Xfd_util.Json.Int 1);
+        ("schema_version", Xfd_util.Json.Int 2);
         ("failure_points", Xfd_util.Json.Int points);
         ("rows", Xfd_util.Json.Arr rows);
       ]
@@ -156,10 +166,7 @@ let run_snapshot_bench () =
    files with per-class tolerances; CI additionally gates the
    incremental/fresh wall-clock speedup and replay fraction computed
    from the engine sub-objects — both engines run on the same host, so
-   those ratios are machine-independent.
-
-   "detect --engine incremental|fresh" measures one engine only (table
-   output, no JSON: the baseline schema wants both sub-objects). *)
+   those ratios are machine-independent. *)
 
 let detect_bench_out = "BENCH_detect.json"
 
@@ -223,12 +230,10 @@ let lint_bench_rows () =
 
 let run_lint_bench () = ignore (lint_bench_rows ())
 
-let run_detect_bench ?engine_filter () =
+let run_detect_bench () =
   let open Xfd_util.Json in
   let counter name = Option.value ~default:0 (Xfd_obs.Obs.counter_value name) in
-  let engines =
-    match engine_filter with Some e -> [ e ] | None -> [ `Incremental; `Fresh ]
-  in
+  let engines = [ `Incremental; `Fresh ] in
   let measure engine program =
     let config = { Xfd.Config.default with Xfd.Config.engine } in
     ignore (Xfd.Engine.detect ~config program);
@@ -321,25 +326,20 @@ let run_detect_bench ?engine_filter () =
               runs))
       (detect_workloads ())
   in
-  match engine_filter with
-  | Some e ->
-    Printf.printf "(single-engine run: %s; baseline %s not written)\n" (engine_name e)
-      detect_bench_out
-  | None ->
-    let json =
-      Obj
-        [
-          ("type", Str "BENCH_detect");
-          ("schema_version", Int 3);
-          ("rows", Arr rows);
-          ("lint", Arr (lint_bench_rows ()));
-        ]
-    in
-    let oc = open_out detect_bench_out in
-    output_string oc (Xfd_util.Json.to_string_pretty json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "(written to %s)\n" detect_bench_out
+  let json =
+    Obj
+      [
+        ("type", Str "BENCH_detect");
+        ("schema_version", Int 3);
+        ("rows", Arr rows);
+        ("lint", Arr (lint_bench_rows ()));
+      ]
+  in
+  let oc = open_out detect_bench_out in
+  output_string oc (Xfd_util.Json.to_string_pretty json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "(written to %s)\n" detect_bench_out
 
 (* ---- bechamel microbenchmarks of the hot paths ---- *)
 
@@ -392,7 +392,8 @@ let microbenches () =
     done;
     t
   in
-  let snapshot_dev =
+  (* A device with 8 KiB of stores, as a failure point finds it. *)
+  let capture_dev =
     let d = Xfd_mem.Pm_device.create () in
     for i = 0 to 1023 do
       Xfd_mem.Pm_device.store_i64 d (base + (8 * i)) (Int64.of_int i)
@@ -431,12 +432,13 @@ let microbenches () =
              Xfd.Detector.replay f recover_trace ~from:0
                ~upto:(Xfd_trace.Trace.length recover_trace);
              Xfd.Detector.rewind f));
-      Test.make ~name:"frontend: CoW device snapshot (8 KiB touched)"
+      Test.make ~name:"capture + boot_image_only + one CoW write"
         (Staged.stage (fun () ->
-             Xfd_mem.Pm_device.release (Xfd_mem.Pm_device.snapshot snapshot_dev)));
-      Test.make ~name:"frontend: deep device snapshot (8 KiB touched)"
-        (Staged.stage (fun () ->
-             Xfd_mem.Pm_device.release (Xfd_mem.Pm_device.deep_snapshot snapshot_dev)));
+             let img = Xfd_mem.Pm_device.capture capture_dev Xfd_mem.Pm_device.Full in
+             let post = Xfd_mem.Pm_device.boot_image_only img in
+             Xfd_mem.Image.release img;
+             Xfd_mem.Pm_device.store_i64 post base (-1L);
+             Xfd_mem.Pm_device.release post));
       Test.make ~name:"end-to-end: detect one btree insert"
         (Staged.stage (fun () ->
              ignore (Xfd.Engine.detect (Xfd_workloads.Btree.program ~init_size:1 ~size:1 ()))));
@@ -471,17 +473,6 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
   let args = List.filter (fun a -> a <> "--full") args in
-  let engine_arg, args = extract_flag "--engine" [] args in
-  let engine_filter =
-    Option.map
-      (function
-        | "incremental" -> `Incremental
-        | "fresh" -> `Fresh
-        | other ->
-          Printf.eprintf "bench: --engine wants incremental|fresh (got %S)\n" other;
-          exit 2)
-      engine_arg
-  in
   let metrics_out, args = extract_flag "--metrics-out" [] args in
   let trace_out, args = extract_flag "--trace-out" [] args in
   let pulse_port, args = extract_flag "--pulse-port" [] args in
@@ -526,7 +517,7 @@ let () =
   | "parallel" -> run_parallel ()
   | "mtsweep" -> run_mtsweep ()
   | "snapshots" -> run_snapshot_bench ()
-  | "detect" -> run_detect_bench ?engine_filter ()
+  | "detect" -> run_detect_bench ()
   | "lint" -> run_lint_bench ()
   | "micro" -> microbenches ()
   | "all" ->

@@ -285,9 +285,8 @@ let run_cmd =
       value & flag
       & info [ "lint-guided" ]
           ~doc:
-            "Lint the pre-failure trace first and post-execute statically suspicious \
-             failure points before clean ones.  Scheduling only: the verdict set is \
-             identical to the default order.")
+            "Lint the pre-failure trace first and print the lint report before the \
+             detection result.  The verdicts are those of a run without it.")
   in
   let progress =
     Arg.(

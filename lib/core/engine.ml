@@ -113,7 +113,7 @@ let run_post ~config ~dev ~post ~trace =
    ordinal [k] is captured and post-executed — the single-failure-point
    oracle entry behind [detect_at], used by the fuzzer's shrinker and corpus
    replay to re-check one verdict cheaply. *)
-let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
+let detect_gen ?only ?on_progress ?(config = Config.default) program =
   Config.validate config;
   Obs.Counter.incr c_runs;
   Xfd_mem.Image.reset_peak ();
@@ -185,11 +185,11 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         in
         (* The crash image of the current trace position, captured as the
            failure point fires: one CoW chunk-table copy, no eager byte
-           copy.  It is the image a later crash of a device snapshot would
-           give, since a crash image depends only on the device state at
-           this instant.  [fired] counts every failure point a full run
-           would capture, so ordinals are stable whether or not [only]
-           filters the actual captures. *)
+           copy.  It is the copy of the PM image a recovery runs on (Fig.
+           7); a crash image depends only on the device state at this
+           instant, so nothing else of the device is kept.  [fired] counts
+           every failure point a full run would capture, so ordinals are
+           stable whether or not [only] filters the actual captures. *)
         let record_snapshot () =
           (match only with
           | Some k when k <> !fired -> ()
@@ -257,15 +257,14 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         let post_events = ref 0 in
         (* One post-failure execution per failure point.  The executions are
            independent (each runs on its own copy of the PM image).  On the
-           streamed path (one job, no [priority]) each runs when the replay
-           loop below reaches its failure point, recording into one post
-           trace that is emptied before each run, so a detect keeps one
-           post trace alive instead of one per point.  With post_jobs > 1
-           they run up front on a small domain pool — the parallelisation
-           the paper leaves as future work — each into its own trace, and a
-           [priority] hook orders that batch.  Trace replay and checking
-           stay sequential either way: the backend's shadow forks off the
-           incrementally-advanced pre-failure state. *)
+           streamed path (one job) each runs when the replay loop below
+           reaches its failure point, recording into one post trace that
+           is emptied before each run, so a detect keeps one post trace
+           alive instead of one per point.  With post_jobs > 1 they run up
+           front on a small domain pool — the parallelisation the paper
+           leaves as future work — each into its own trace.  Trace replay
+           and checking stay sequential either way: the backend's shadow
+           forks off the incrementally-advanced pre-failure state. *)
         let run_one s ~trace =
           Flight.record ~level:Flight.Debug "fp.started"
             [ ("failure_point", Xfd_util.Json.Int s.index) ];
@@ -290,7 +289,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
         in
         let n = List.length snapshots in
         let jobs = max 1 (min config.Config.post_jobs n) in
-        let streamed = jobs = 1 && Option.is_none priority in
+        let streamed = jobs = 1 in
         let progress_done = Atomic.make 0 in
         let run_one s ~trace =
           let r = run_one s ~trace in
@@ -302,28 +301,6 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
           if streamed then [||]
           else
             Obs.Span.with_ ~name:sp_post_exec (fun () ->
-                (* Execution order of the post-failure runs.  The runs are
-                   independent (each on its own image copy) and results are
-                   re-associated with their snapshot by slot below, while
-                   replay stays in trace order — so a [priority] hook
-                   reorders work (highest score first, ties keep
-                   failure-point order) without being able to change the
-                   verdict set.  A hook that raises or returns the wrong
-                   arity is ignored. *)
-                let perm =
-                  let identity = Array.init n (fun i -> i) in
-                  match priority with
-                  | None -> identity
-                  | Some f -> (
-                    match f (List.map (fun s -> (s.index, s.trace_pos)) snapshots) with
-                    | exception _ -> identity
-                    | scores when List.length scores = n ->
-                      let scores = Array.of_list scores in
-                      let order = Array.init n (fun i -> i) in
-                      Array.stable_sort (fun a b -> compare scores.(b) scores.(a)) order;
-                      order
-                    | _ -> identity)
-                in
                 let input = Array.of_list snapshots in
                 let output = Array.make n None in
                 let next = Atomic.make 0 in
@@ -334,12 +311,11 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
                   let rec go () =
                     let k = Atomic.fetch_and_add next 1 in
                     if k < n then begin
-                      let i = perm.(k) in
-                      output.(i) <-
+                      output.(k) <-
                         Some
                           (try
                              let trace = Trace.create () in
-                             Ok (trace, run_one input.(i) ~trace)
+                             Ok (trace, run_one input.(k) ~trace)
                            with e -> Error (e, Printexc.get_raw_backtrace ()));
                       go ()
                     end
@@ -497,8 +473,7 @@ let detect_gen ?only ?priority ?on_progress ?(config = Config.default) program =
     coverage = Xfd_forensics.Coverage.since cov_mark;
   }
 
-let detect ?config ?priority ?on_progress program =
-  detect_gen ?config ?priority ?on_progress program
+let detect ?config ?on_progress program = detect_gen ?config ?on_progress program
 
 let detect_at ?config ~failure_point program =
   detect_gen ~only:failure_point ?config program

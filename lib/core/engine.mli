@@ -11,7 +11,7 @@
     breakdown used by the Figure 12/13 experiments.
 
     When a post-failure execution runs depends on the path:
-    - {b Streamed} ([post_jobs = 1], no [priority]; also {!detect_at}):
+    - {b Streamed} ([post_jobs = 1]; also {!detect_at}):
       the replay loop visits the failure points in trace order and runs
       each point's post execution when it reaches the point, right before
       that point's replay.  Every run records into one post trace per
@@ -22,10 +22,10 @@
       ["post_exec"] span around its ["post_run"].  A fatal exception in
       the run at point [k] aborts the detect after points [0 .. k-1] were
       replayed.
-    - {b Batch} ([post_jobs > 1], or a [priority] hook): every post
-      execution runs up front, on the domain pool and in priority order,
-      each into a trace of its own, inside one ["post_exec"] span; then
-      the same replay loop consumes the traces in trace order.
+    - {b Batch} ([post_jobs > 1]): every post execution runs up front,
+      on the domain pool, each into a trace of its own, inside one
+      ["post_exec"] span; then the same replay loop consumes the traces
+      in trace order.
     On both paths [timings.post_exec] is the total of the ["post_exec"]
     spans, that is of all post executions, and there is one ["post_run"]
     span per failure point.  Verdicts do not depend on the path. *)
@@ -89,7 +89,6 @@ type outcome = {
     joined). *)
 val detect :
   ?config:Config.t ->
-  ?priority:((int * int) list -> int list) ->
   ?on_progress:(progress -> unit) ->
   program ->
   outcome
@@ -100,16 +99,6 @@ val detect :
     anything it raises is swallowed.  With [config.post_jobs > 1] it runs
     on whichever worker domain finished the run, so it must be
     domain-safe (the CLI's renderer serializes with a mutex). *)
-
-(** When [priority] is given, it receives the fired failure points as
-    [(ordinal, trace position)] pairs in trace order and returns one score
-    per point; post-failure executions then run highest-score first (ties
-    keep failure-point order).  Scheduling only: every point still runs,
-    replay stays in trace order, reports keep failure-point order — the
-    outcome is identical to the default order (the post-failure runs are
-    independent, each on its own image copy).  A hook that raises or
-    returns a list of the wrong length is ignored.  {!Xfd_lint} uses this
-    to post-execute statically suspicious windows first. *)
 
 (** [detect_at ~failure_point program] is the single-failure-point oracle
     entry: the pipeline runs exactly as {!detect} — failure points are

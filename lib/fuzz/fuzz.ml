@@ -357,7 +357,7 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
         else Hashtbl.replace seen_sigs s ()
       end;
       (* Static-miss harvest: a real race the linter did not anticipate is
-         exactly the evidence behind prioritize-not-prune — shrink and keep
+         exactly the evidence against pruning by lint — shrink and keep
          it (small per-run cap; saving re-evaluates lint + detection). *)
       if keys <> [] && List.exists Report.is_race o.Xfd.Engine.unique_bugs then begin
         let missed = missed_race_keys (lint_of p) o in

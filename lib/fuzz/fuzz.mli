@@ -37,9 +37,8 @@
     Programs with a dynamically-confirmed race that no lint finding
     anticipates (per {!Xfd_lint.Lint.triage_of}) are counted in
     [lint_misses] and the first few distinct ones are shrunk into the
-    corpus too.  Such misses are by design — they are the evidence behind
-    lint-guided {e prioritization} (never pruning) of failure points — so
-    they do not fail the run. *)
+    corpus too.  Such misses are by design — they are the evidence for
+    never pruning failure points by lint — so they do not fail the run. *)
 
 type cfg = {
   seed : int;

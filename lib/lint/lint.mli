@@ -15,9 +15,9 @@
     The linter is deliberately {e unsound as a filter} — a clean lint does
     not prove the absence of cross-failure bugs (a fence skipped between two
     later-refenced stores leaves no end-state evidence, yet opens a real
-    race window).  It is therefore used to {e prioritize} failure points,
-    never to prune them, and {!triage_of} quantifies exactly what it would have
-    missed by cross-checking against the dynamic detector. *)
+    race window).  It therefore never prunes or steers failure points, and
+    {!triage_of} quantifies exactly what it would have missed by
+    cross-checking against the dynamic detector. *)
 
 (** Everything the linter can complain about. *)
 type rule =
@@ -175,18 +175,11 @@ type triage = {
     precision/recall table. *)
 val triage_of : program:string -> report -> Xfd.Engine.outcome -> triage
 
-(** {1 Lint-guided failure-point scheduling} *)
+(** {1 Lint, then detect} *)
 
-(** Priority function for {!Xfd.Engine.detect}'s [?priority] argument:
-    scores each failure point by the number of lint findings whose firing
-    event falls in the trace window since the previous failure point
-    (end-of-trace findings score the final point).  Points with findings in
-    their window are post-executed first; the verdict {e set} is unchanged
-    by construction — scheduling reorders work, it never skips any. *)
-val priority_of : report -> (int * int) list -> int list
-
-(** [check_prog] then [Xfd.Engine.detect ~priority:(priority_of report)]:
-    lint findings steer which failure points are post-executed first. *)
+(** [check_prog], then {!Xfd.Engine.detect} on the same program and
+    configuration: the lint report and the detection outcome side by
+    side, as [xfd run --lint-guided] prints them. *)
 val detect_guided :
   ?config:Xfd.Config.t ->
   ?on_progress:(Xfd.Engine.progress -> unit) ->

@@ -159,16 +159,6 @@ let snapshot t =
     t.chunks;
   { chunks; footprint = t.footprint }
 
-let deep_copy t =
-  let chunks = Hashtbl.create (max 16 (Hashtbl.length t.chunks)) in
-  Hashtbl.iter
-    (fun idx c ->
-      let mine = fresh_chunk () in
-      Bytes.blit c.data 0 mine.data 0 chunk_size;
-      Hashtbl.replace chunks idx mine)
-    t.chunks;
-  { chunks; footprint = t.footprint }
-
 let release t =
   Hashtbl.iter (fun _ c -> release_chunk c) t.chunks;
   Hashtbl.reset t.chunks;
@@ -179,12 +169,6 @@ let shared_bytes t =
     (fun _ c acc -> if Atomic.get c.refs > 1 then acc + chunk_size else acc)
     t.chunks 0
 
-let copy_range ~src ~dst addr size = write dst addr (read src addr size)
 let footprint t = t.footprint
 let equal_range a b addr size = Bytes.equal (read a addr size) (read b addr size)
 
-let iter_chunks t f =
-  let idxs = Hashtbl.fold (fun idx _ acc -> idx :: acc) t.chunks [] in
-  List.iter
-    (fun idx -> f (idx lsl chunk_bits) (Hashtbl.find t.chunks idx).data)
-    (List.sort Int.compare idxs)

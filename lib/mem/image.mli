@@ -5,12 +5,14 @@
     pool mapped at [Addr.pool_base] costs memory proportional to the bytes
     actually touched.  Unwritten bytes read as zero, like a fresh DAX file.
 
-    Chunks are structurally shared: {!snapshot} copies only the chunk table
-    and bumps per-chunk refcounts, so it is O(chunks touched), not O(bytes).
-    A chunk referenced by more than one image is immutable; the first write
-    through any of its owners takes a private copy (copy-on-write), so
-    mutations of either side stay invisible to the other, exactly as with a
-    deep copy.  Refcounts are atomic: images whose tables are private to one
+    Chunks are structurally shared: {!snapshot}, the image's only copy
+    operation, copies the chunk table and bumps per-chunk refcounts, so it
+    is O(chunks touched), not O(bytes).  A chunk referenced by more than
+    one image is immutable; the first write through any of its owners
+    takes a private copy (copy-on-write), so mutations of either side stay
+    invisible to the other, exactly as with a deep copy.  Every crash
+    image, failure-point capture and booted device is such a snapshot.
+    Refcounts are atomic: images whose tables are private to one
     domain may share chunks across domains (the engine's post-failure
     worker pool relies on this). *)
 
@@ -48,12 +50,6 @@ val write_i64 : t -> Addr.t -> int64 -> unit
     each shared chunk. *)
 val snapshot : t -> t
 
-(** Eager deep copy: every chunk's bytes are duplicated up front.  This is
-    the legacy snapshot representation, kept as the baseline for the
-    snapshotting benchmarks and as the oracle for the CoW equivalence
-    tests. *)
-val deep_copy : t -> t
-
 (** Drop this image's references to its chunks (the image then reads as all
     zeroes).  Releasing is optional — the GC reclaims unreachable images —
     but it keeps the process-wide {!live_bytes} accounting exact and frees
@@ -65,9 +61,6 @@ val release : t -> unit
     image (i.e. not yet privately copied). *)
 val shared_bytes : t -> int
 
-(** [copy_range ~src ~dst addr size] copies a byte range between images. *)
-val copy_range : src:t -> dst:t -> Addr.t -> int -> unit
-
 (** Number of bytes ever written (an upper bound on live data; used by the
     engine to size shadow structures and report image footprint).  Shared
     chunks count fully — this is the per-image logical footprint, not the
@@ -76,11 +69,6 @@ val footprint : t -> int
 
 (** [equal_range a b addr size] compares a byte range across two images. *)
 val equal_range : t -> t -> Addr.t -> int -> bool
-
-(** Iterate over every chunk that has been materialised, in address order.
-    [f base chunk] receives the base address and the chunk's bytes.  The
-    bytes may be shared with other images: treat them as read-only. *)
-val iter_chunks : t -> (Addr.t -> bytes -> unit) -> unit
 
 (** {1 Process-wide chunk accounting}
 

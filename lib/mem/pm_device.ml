@@ -1,7 +1,7 @@
 module Obs = Xfd_obs.Obs
 
 (* Device-level telemetry: every simulated hardware operation counts here,
-   whichever layer drives it (frontend, engine snapshots, offline boot). *)
+   whichever layer drives it (frontend, failure-point captures, offline boot). *)
 let c_loads = Obs.Counter.make "pm.loads"
 let c_load_bytes = Obs.Counter.make "pm.load_bytes"
 let c_stores = Obs.Counter.make "pm.stores"
@@ -10,7 +10,11 @@ let c_nt_stores = Obs.Counter.make "pm.nt_stores"
 let c_flushes = Obs.Counter.make "pm.flushes"
 let c_fences = Obs.Counter.make "pm.fences"
 let c_snapshots = Obs.Counter.make "pm.snapshots"
-let c_snapshot_bytes = Obs.Counter.make "pm.snapshot_bytes"
+
+(* The bytes failure-point snapshots copy eagerly.  A [capture] copies
+   none, so this stays 0; it is registered because the metrics summary,
+   the dashboard and the CI snapshot budget read it. *)
+let (_ : Obs.Counter.t) = Obs.Counter.make "pm.snapshot_bytes"
 let c_snapshot_shared_bytes = Obs.Counter.make "pm.snapshot_shared_bytes"
 let h_snapshot_bytes = Obs.Histogram.make "pm.snapshot_bytes_per_snapshot"
 let c_crashes = Obs.Counter.make "pm.crashes"
@@ -437,56 +441,6 @@ let boot img =
 let boot_image_only img =
   Obs.Counter.incr c_boots;
   device (Image.snapshot img) None
-
-(* A copy holds only the pages with dirty or pending bytes, so a snapshot
-   costs O(pages touched) checks plus O(cache state) copies. *)
-let copy_cache copy_image c =
-  let c' = new_cache (copy_image c.persisted) in
-  for k = 0 to c.n_pages - 1 do
-    let p = c.pages.(k) in
-    if p.dirty_n + p.pending_n > 0 then begin
-      let q = own_page c' p.base in
-      Array.blit p.dirty_w 0 q.dirty_w 0 words_per_page;
-      Array.blit p.pending_w 0 q.pending_w 0 words_per_page;
-      q.dirty_n <- p.dirty_n;
-      q.pending_n <- p.pending_n
-    end
-  done;
-  c'.dirty <- c.dirty;
-  c'.pending <- c.pending;
-  for k = 0 to c.n_lines - 1 do
-    Bytes.blit c.captured (k * line_size) c'.captured
-      (line_slot c' c.line_addr.(k) * line_size)
-      line_size
-  done;
-  c'
-
-let cache_entries t = match t.cache with None -> 0 | Some c -> c.dirty + c.pending
-
-let footprints t =
-  Image.footprint t.img
-  + match t.cache with None -> 0 | Some c -> Image.footprint c.persisted
-
-(* [pm.snapshot_bytes] counts the bytes a snapshot copies *eagerly*: for the
-   CoW [snapshot] it counts the cache state as the dirty plus pending
-   bytes it describes — the images are shared structurally, recorded under
-   [pm.snapshot_shared_bytes] — while [deep_snapshot] still pays for both
-   full images.  The CI smoke test budgets the per-snapshot eager bytes of
-   a detect run, whose snapshots are [capture]s. *)
-let snapshot t =
-  let eager = cache_entries t in
-  Obs.Counter.incr c_snapshots;
-  Obs.Counter.add c_snapshot_bytes eager;
-  Obs.Histogram.observe h_snapshot_bytes eager;
-  Obs.Counter.add c_snapshot_shared_bytes (footprints t);
-  { t with img = Image.snapshot t.img; cache = Option.map (copy_cache Image.snapshot) t.cache }
-
-let deep_snapshot t =
-  let copied = footprints t in
-  Obs.Counter.incr c_snapshots;
-  Obs.Counter.add c_snapshot_bytes copied;
-  Obs.Histogram.observe h_snapshot_bytes copied;
-  { t with img = Image.deep_copy t.img; cache = Option.map (copy_cache Image.deep_copy) t.cache }
 
 let release t =
   Image.release t.img;

@@ -31,7 +31,14 @@
     A device made by {!boot_image_only} has no cache model: no persisted
     layer and no dirty or pending sets.  Its stores, flushes and fences do
     only architectural work, which is all a post-failure run needs (the
-    detector's shadow FSM, not the device, decides what was persisted). *)
+    detector's shadow FSM, not the device, decides what was persisted).
+
+    A device is never copied whole.  What outlives a failure point is its
+    crash image: {!capture} takes it as the point fires (an
+    O(chunk-table) copy-on-write view, see {!Image.snapshot}), and
+    {!boot_image_only} or {!boot} starts a device from it, so a recovery
+    writes to chunks the live device still shares only after a private
+    copy. *)
 
 type t
 
@@ -115,22 +122,6 @@ val boot : Image.t -> t
     {!pending_bytes} stay 0; {!crash} accepts only [Full].  The engine, the
     baselines and the trace tool run every post-failure stage on one. *)
 val boot_image_only : Image.t -> t
-
-(** Copy-on-write snapshot of the whole device: the images are shared
-    structurally (O(chunk-table)) and only the cache state — the page
-    bitmaps and the pending lines' captured values — is copied eagerly
-    ([pm.snapshot_bytes] still counts it as the dirty plus pending
-    bytes).  Mutations
-    of either side are invisible to the other, exactly as with
-    {!deep_snapshot}.  The engine no longer calls it (it {!capture}s the
-    crash image instead); it stays for the tests and the snapshotting
-    benchmark. *)
-val snapshot : t -> t
-
-(** The legacy eager snapshot: deep-copies both images up front.  Kept as
-    the baseline for the snapshotting benchmarks and as the oracle the CoW
-    equivalence tests compare against. *)
-val deep_snapshot : t -> t
 
 (** Drop the device's chunk references and cache state (see
     {!Image.release}).  Optional — GC-safe without it — but keeps the

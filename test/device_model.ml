@@ -99,14 +99,6 @@ let crash t (mode : Xfd_mem.Pm_device.crash_mode) =
 
 let boot img = of_images (Image.snapshot img) (Image.snapshot img)
 
-let snapshot t =
-  {
-    img = Image.snapshot t.img;
-    persisted = Image.snapshot t.persisted;
-    dirty = Hashtbl.copy t.dirty;
-    pending = Hashtbl.copy t.pending;
-  }
-
 let release t =
   Image.release t.img;
   Image.release t.persisted;

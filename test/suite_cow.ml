@@ -1,17 +1,13 @@
-(* Copy-on-write snapshot equivalence: CoW snapshots must be
-   indistinguishable from the legacy eager deep copies — byte-identical
-   crash images in every mode, identical detection verdicts — while copying
-   only the delta.  The oracle is twofold: [Device.deep_snapshot] (the
-   legacy representation) and a replay oracle (a fresh device that re-runs
-   the op prefix, deep by construction). *)
+(* Copy-on-write crash images.  A failure-point capture must equal the
+   crash image of a replay oracle — a fresh device that re-runs the op
+   prefix, deep by construction — in every mode, while the live device
+   keeps mutating; writes to a device booted from it must never leak back;
+   and it copies no byte eagerly. *)
 
-module Ctx = Xfd_sim.Ctx
 module Device = Xfd_mem.Pm_device
 module Image = Xfd_mem.Image
 module Addr = Xfd_mem.Addr
-module Trace = Xfd_trace.Trace
 
-let l = Tu.loc __POS__
 let base = Addr.pool_base
 
 (* The op window spans a chunk boundary so CoW faults hit several chunks. *)
@@ -57,45 +53,30 @@ let image_agrees img d mode =
   Image.release id;
   ok
 
-let crash_agrees a b mode =
-  let ia = Device.crash a mode in
-  let ok = image_agrees ia b mode in
-  Image.release ia;
-  ok
-
-let modes = [ Device.Full; Device.Strict ]
+(* Each mode made afresh, so a [Randomized] one starts from its seed. *)
+let modes =
+  [
+    (fun () -> Device.Full);
+    (fun () -> Device.Strict);
+    (fun () -> Device.Randomized (Xfd_util.Rng.create 7L));
+  ]
 
 let equivalence_props =
   [
     QCheck.Test.make ~count:300
-      ~name:"CoW snapshot + crash equals deep-copy and replay oracles (Full & Strict)"
+      ~name:"CoW snapshot + crash equals the replay oracle (Full, Strict & Randomized captures)"
       script_arb
       (fun (ops, k) ->
         let d = Device.create () in
         List.iter (apply d) (take k ops);
-        let s_cow = Device.snapshot d in
-        let s_deep = Device.deep_snapshot d in
-        (* The engine's failure-point capture: the crash image itself. *)
-        let captured = List.map (fun mode -> (mode, Device.crash d mode)) modes in
+        (* The engine's failure-point capture. *)
+        let captured = List.map (fun mode -> (mode, Device.capture d (mode ()))) modes in
         (* The live device keeps mutating: CoW isolation must hold. *)
         List.iteri (fun i op -> if i >= k then apply d op) ops;
-        (* The replay oracle is deep by construction. *)
         let oracle = Device.create () in
         List.iter (apply oracle) (take k ops);
-        let ok =
-          List.for_all
-            (fun (mode, img) ->
-              crash_agrees s_cow s_deep mode
-              && crash_agrees s_cow oracle mode
-              && image_agrees img s_deep mode
-              && image_agrees img oracle mode)
-            captured
-          && Device.dirty_bytes s_cow = Device.dirty_bytes oracle
-          && Device.pending_bytes s_cow = Device.pending_bytes oracle
-        in
+        let ok = List.for_all (fun (mode, img) -> image_agrees img oracle (mode ())) captured in
         List.iter (fun (_, img) -> Image.release img) captured;
-        Device.release s_cow;
-        Device.release s_deep;
         Device.release oracle;
         Device.release d;
         ok);
@@ -107,10 +88,9 @@ let equivalence_props =
           (fun boot ->
             let d = Device.create () in
             List.iter (apply d) ops;
-            let s = Device.snapshot d in
-            let crash_img = Device.crash s Device.Full in
+            let kept = Device.capture d Device.Full in
+            let crash_img = Device.capture d Device.Full in
             let before = Image.read (Device.image d) base window in
-            let snap_before = Image.read (Device.image s) base window in
             (* A recovery run scribbling over every line of its private image. *)
             let booted = boot crash_img in
             Image.release crash_img;
@@ -121,103 +101,60 @@ let equivalence_props =
             Device.sfence booted;
             let ok =
               Bytes.equal before (Image.read (Device.image d) base window)
-              && Bytes.equal snap_before (Image.read (Device.image s) base window)
+              && Bytes.equal before (Image.read kept base window)
             in
             Device.release booted;
-            Device.release s;
+            Image.release kept;
             Device.release d;
             ok)
           [ Device.boot; Device.boot_image_only ]);
   ]
 
-(* Engine-verdict equivalence: a minimal replica of [Engine.detect]'s
-   per-failure-point pipeline (snapshot at ordering points, crash + boot,
-   recovery run, incremental replay, post fork), parameterised by the
-   snapshot function.  CoW and deep-copy snapshotting must produce the same
-   verdicts on buggy and clean programs alike. *)
-let verdicts_with snapf (p : Xfd.Engine.program) =
-  let dev = Device.create () in
-  let trace = Trace.create () in
-  let snaps = ref [] in
-  let hook _ctx = snaps := (snapf dev, Trace.length trace) :: !snaps in
-  let ctx = Ctx.create ~on_failure_point:hook ~stage:Ctx.Pre_failure ~dev ~trace () in
-  p.Xfd.Engine.setup ctx;
-  (match p.Xfd.Engine.pre ctx with () -> () | exception Ctx.Detection_complete -> ());
-  snaps := (snapf dev, Trace.length trace) :: !snaps;
-  let det = Xfd.Detector.create () in
-  let pre_pos = ref 0 in
-  let keys =
-    List.concat_map
-      (fun (sdev, pos) ->
-        let crash_img = Device.crash sdev Device.Full in
-        let post_dev = Device.boot crash_img in
-        Image.release crash_img;
-        Device.release sdev;
-        let post_trace = Trace.create () in
-        let post_ctx = Ctx.create ~stage:Ctx.Post_failure ~dev:post_dev ~trace:post_trace () in
-        (match p.Xfd.Engine.post post_ctx with
-        | () -> ()
-        | exception Ctx.Detection_complete -> ()
-        | exception _ -> ());
-        Device.release post_dev;
-        Xfd.Detector.replay det trace ~from:!pre_pos ~upto:pos;
-        pre_pos := pos;
-        let fork = Xfd.Detector.fork_for_post det in
-        Xfd.Detector.replay fork post_trace ~from:0 ~upto:(Trace.length post_trace);
-        List.map Xfd.Report.dedup_key (Xfd.Detector.bugs fork))
-      (List.rev !snaps)
-  in
-  Device.release dev;
-  keys
-
-let verdict_cases =
-  let check name program =
-    Tu.case name (fun () ->
-        let cow = verdicts_with Device.snapshot program in
-        let deep = verdicts_with Device.deep_snapshot program in
-        Alcotest.(check (list string)) (name ^ ": verdicts") deep cow)
-  in
-  [
-    check "btree verdicts identical under CoW and deep snapshots"
-      (Xfd_workloads.Btree.program ~init_size:1 ~size:2 ());
-    check "hashmap-atomic verdicts identical under CoW and deep snapshots"
-      (Xfd_workloads.Hashmap_atomic.program ~size:2 ());
-    check "linkedlist (naive recovery) verdicts identical under CoW and deep snapshots"
-      (Xfd_workloads.Linkedlist.program ~size:2 ());
-  ]
-
 (* Unit-level behaviour of the CoW machinery itself. *)
 let cow_unit_tests =
   [
-    Tu.case "snapshot copies only the cache-state delta" (fun () ->
+    Tu.case "snapshot copies only the chunk table: a capture's counters and isolation"
+      (fun () ->
         let d = Device.create () in
         for i = 0 to 99 do
           Device.store_i64 d (base + (i * Image.chunk_size)) 1L;
           Device.clwb d (base + (i * Image.chunk_size))
         done;
         Device.sfence d;
-        Device.store d base (Bytes.of_string "abc") (* 3 dirty bytes *);
-        let before = Option.get (Xfd_obs.Obs.counter_value "pm.snapshot_bytes") in
-        let s = Device.snapshot d in
-        let eager = Option.get (Xfd_obs.Obs.counter_value "pm.snapshot_bytes") - before in
-        Alcotest.(check int) "eager bytes = dirty + pending" 3 eager;
+        Device.store_i64 d base 5L (* 8 dirty bytes: nothing of them is copied *);
+        let counter name = Option.get (Xfd_obs.Obs.counter_value name) in
+        let snaps0 = counter "pm.snapshots"
+        and eager0 = counter "pm.snapshot_bytes"
+        and shared0 = counter "pm.snapshot_shared_bytes" in
+        let img = Device.capture d Device.Full in
+        Alcotest.(check int) "one snapshot" 1 (counter "pm.snapshots" - snaps0);
+        Alcotest.(check int) "no eager bytes" 0 (counter "pm.snapshot_bytes" - eager0);
+        Alcotest.(check int)
+          "shared bytes = the capture's footprint" (Image.footprint img)
+          (counter "pm.snapshot_shared_bytes" - shared0);
         Alcotest.(check bool)
-          "images fully shared" true
-          (Image.shared_bytes (Device.image s) = Image.footprint (Device.image s));
-        Device.release s;
+          "image fully shared" true
+          (Image.shared_bytes img = Image.footprint img);
+        let post = Device.boot_image_only img in
+        Device.store_i64 post base 7L;
+        Alcotest.check Tu.i64 "the post device sees its write" 7L (Device.load_i64 post base);
+        Alcotest.check Tu.i64 "the capture keeps its value" 5L (Image.read_i64 img base);
+        Alcotest.check Tu.i64 "so does the live device" 5L (Device.load_i64 d base);
+        Device.release post;
+        Image.release img;
         Device.release d);
     Tu.case "writes after snapshot raise CoW faults, not snapshot changes" (fun () ->
         let d = Device.create () in
         Device.store_i64 d base 1L;
-        let s = Device.snapshot d in
+        let img = Device.capture d Device.Full in
         let faults0 = Option.get (Xfd_obs.Obs.counter_value "pm.cow_faults") in
         Device.store_i64 d base 2L;
         Device.store_i64 d (base + 8) 3L (* same chunk: one fault only *);
         let faults = Option.get (Xfd_obs.Obs.counter_value "pm.cow_faults") - faults0 in
         Alcotest.(check int) "one fault per chunk" 1 faults;
-        Alcotest.check Tu.i64 "snapshot keeps old value" 1L (Device.load_i64 s base);
+        Alcotest.check Tu.i64 "capture keeps old value" 1L (Image.read_i64 img base);
         Alcotest.check Tu.i64 "device sees new value" 2L (Device.load_i64 d base);
-        Device.release s;
+        Image.release img;
         Device.release d);
     Tu.case "release returns live chunk accounting to baseline" (fun () ->
         let live0 = Image.live_bytes () in
@@ -225,24 +162,17 @@ let cow_unit_tests =
         for i = 0 to 9 do
           Device.store_i64 d (base + (i * Image.chunk_size)) 1L
         done;
-        let s1 = Device.snapshot d in
-        let s2 = Device.snapshot d in
-        Device.store_i64 d base 2L (* CoW fault while two snapshots share *);
+        let c1 = Device.capture d Device.Full in
+        let c2 = Device.capture d Device.Strict in
+        let post = Device.boot_image_only c1 in
+        Device.store_i64 d base 2L (* CoW fault while the captures share *);
+        Device.store_i64 post base 3L (* and one in the post device *);
         Alcotest.(check bool) "accounting grew" true (Image.live_bytes () > live0);
-        Device.release s1;
-        Device.release s2;
+        Image.release c1;
+        Image.release c2;
+        Device.release post;
         Device.release d;
         Alcotest.(check int) "back to baseline" live0 (Image.live_bytes ()));
-    Tu.case "deep_snapshot shares nothing" (fun () ->
-        let d = Device.create () in
-        Device.store_i64 d base 1L;
-        let s = Device.deep_snapshot d in
-        Alcotest.(check int) "no shared bytes" 0 (Image.shared_bytes (Device.image s));
-        Alcotest.(check int)
-          "device shares nothing either" 0
-          (Image.shared_bytes (Device.image d));
-        Device.release s;
-        Device.release d);
     Tu.case "detect leaves no live image bytes behind" (fun () ->
         let live0 = Image.live_bytes () in
         let o = Tu.detect (Xfd_workloads.Btree.program ~init_size:1 ~size:2 ()) in
@@ -270,5 +200,4 @@ let suite =
   [
     ("cow.unit", cow_unit_tests);
     ("cow.props", to_alcotest equivalence_props);
-    ("cow.verdicts", verdict_cases);
   ]

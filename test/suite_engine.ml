@@ -350,14 +350,11 @@ let stream_tests =
         (* The pooled buffers serve the next detect unchanged. *)
         Alcotest.(check string) "a detect after the abort" (Xfd_serve.Job.fingerprint clean)
           (Xfd_serve.Job.fingerprint (Tu.detect (btree ()))));
-    Tu.case "sequential, post_jobs=3 and priority runs agree, one post_run per point"
-      (fun () ->
-        let reverse points = List.map (fun (i, _) -> -i) points in
+    Tu.case "sequential, post_jobs=3 runs agree, one post_run per point" (fun () ->
         List.iter
           (fun program ->
             let seq = Tu.detect (program ()) in
             let batch = Tu.detect ~config:{ Config.default with post_jobs = 3 } (program ()) in
-            let prio = Engine.detect ~priority:reverse (program ()) in
             let every = List.init seq.Engine.failure_points Fun.id in
             List.iter
               (fun (name, (o : Engine.outcome)) ->
@@ -365,13 +362,12 @@ let stream_tests =
                   (Xfd_serve.Job.fingerprint o);
                 Alcotest.(check (list int)) (name ^ ": one post_run per point") every
                   (post_run_points o))
-              [ ("sequential", seq); ("post_jobs=3", batch); ("priority", prio) ];
+              [ ("sequential", seq); ("post_jobs=3", batch) ];
             (* A post_exec span per point on the streamed path, one around
                the batch otherwise; either way they total the post runs. *)
             let post_exec (o : Engine.outcome) = List.length (named "post_exec" o.Engine.spans) in
             Alcotest.(check int) "streamed post_exec spans" seq.Engine.failure_points (post_exec seq);
-            Alcotest.(check int) "batch post_exec spans" 1 (post_exec batch);
-            Alcotest.(check int) "priority post_exec spans" 1 (post_exec prio))
+            Alcotest.(check int) "batch post_exec spans" 1 (post_exec batch))
           [
             (fun () -> Xfd_workloads.Array_update.program ~size:2 ());
             (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());

@@ -409,23 +409,6 @@ let guided_tests =
             ( (fun () -> Faults.make ()),
               fun () -> Xfd_workloads.Hashmap_tx.program ~size:2 () );
           ]);
-    Tu.case "priority_of scores windows by finding index" (fun () ->
-        let r =
-          check
-            (mk_trace
-               [
-                 (Event.Roi_begin, l 1);
-                 (Event.Write { addr = data; size = 8 }, l 2);
-                 (Event.Clwb { addr = data }, l 3);
-                 (Event.Clwb { addr = data }, l 4);
-                 (Event.Sfence, l 5);
-               ])
-        in
-        (* The redundant flush fires at trace index 3: it falls in the second
-           failure point's window [2, 5). *)
-        match Lint.priority_of r [ (0, 2); (1, 5) ] with
-        | [ s0; s1 ] -> Alcotest.(check bool) "second window scores higher" true (s1 > s0)
-        | other -> Alcotest.failf "arity %d" (List.length other));
   ]
 
 (* The fuzzer's metamorphic oracle M4, in miniature: correct-profile random

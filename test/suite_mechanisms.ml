@@ -250,8 +250,8 @@ let ring_tests =
            while the payload tail does not — a torn record that only the
            checksum catches.  Witness: recovery with `No_verify differs
            from verified recovery on some legal crash image. *)
-        let snaps =
-          Tu.device_snapshots
+        let images =
+          Tu.randomized_crashes ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]
             ~setup:(fun ctx -> ignore (Ring.create ctx ~variant:`No_verify))
             ~pre:(fun ctx ->
               let t = Ring.open_ ctx ~variant:`No_verify in
@@ -264,17 +264,12 @@ let ring_tests =
         in
         let differs =
           List.exists
-            (fun snap ->
-              List.exists
-                (fun seed ->
-                  let rng = Xfd_util.Rng.create (Int64.of_int seed) in
-                  let img = Device.crash snap (Device.Randomized rng) in
-                  Tu.on_image img (fun ctx ->
-                      let t = Ring.open_ ctx ~variant:`No_verify in
-                      Ring.recover ctx t ~variant:`No_verify
-                      <> Ring.recover ctx t ~variant:`Correct))
-                [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-            snaps
+            (List.exists (fun img ->
+                 Tu.on_image img (fun ctx ->
+                     let t = Ring.open_ ctx ~variant:`No_verify in
+                     Ring.recover ctx t ~variant:`No_verify
+                     <> Ring.recover ctx t ~variant:`Correct)))
+            images
         in
         Alcotest.(check bool) "verification matters on some crash image" true differs);
     Tu.case "correct (annotated) variant is clean under detection" (fun () ->

@@ -63,24 +63,12 @@ let image_tests =
         Alcotest.check Tu.i64 "snapshot keeps old" 1L (Image.read_i64 snap 0);
         Image.write_i64 snap 8 9L;
         Alcotest.check Tu.i64 "original unaffected" 0L (Image.read_i64 img 8));
-    Tu.case "copy_range" (fun () ->
-        let src = Image.create () and dst = Image.create () in
-        Image.write src 50 (b "abcdef");
-        Image.copy_range ~src ~dst 50 6;
-        Alcotest.(check bytes) "copied" (b "abcdef") (Image.read dst 50 6));
     Tu.case "equal_range" (fun () ->
         let x = Image.create () and y = Image.create () in
         Image.write x 10 (b "aa");
         Alcotest.(check bool) "differ" false (Image.equal_range x y 10 2);
         Image.write y 10 (b "aa");
         Alcotest.(check bool) "equal" true (Image.equal_range x y 10 2));
-    Tu.case "iter_chunks in address order" (fun () ->
-        let img = Image.create () in
-        Image.write_byte img 100_000 'x';
-        Image.write_byte img 5 'y';
-        let bases = ref [] in
-        Image.iter_chunks img (fun base _ -> bases := base :: !bases);
-        Alcotest.(check bool) "sorted" true (List.rev !bases = List.sort compare (List.rev !bases)));
   ]
 
 let device_tests =
@@ -174,12 +162,19 @@ let device_tests =
     Tu.case "snapshot is independent" (fun () ->
         let d = Device.create () in
         Device.store_i64 d 0 1L;
-        let s = Device.snapshot d in
+        let img = Device.capture d Device.Full in
+        let s = Device.boot img in
         Device.store_i64 d 0 2L;
-        Alcotest.check Tu.i64 "snapshot value" 1L (Device.load_i64 s 0);
+        Alcotest.check Tu.i64 "captured value" 1L (Image.read_i64 img 0);
+        Alcotest.check Tu.i64 "booted value" 1L (Device.load_i64 s 0);
+        Device.store_i64 s 8 3L;
+        Alcotest.check Tu.i64 "the live device does not see it" 0L (Device.load_i64 d 8);
         Device.clwb d 0;
         Device.sfence d;
-        Alcotest.(check bool) "snapshot still dirty" true (Device.dirty_bytes s > 0));
+        Alcotest.(check int) "booted device still dirty" 8 (Device.dirty_bytes s);
+        Device.release s;
+        Image.release img;
+        Device.release d);
     Tu.case "randomized crash is between strict and full" (fun () ->
         let d = Device.create () in
         for i = 0 to 9 do
@@ -361,22 +356,33 @@ let recycle_tests =
   ]
 
 (* The device against its per-byte reference model (test/device_model.ml):
-   random stores, NT stores, flushes, fences, GPFs, snapshots and boots
+   random stores, NT stores, flushes, fences, GPFs, captures and boots
    over ranges that cross line and page boundaries, compared after every
-   operation. *)
+   operation.  A capture boots the second slot from a crash image of the
+   first while the first stays live, so writes through either slot must
+   not reach the other. *)
 module Model = Device_model
 
-type slot = Cur | Snap
+type slot = Cur | Booted
+
+(* The crash mode of a capture or boot: a [Randomized] seed, else strict
+   or full. *)
+type pick = { strict : bool; seed : int option }
 
 type dev_op =
   | D_store of { via : slot; addr : int; size : int; nt : bool; v : int }
   | D_flush of { via : slot; addr : int; opt : bool }
   | D_fence of slot
   | D_gpf of slot
-  | D_snapshot of { deep : bool }
-  | D_boot of { strict : bool; seed : int option }
+  | D_capture of pick
+  | D_boot of pick
 
-let slot_to_string = function Cur -> "cur" | Snap -> "snap"
+let slot_to_string = function Cur -> "cur" | Booted -> "booted"
+
+let pick_to_string { strict; seed } =
+  match seed with
+  | Some s -> Printf.sprintf "randomized %d" s
+  | None -> if strict then "strict" else "full"
 
 let dev_op_to_string = function
   | D_store { via; addr; size; nt; v } ->
@@ -386,12 +392,8 @@ let dev_op_to_string = function
     Printf.sprintf "%s.%s %d" (slot_to_string via) (if opt then "clflush" else "clwb") addr
   | D_fence via -> slot_to_string via ^ ".sfence"
   | D_gpf via -> slot_to_string via ^ ".gpf"
-  | D_snapshot { deep } -> if deep then "deep_snapshot" else "snapshot"
-  | D_boot { strict; seed } ->
-    Printf.sprintf "boot %s"
-      (match seed with
-      | Some s -> Printf.sprintf "randomized %d" s
-      | None -> if strict then "strict" else "full")
+  | D_capture p -> "capture " ^ pick_to_string p
+  | D_boot p -> "boot " ^ pick_to_string p
 
 (* Two regions, each across a page boundary, so lines and pages split
    ranges and a randomized crash orders lines across pages. *)
@@ -404,7 +406,13 @@ let model_op_gen =
       [ (3, map (fun i -> 8192 - 192 + i) (int_bound 383)); (1, map (fun i -> 20480 - 100 + i) (int_bound 159)) ]
   in
   let size = frequency [ (4, oneofl [ 1; 2; 4; 8; 8; 16 ]); (2, int_range 1 64); (1, int_range 65 200) ] in
-  let via = frequency [ (3, return Cur); (1, return Snap) ] in
+  let via = frequency [ (3, return Cur); (1, return Booted) ] in
+  let pick =
+    map2
+      (fun strict seed -> { strict; seed })
+      bool
+      (frequency [ (2, return None); (1, map Option.some (int_bound 1000)) ])
+  in
   frequency
     [
       ( 6,
@@ -417,20 +425,16 @@ let model_op_gen =
       (4, map3 (fun via addr opt -> D_flush { via; addr; opt }) via addr bool);
       (2, map (fun v -> D_fence v) via);
       (1, map (fun v -> D_gpf v) via);
-      (1, map (fun deep -> D_snapshot { deep }) bool);
-      ( 1,
-        map2
-          (fun strict seed -> D_boot { strict; seed })
-          bool
-          (frequency [ (2, return None); (1, map Option.some (int_bound 1000)) ]) );
+      (1, map (fun p -> D_capture p) pick);
+      (1, map (fun p -> D_boot p) pick);
     ]
 
 let devices_agree ops =
   let live0 = Image.live_bytes () in
   let cur = ref (Device.create (), Model.create ()) in
-  let snap = ref None in
+  let booted = ref None in
   let ranges = ref [] in
-  let target = function Snap -> Option.value !snap ~default:!cur | Cur -> !cur in
+  let target = function Booted -> Option.value !booted ~default:!cur | Cur -> !cur in
   let release_pair (d, m) =
     Device.release d;
     Model.release m
@@ -465,6 +469,19 @@ let devices_agree ops =
     in
     List.find_map Fun.id checks
   in
+  (* A device and a model booted from the same capture of [pair]. *)
+  let boot_from i { strict; seed } (d, m) =
+    let mode () =
+      match seed with
+      | Some s -> Device.Randomized (Xfd_util.Rng.create (Int64.of_int (s + i)))
+      | None -> if strict then Device.Strict else Device.Full
+    in
+    let id = Device.capture d (mode ()) and im = Model.crash m (mode ()) in
+    let b = (Device.boot id, Model.boot im) in
+    Image.release id;
+    Image.release im;
+    b
+  in
   let step i op =
     match op with
     | D_store { via; addr; size; nt; v } ->
@@ -491,22 +508,14 @@ let devices_agree ops =
       let d, m = target via in
       Device.gpf d;
       Model.gpf m
-    | D_snapshot { deep } ->
-      let d, m = !cur in
-      Option.iter release_pair !snap;
-      snap := Some ((if deep then Device.deep_snapshot d else Device.snapshot d), Model.snapshot m)
-    | D_boot { strict; seed } ->
-      let d, m = !cur in
-      let mode () =
-        match seed with
-        | Some s -> Device.Randomized (Xfd_util.Rng.create (Int64.of_int (s + i)))
-        | None -> if strict then Device.Strict else Device.Full
-      in
-      let id = Device.crash d (mode ()) and im = Model.crash m (mode ()) in
+    | D_capture p ->
+      let b = boot_from i p !cur in
+      Option.iter release_pair !booted;
+      booted := Some b
+    | D_boot p ->
+      let b = boot_from i p !cur in
       release_pair !cur;
-      cur := (Device.boot id, Model.boot im);
-      Image.release id;
-      Image.release im
+      cur := b
   in
   let rec go i = function
     | [] -> Ok ()
@@ -515,7 +524,8 @@ let devices_agree ops =
       let failure =
         match compare_pair i !cur with
         | Some e -> Some ("cur: " ^ e)
-        | None -> Option.bind !snap (fun p -> Option.map (fun e -> "snap: " ^ e) (compare_pair i p))
+        | None ->
+          Option.bind !booted (fun p -> Option.map (fun e -> "booted: " ^ e) (compare_pair i p))
       in
       match failure with
       | Some e -> Error (Printf.sprintf "after op %d (%s): %s" i (dev_op_to_string op) e)
@@ -523,7 +533,7 @@ let devices_agree ops =
   in
   let result = go 0 ops in
   release_pair !cur;
-  Option.iter release_pair !snap;
+  Option.iter release_pair !booted;
   match result with
   | Error _ -> result
   | Ok () ->
@@ -532,7 +542,7 @@ let devices_agree ops =
 
 (* No [long_factor] here: the nightly job sets QCHECK_LONG_FACTOR. *)
 let device_model_prop =
-  QCheck.Test.make ~count:200 ~name:"device answers as the per-byte model, snapshots and boots included"
+  QCheck.Test.make ~count:200 ~name:"device answers as the per-byte model, captures and boots included"
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map dev_op_to_string ops))
        ~shrink:QCheck.Shrink.list
@@ -551,11 +561,11 @@ let device_model_tests =
             D_store { via = Cur; addr = 8150; size = 100; nt = false; v = 1 };
             D_flush { via = Cur; addr = 8190; opt = false };
             D_store { via = Cur; addr = 8180; size = 30; nt = false; v = 2 };
-            D_snapshot { deep = false };
+            D_capture { strict = false; seed = None };
             D_gpf Cur;
-            D_store { via = Snap; addr = 8185; size = 20; nt = true; v = 3 };
-            D_flush { via = Snap; addr = 8192; opt = true };
-            D_fence Snap;
+            D_store { via = Booted; addr = 8185; size = 20; nt = true; v = 3 };
+            D_flush { via = Booted; addr = 8192; opt = true };
+            D_fence Booted;
             D_boot { strict = true; seed = None };
           ]);
     Tu.case "model agreement: a randomized crash draws for lines in address order" (fun () ->

@@ -5,27 +5,23 @@
    the simulator can make about the transactional workloads. *)
 
 module Ctx = Xfd_sim.Ctx
-module Device = Xfd_mem.Pm_device
 
 let l = Tu.loc __POS__
 
 let seeds = [ 11; 22; 33; 44 ]
 
-(* For every device snapshot and every seed, boot a randomized image, run
+(* For every failure point and every seed, boot a randomized image, run
    [recover_and_read], and check the result with [legal]. *)
 let stress ~setup ~pre ~recover_and_read ~legal =
-  let snaps = Tu.device_snapshots ~setup ~pre in
   List.iteri
-    (fun n snap ->
-      List.iter
-        (fun seed ->
-          let rng = Xfd_util.Rng.create (Int64.of_int seed) in
-          let img = Device.crash snap (Device.Randomized rng) in
+    (fun n images ->
+      List.iter2
+        (fun seed img ->
           let got = Tu.on_image img recover_and_read in
           if not (legal got) then
-            Alcotest.failf "snapshot %d seed %d: illegal recovered state" n seed)
-        seeds)
-    snaps
+            Alcotest.failf "failure point %d seed %d: illegal recovered state" n seed)
+        seeds images)
+    (Tu.randomized_crashes ~seeds ~setup ~pre)
 
 let tests =
   [

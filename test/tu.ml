@@ -48,21 +48,35 @@ let crash_boot ~pre ~mode ~post =
   let ctx' = Ctx.create ~stage:Ctx.Post_failure ~dev:dev' ~trace:trace' () in
   post ctx'
 
-(* Run [setup] and [pre] with failure injection, capturing a *strict* crash
-   image (only guaranteed-durable bytes) at every failure point plus the
-   final state.  Used by the workload suites to assert transactional
-   atomicity: recovery from any of these images must yield a consistent
-   structure. *)
-let strict_crash_points ~setup ~pre =
+(* Run [setup] and [pre] with failure injection and take, at every failure
+   point plus the final state, one crash image per mode that [modes ()]
+   returns.  [modes] is called afresh at each point, so a [Randomized]
+   generator made there starts from its seed every time. *)
+let crash_images ~modes ~setup ~pre =
   let dev = Device.create () in
   let trace = Trace.create () in
   let images = ref [] in
-  let hook _ctx = images := Device.crash dev Device.Strict :: !images in
-  let ctx = Ctx.create ~on_failure_point:hook ~stage:Ctx.Pre_failure ~dev ~trace () in
+  let take () = images := List.map (Device.crash dev) (modes ()) :: !images in
+  let ctx = Ctx.create ~on_failure_point:(fun _ -> take ()) ~stage:Ctx.Pre_failure ~dev ~trace () in
   setup ctx;
   (match pre ctx with () -> () | exception Ctx.Detection_complete -> ());
-  images := Device.crash dev Device.Strict :: !images;
+  take ();
   List.rev !images
+
+(* A *strict* crash image (only guaranteed-durable bytes) at every failure
+   point plus the final state.  Used by the workload suites to assert
+   transactional atomicity: recovery from any of these images must yield a
+   consistent structure. *)
+let strict_crash_points ~setup ~pre =
+  List.map List.hd (crash_images ~modes:(fun () -> [ Device.Strict ]) ~setup ~pre)
+
+(* One [Randomized] crash image per seed at every failure point plus the
+   final state, each drawn from a generator fresh from its seed. *)
+let randomized_crashes ~seeds ~setup ~pre =
+  crash_images
+    ~modes:(fun () ->
+      List.map (fun s -> Device.Randomized (Xfd_util.Rng.create (Int64.of_int s))) seeds)
+    ~setup ~pre
 
 (* Boot an image and run [f] on a post-failure context. *)
 let on_image img f =
@@ -81,15 +95,3 @@ let is_prefix_set xs ys =
     List.sort compare xs = List.sort compare prefix
   end
 
-(* Like [strict_crash_points] but capturing full device snapshots, so the
-   caller can derive any crash image (e.g. randomized line evictions). *)
-let device_snapshots ~setup ~pre =
-  let dev = Device.create () in
-  let trace = Trace.create () in
-  let snaps = ref [] in
-  let hook _ctx = snaps := Device.snapshot dev :: !snaps in
-  let ctx = Ctx.create ~on_failure_point:hook ~stage:Ctx.Pre_failure ~dev ~trace () in
-  setup ctx;
-  (match pre ctx with () -> () | exception Ctx.Detection_complete -> ());
-  snaps := Device.snapshot dev :: !snaps;
-  List.rev !snaps
