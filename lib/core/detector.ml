@@ -33,7 +33,9 @@ type t = {
   mutable tx_active : bool;
   mutable tx_added : (Addr.t * int) list;
   mutable bugs_rev : Report.bug list;
-  dedup : (string, unit) Hashtbl.t;
+  (* Keys of the bugs reported so far, created by the first [record]:
+     most forks report nothing. *)
+  mutable dedup : (string, unit) Hashtbl.t option;
   (* Bytes a post-failure read already checked.  Scratch owned by the base
      detector: every fork shares it, and forking clears it (as it does the
      shadow's journal and the registry's fork scratch). *)
@@ -60,7 +62,7 @@ let create ?(check_perf = true) ?(commit_at = `Write) ?(forensics = false)
     tx_active = false;
     tx_added = [];
     bugs_rev = [];
-    dedup = Hashtbl.create 64;
+    dedup = None;
     checked = Xfd_util.Int_table.create 64;
     pre_trace = None;
     cur_trace = None;
@@ -87,7 +89,7 @@ let fork_for_post t =
     tx_active = false;
     tx_added = [];
     bugs_rev = [];
-    dedup = Hashtbl.create 16;
+    dedup = None;
     checked = t.checked;
     pre_trace = t.pre_trace;
     cur_trace = None;
@@ -105,8 +107,16 @@ let release t = Shadow_pm.release t.shadow
 
 let record t bug =
   let key = Report.dedup_key bug in
-  if not (Hashtbl.mem t.dedup key) then begin
-    Hashtbl.replace t.dedup key ();
+  let dedup =
+    match t.dedup with
+    | Some d -> d
+    | None ->
+      let d = Hashtbl.create 16 in
+      t.dedup <- Some d;
+      d
+  in
+  if not (Hashtbl.mem dedup key) then begin
+    Hashtbl.replace dedup key ();
     (match bug with
     | Report.Race _ -> Obs.Counter.incr c_bug_race
     | Report.Semantic _ -> Obs.Counter.incr c_bug_semantic

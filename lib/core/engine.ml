@@ -59,6 +59,10 @@ let c_unique_bugs = Obs.Counter.make "engine.unique_bugs"
 let h_pre_events = Obs.Histogram.make "engine.pre_trace_events"
 let h_post_events = Obs.Histogram.make "engine.post_trace_events_per_run"
 
+(* Helper domains the process-wide post-run pool has spawned: at most
+   [Domain.recommended_domain_count () - 1], however many detects ran. *)
+let g_pool_domains = Obs.Gauge.make "engine.pool_domains"
+
 (* Span names of the detection pipeline's phases.  [timings] is *derived*
    from these spans (see [timings_of_spans]), so the Figure 12 breakdown is
    span aggregation — there is no second, hand-rolled timing path that
@@ -91,8 +95,8 @@ let timings_of_spans spans =
 
 (* Exceptions that indicate a broken harness or an exhausted runtime rather
    than a finding about the program under test: these abort detection and
-   propagate (from worker domains too, via the capture-and-rejoin path)
-   instead of being recorded as [Post_failure_error]. *)
+   propagate (from pool helpers too, via the per-item capture) instead of
+   being recorded as [Post_failure_error]. *)
 let fatal = function
   | Assert_failure _ | Out_of_memory | Stack_overflow -> true
   | _ -> false
@@ -122,7 +126,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
   let cov_mark = Xfd_forensics.Coverage.mark () in
   (* Progress is observation-only: the callback sees counts, never state,
      and anything it raises is swallowed — it cannot perturb detection.
-     With [post_jobs > 1] it is invoked from whichever worker domain
+     With [post_jobs > 1] it is invoked from whichever pool domain
      finished the run, so callers must be domain-safe. *)
   let notify_progress completed total =
     match on_progress with
@@ -132,8 +136,8 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
   (* Cleanup registry: every resource the pipeline owns (devices, captured
      crash images, detector shadow pages) is registered here and disposed
      exactly once — on the normal path at its usual point, or by
-     [dispose_all] when the run aborts.  Worker domains release through the same registry, so
-     the mutex also orders racing disposals. *)
+     [dispose_all] when the run aborts.  Pool helpers release through the
+     same registry, so the mutex also orders racing disposals. *)
   let cleanup_mu = Mutex.create () in
   let cleanups : (int, unit -> unit) Hashtbl.t = Hashtbl.create 32 in
   let cleanup_next = ref 0 in
@@ -261,28 +265,29 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
            reaches its failure point, recording into one post trace that
            is emptied before each run, so a detect keeps one post trace
            alive instead of one per point.  With post_jobs > 1 they run up
-           front on a small domain pool — the parallelisation the paper
-           leaves as future work — each into its own trace.  Trace replay
-           and checking stay sequential either way: the backend's shadow
-           forks off the incrementally-advanced pre-failure state. *)
-        let run_one s ~trace =
+           front, each into its own trace, claimed in turn by the caller
+           and up to post_jobs - 1 helpers of the process-wide domain pool
+           — the parallelisation the paper leaves as future work.  Trace
+           replay and checking stay sequential either way: the backend's
+           shadow forks off the incrementally-advanced pre-failure state. *)
+        let run_one ?parent s ~trace =
           Flight.record ~level:Flight.Debug "fp.started"
             [ ("failure_point", Xfd_util.Json.Int s.index) ];
-          Obs.Span.with_ ~name:sp_post_run
+          Obs.Span.with_ ?parent ~name:sp_post_run
             ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
             (fun () ->
               (* Boot this failure point's image-only device from the crash
                  image captured when the point fired, then drop the capture:
                  the post device's first write to a chunk still shared with
                  the live pre-failure device takes its private copy, and
-                 shared chunks are immutable, so worker domains boot
+                 shared chunks are immutable, so pool helpers boot
                  race-free.  A post run injects no failure points, so the
                  device needs no persistence tracking. *)
               let post_dev = Device.boot_image_only s.img in
               dispose s.img_id;
               let post_id = track (fun () -> Device.release post_dev) in
               (* A fatal post-failure exception propagates out of the
-                 worker; the registry still frees this run's device. *)
+                 run; the registry still frees this run's device. *)
               Fun.protect
                 ~finally:(fun () -> dispose post_id)
                 (fun () -> run_post ~config ~dev:post_dev ~post:program.post ~trace))
@@ -291,8 +296,8 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let jobs = max 1 (min config.Config.post_jobs n) in
         let streamed = jobs = 1 in
         let progress_done = Atomic.make 0 in
-        let run_one s ~trace =
-          let r = run_one s ~trace in
+        let run_one ?parent s ~trace =
+          let r = run_one ?parent s ~trace in
           notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
           r
         in
@@ -304,10 +309,13 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                 let input = Array.of_list snapshots in
                 let output = Array.make n None in
                 let next = Atomic.make 0 in
-                (* Workers never die mid-queue: each item's exception is
-                   captured in its slot and the first one (in failure-point
-                   order) re-raised after every domain has joined. *)
-                let worker () =
+                (* The helpers' span stacks are their own: their post_run
+                   spans name this post_exec span as parent explicitly. *)
+                let parent = Obs.Span.current () in
+                (* No run of [work] stops mid-queue: each item's exception
+                   is captured in its slot and the first one (in
+                   failure-point order) re-raised after the batch. *)
+                let work () =
                   let rec go () =
                     let k = Atomic.fetch_and_add next 1 in
                     if k < n then begin
@@ -315,18 +323,21 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                         Some
                           (try
                              let trace = Trace.create () in
-                             Ok (trace, run_one input.(k) ~trace)
+                             Ok (trace, run_one ?parent input.(k) ~trace)
                            with e -> Error (e, Printexc.get_raw_backtrace ()));
                       go ()
                     end
                   in
                   go ()
                 in
-                let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-                worker ();
-                List.iter Domain.join domains;
+                let helpers = Xfd_util.Domain_pool.run ~helpers:(jobs - 1) work in
+                Obs.Gauge.set g_pool_domains (float_of_int (Xfd_util.Domain_pool.domains ()));
                 Flight.record ~level:Flight.Debug "worker.join"
-                  [ ("jobs", Xfd_util.Json.Int jobs); ("runs", Xfd_util.Json.Int n) ];
+                  [
+                    ("jobs", Xfd_util.Json.Int jobs);
+                    ("helpers", Xfd_util.Json.Int helpers);
+                    ("runs", Xfd_util.Json.Int n);
+                  ];
                 Array.map
                   (function
                     | Some (Ok r) -> r
@@ -443,9 +454,9 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (* Every still-registered resource — the live device, unconsumed
-         crash images, worker post-devices, detector shadow pages — is
-         released before the abort propagates, so an aborted run leaks no
-         chunk or page bytes. *)
+         crash images, the post devices of runs on pool helpers, detector
+         shadow pages — is released before the abort propagates, so an
+         aborted run leaks no chunk or page bytes. *)
       dispose_all ();
       Flight.record ~level:Flight.Warn "run.abort"
         [ ("exn", Xfd_util.Json.Str (Printexc.to_string e)) ];

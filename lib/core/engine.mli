@@ -23,9 +23,16 @@
       the run at point [k] aborts the detect after points [0 .. k-1] were
       replayed.
     - {b Batch} ([post_jobs > 1]): every post execution runs up front,
-      on the domain pool, each into a trace of its own, inside one
-      ["post_exec"] span; then the same replay loop consumes the traces
-      in trace order.
+      each into a trace of its own, inside one ["post_exec"] span: the
+      calling domain and up to [post_jobs - 1] helpers of the
+      process-wide {!Xfd_util.Domain_pool} claim the failure points in
+      turn.  [post_jobs] is a ceiling, not a count: the pool is shared by
+      every detect in the process, holds at most
+      [Domain.recommended_domain_count () - 1] helpers, and a detect does
+      not wait for a helper busy with another one.  Each ["post_run"]
+      span names the batch's ["post_exec"] span as its parent, on a
+      helper too.  Then the same replay loop consumes the traces in trace
+      order.
     On both paths [timings.post_exec] is the total of the ["post_exec"]
     spans, that is of all post executions, and there is one ["post_run"]
     span per failure point.  Verdicts do not depend on the path. *)
@@ -83,10 +90,10 @@ type outcome = {
     [Post_failure_error] findings — except fatal runtime conditions
     ([Assert_failure], [Out_of_memory], [Stack_overflow]), which indicate a
     broken harness rather than a PM bug: those abort detection and re-raise
-    the original exception, including out of worker domains when
-    [config.post_jobs > 1] (workers capture per-item exceptions and the
-    first, in failure-point order, is re-raised after every domain has
-    joined). *)
+    the original exception, including out of pool helpers when
+    [config.post_jobs > 1] (each post run's exception is captured with
+    its failure point, and the first, in failure-point order, is
+    re-raised once every run of the batch has returned). *)
 val detect :
   ?config:Config.t ->
   ?on_progress:(progress -> unit) ->
@@ -97,8 +104,9 @@ val detect :
     counts as post-failure runs complete.  Observation-only and
     verdict-neutral: the callback sees counts, never detection state, and
     anything it raises is swallowed.  With [config.post_jobs > 1] it runs
-    on whichever worker domain finished the run, so it must be
-    domain-safe (the CLI's renderer serializes with a mutex). *)
+    on whichever domain finished the run, the caller's or a pool
+    helper's, so it must be domain-safe (the CLI's renderer serializes
+    with a mutex). *)
 
 (** [detect_at ~failure_point program] is the single-failure-point oracle
     entry: the pipeline runs exactly as {!detect} — failure points are

@@ -331,10 +331,13 @@ module Span = struct
         s := !s +. r.dur);
     Sink.emit (record_to_json r)
 
-  let with_ ?(meta = []) ~name f =
+  let top stack = match !stack with [] -> None | p :: _ -> Some p
+  let current () = top (Domain.DLS.get stack_key)
+
+  let with_ ?(meta = []) ?parent ~name f =
     let stack = Domain.DLS.get stack_key in
     let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match !stack with [] -> None | p :: _ -> Some p in
+    let parent = match parent with None -> top stack | Some _ -> parent in
     stack := id :: !stack;
     let tid = (Domain.self () :> int) in
     let start = now () in

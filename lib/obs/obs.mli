@@ -108,10 +108,12 @@ val metrics_snapshot :
 module Span : sig
   (** A finished span.  [start] is an absolute Unix timestamp in seconds,
       [dur] the wall-clock duration.  [parent] is the id of the enclosing
-      span on the same domain, if any: spans started on worker domains of
-      the engine's post-execution pool are roots of their own subtree.
-      [tid] is the integer id of the domain the span ran on — the track
-      key for trace export, one track per domain-pool worker. *)
+      span on the same domain, if any, or the parent passed to
+      {!with_}: the span stack is per domain, so the engine hands the
+      batch's ["post_exec"] span id to the pool helpers, and their
+      ["post_run"] spans name it as their parent.  [tid] is the integer
+      id of the domain the span ran on — the track key for trace export,
+      one track per pool helper. *)
   type record = {
     id : int;
     parent : int option;
@@ -124,8 +126,14 @@ module Span : sig
 
   (** [with_ ~name f] times [f ()] as a span named [name].  Nesting is
       tracked per domain; the span is recorded (and streamed to any
-      installed sink) when [f] returns or raises. *)
-  val with_ : ?meta:(string * Xfd_util.Json.t) list -> name:string -> (unit -> 'a) -> 'a
+      installed sink) when [f] returns or raises.  [parent] overrides the
+      enclosing span of this domain, for a span opened on behalf of a
+      span of another domain. *)
+  val with_ :
+    ?meta:(string * Xfd_util.Json.t) list -> ?parent:int -> name:string -> (unit -> 'a) -> 'a
+
+  (** The id of this domain's innermost open span, if any. *)
+  val current : unit -> int option
 
   (** A position in the finished-span buffer, for scoped collection. *)
   type mark

@@ -361,7 +361,17 @@ let stream_tests =
                 Alcotest.(check string) (name ^ ": fingerprint") (Xfd_serve.Job.fingerprint seq)
                   (Xfd_serve.Job.fingerprint o);
                 Alcotest.(check (list int)) (name ^ ": one post_run per point") every
-                  (post_run_points o))
+                  (post_run_points o);
+                (* Pool helpers have span stacks of their own: the batch
+                   hands them its post_exec span as the parent. *)
+                let post_exec_ids =
+                  List.map (fun r -> Some r.Xfd_obs.Obs.Span.id) (named "post_exec" o.Engine.spans)
+                in
+                List.iter
+                  (fun r ->
+                    Alcotest.(check bool) (name ^ ": post_run under post_exec") true
+                      (List.mem r.Xfd_obs.Obs.Span.parent post_exec_ids))
+                  (named "post_run" o.Engine.spans))
               [ ("sequential", seq); ("post_jobs=3", batch) ];
             (* A post_exec span per point on the streamed path, one around
                the batch otherwise; either way they total the post runs. *)
@@ -385,10 +395,179 @@ let stream_tests =
         Alcotest.(check (list string)) "identical chains" (chains batch) (chains seq));
   ]
 
+(* ---- the process-wide helper pool ---- *)
+
+module Pool = Xfd_util.Domain_pool
+
+(* Each failure point of [epoch_program ~n] sees its own value at [base]:
+   point k (before the k-th fence) sees k + 1.  Its post run reads it. *)
+let epoch_program ~n ~post =
+  {
+    Engine.name = "epochs";
+    setup = (fun _ -> ());
+    pre =
+      (fun ctx ->
+        Ctx.roi_begin ctx ~loc:l;
+        for j = 1 to n do
+          Ctx.write_i64 ctx ~loc:l base (Int64.of_int j);
+          Ctx.persist_barrier ctx ~loc:l base 8
+        done;
+        Ctx.roi_end ctx ~loc:l);
+    post = (fun ctx -> post (Int64.to_int (Ctx.read_i64 ctx ~loc:l base)));
+  }
+
+let seeded_programs () =
+  List.concat_map
+    (fun (e : Xfd_experiments.Workload_set.entry) ->
+      List.map
+        (fun faults () ->
+          ({ Config.default with faults = faults () }, e.Xfd_experiments.Workload_set.make ~init:2 ~test:3))
+        [ (fun () -> Xfd_sim.Faults.none); (fun () -> Xfd_sim.Faults.make ~skip_flush:[ 1 ] ()) ])
+    Xfd_experiments.Workload_set.all
+
+let keys (o : Engine.outcome) = List.map Xfd.Report.dedup_key o.Engine.unique_bugs
+
+let pool_tests =
+  [
+    Tu.case "200 detects at post_jobs=3 share at most cap helpers, and the major heap stays flat"
+      (fun () ->
+        let config = { Config.default with post_jobs = 3 } in
+        let detect () = ignore (Tu.detect ~config (Xfd_workloads.Btree.program ~init_size:2 ~size:3 ())) in
+        for _ = 1 to 5 do detect () done;
+        Gc.full_major ();
+        let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+        for _ = 1 to 200 do detect () done;
+        Gc.full_major ();
+        let grown = (Gc.quick_stat ()).Gc.heap_words - heap0 in
+        let domains = Pool.domains () in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d helpers, cap %d" domains Pool.cap)
+          true
+          (domains <= Pool.cap && (Pool.cap = 0 || domains >= 1));
+        Alcotest.(check (option (float 0.))) "engine.pool_domains" (Some (float_of_int domains))
+          (Xfd_obs.Obs.gauge_value "engine.pool_domains");
+        (* Spawning and joining two domains per detect grew the heap by
+           0.7M-1.0M words over these 200 detects, and on with every
+           detect; with the pool it grows by 0.19M-0.27M and levels off. *)
+        if grown > 400_000 then Alcotest.failf "major heap grew %d words over 200 detects" grown);
+    Tu.case "post_jobs 2, 3 and 8 give the sequential keys and fingerprints on every workload"
+      (fun () ->
+        List.iter
+          (fun make ->
+            let config, program = make () in
+            let seq = Tu.detect ~config program in
+            List.iter
+              (fun jobs ->
+                let config, program = make () in
+                let o = Tu.detect ~config:{ config with post_jobs = jobs } program in
+                let name = Printf.sprintf "%s, post_jobs=%d" o.Engine.program jobs in
+                Alcotest.(check (list string)) (name ^ ": keys") (keys seq) (keys o);
+                Alcotest.(check string) (name ^ ": fingerprint") (Xfd_serve.Job.fingerprint seq)
+                  (Xfd_serve.Job.fingerprint o))
+              [ 2; 3; 8 ])
+          (seeded_programs ()));
+    Tu.case "a fatal post run on a helper surfaces in failure-point order, releasing every byte"
+      (fun () ->
+        if Pool.cap >= 1 then begin
+          let caller = Domain.self () in
+          let helper_ran = Atomic.make false in
+          let mu = Mutex.create () and on_helper = ref [] in
+          (* The caller's runs wait until a helper has taken a point, so
+             at least one fails on a helper, whatever the scheduling. *)
+          let post epoch =
+            if Domain.self () = caller then
+              while not (Atomic.get helper_ran) do
+                Domain.cpu_relax ()
+              done
+            else begin
+              Atomic.set helper_ran true;
+              Mutex.protect mu (fun () -> on_helper := epoch :: !on_helper);
+              raise (Assert_failure ("helper", epoch, 0))
+            end
+          in
+          let image0 = Xfd_mem.Image.live_bytes () in
+          let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in
+          (match
+             Tu.detect ~config:{ Config.default with post_jobs = 3 } (epoch_program ~n:6 ~post)
+           with
+          | _ -> Alcotest.fail "the assertion was swallowed"
+          | exception Assert_failure (_, epoch, _) ->
+            Alcotest.(check int) "the first failing point's exception"
+              (List.fold_left min max_int !on_helper) epoch);
+          Alcotest.(check int) "pm chunk bytes released" image0 (Xfd_mem.Image.live_bytes ());
+          Alcotest.(check int) "shadow page bytes released" shadow0
+            (Xfd_mem.Shadow_pages.live_bytes ())
+        end);
+    Tu.case "a batch whose helpers are busy with another batch runs on its caller alone"
+      (fun () ->
+        if Pool.cap >= 1 then begin
+          let caller = Domain.self () in
+          let a_on_helper = Atomic.make false and b_done = Atomic.make false in
+          (* Batch A's helper run holds its helper until batch B is done;
+             A's caller returns once a helper holds A. *)
+          let work_a () =
+            if Domain.self () = caller then
+              while not (Atomic.get a_on_helper) do
+                Thread.yield ()
+              done
+            else begin
+              Atomic.set a_on_helper true;
+              while not (Atomic.get b_done) do
+                Domain.cpu_relax ()
+              done
+            end
+          in
+          let a_helpers = ref (-1) in
+          let a = Thread.create (fun () -> a_helpers := Pool.run ~helpers:Pool.cap work_a) () in
+          while not (Atomic.get a_on_helper) do
+            Thread.yield ()
+          done;
+          (* Every helper may be busy with A; B must not wait for one. *)
+          let b_ran = ref 0 in
+          let b_helpers = Pool.run ~helpers:1 (fun () -> incr b_ran) in
+          Atomic.set b_done true;
+          Thread.join a;
+          Alcotest.(check bool) "B ran on its caller" true (!b_ran >= 1);
+          Alcotest.(check bool) "B's helpers" true (b_helpers <= 1);
+          Alcotest.(check bool) "A had a helper" true (!a_helpers >= 1)
+        end);
+    Tu.case "two threads detecting at post_jobs=3 at once both get the sequential verdicts"
+      (fun () ->
+        let programs =
+          [
+            (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
+            (fun () -> Xfd_workloads.Hashmap_atomic.program ~init_size:2 ~size:3 ());
+          ]
+        in
+        let expected = List.map (fun p -> Xfd_serve.Job.fingerprint (Tu.detect (p ()))) programs in
+        let results = Array.make (List.length programs) [] in
+        let threads =
+          List.mapi
+            (fun i p ->
+              Thread.create
+                (fun () ->
+                  let config = { Config.default with post_jobs = 3 } in
+                  results.(i) <-
+                    List.init 5 (fun _ ->
+                        match Tu.detect ~config (p ()) with
+                        | o -> Xfd_serve.Job.fingerprint o
+                        | exception e -> Printexc.to_string e))
+                ())
+            programs
+        in
+        List.iter Thread.join threads;
+        List.iteri
+          (fun i fp ->
+            Alcotest.(check (list string)) (Printf.sprintf "thread %d" i) (List.init 5 (fun _ -> fp))
+              results.(i))
+          expected);
+  ]
+
 let suite =
   [
     ("engine", tests);
     ("engine.config", config_tests);
     ("engine.workers", worker_exception_tests);
     ("engine.stream", stream_tests);
+    ("engine.pool", pool_tests);
   ]
