@@ -75,12 +75,14 @@ let sp_post_run = "post_run"
 let sp_pre_replay = "pre_replay"
 let sp_post_replay = "post_replay"
 
+(* Total seconds of the spans in [spans] named [name]. *)
+let span_total name spans =
+  List.fold_left
+    (fun acc (r : Obs.Span.record) -> if String.equal r.Obs.Span.name name then acc +. r.Obs.Span.dur else acc)
+    0.0 spans
+
 let timings_of_spans spans =
-  let total name =
-    List.fold_left
-      (fun acc (r : Obs.Span.record) -> if String.equal r.Obs.Span.name name then acc +. r.Obs.Span.dur else acc)
-      0.0 spans
-  in
+  let total name = span_total name spans in
   let snapshotting = total sp_snapshot in
   {
     (* Snapshots are taken inside the pre-failure execution (the failure-
@@ -121,8 +123,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
   Config.validate config;
   Obs.Counter.incr c_runs;
   Xfd_mem.Image.reset_peak ();
-  let (_ : string) = Flight.begin_run ~program:program.name in
-  let mark = Obs.Span.mark () in
+  let run = Flight.begin_run ~program:program.name in
   let cov_mark = Xfd_forensics.Coverage.mark () in
   (* Progress is observation-only: the callback sees counts, never state,
      and anything it raises is swallowed — it cannot perturb detection.
@@ -174,11 +175,14 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
     in
     List.iter (fun f -> try f () with _ -> ()) fs
   in
-  let reports, unique_bugs, n_failure_points, pre_events, post_events =
+  (* Every span below is opened under this detect's root scope [sc], so
+     [spans] holds exactly this detect's spans, whatever else runs at
+     the same time. *)
+  let (reports, unique_bugs, n_failure_points, pre_events, post_events), spans =
     try
-    Obs.Span.with_ ~name:sp_detect
+    Obs.Span.root ~name:sp_detect
       ~meta:[ ("program", Xfd_util.Json.Str program.name) ]
-      (fun () ->
+      (fun sc ->
         let dev = Device.create () in
         let dev_cleanup = track (fun () -> Device.release dev) in
         let trace = Trace.create () in
@@ -193,12 +197,13 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
            7); a crash image depends only on the device state at this
            instant, so nothing else of the device is kept.  [fired] counts
            every failure point a full run would capture, so ordinals are
-           stable whether or not [only] filters the actual captures. *)
-        let record_snapshot () =
+           stable whether or not [only] filters the actual captures.
+           [pre] is the pre_exec span the hook fires inside. *)
+        let record_snapshot pre =
           (match only with
           | Some k when k <> !fired -> ()
           | Some _ | None ->
-            Obs.Span.with_ ~name:sp_snapshot (fun () ->
+            Obs.Span.child pre ~name:sp_snapshot (fun _ ->
                 let img = Device.capture dev crash_mode in
                 snapshots :=
                   {
@@ -208,43 +213,43 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                     img_id = track (fun () -> Xfd_mem.Image.release img);
                   }
                   :: !snapshots);
-            Flight.record ~level:Flight.Debug "snapshot.recorded"
+            Flight.record ~level:Flight.Debug ~run "snapshot.recorded"
               [
                 ("failure_point", Xfd_util.Json.Int !fired);
                 ("trace_pos", Xfd_util.Json.Int (Trace.length trace));
               ]);
-          Flight.record ~level:Flight.Debug "fp.scheduled"
+          Flight.record ~level:Flight.Debug ~run "fp.scheduled"
             [ ("failure_point", Xfd_util.Json.Int !fired) ];
           incr fired;
           Obs.Counter.incr c_fp_fired
         in
-        let take_snapshot ctx =
+        let take_snapshot pre ctx =
           if
             !fired < config.Config.max_failure_points
             && Ctx.update_ops ctx > !last_ops
           then begin
             last_ops := Ctx.update_ops ctx;
-            record_snapshot ()
+            record_snapshot pre
           end
           else begin
-            Flight.record ~level:Flight.Debug "snapshot.dropped"
+            Flight.record ~level:Flight.Debug ~run "snapshot.dropped"
               [ ("after_failure_point", Xfd_util.Json.Int (!fired - 1)) ];
             Obs.Counter.incr c_fp_elided
           end
         in
-        Xfd_sim.Faults.reset config.Config.faults;
-        let ctx =
-          Ctx.create ~faults:config.Config.faults ~strategy:config.Config.strategy
-            ~trust_library:config.Config.trust_library ~on_failure_point:take_snapshot
-            ~stage:Ctx.Pre_failure ~dev ~trace ()
-        in
-        Obs.Span.with_ ~name:sp_pre_exec (fun () ->
+        Obs.Span.child sc ~name:sp_pre_exec (fun pre ->
+            Xfd_sim.Faults.reset config.Config.faults;
+            let ctx =
+              Ctx.create ~faults:config.Config.faults ~strategy:config.Config.strategy
+                ~trust_library:config.Config.trust_library ~on_failure_point:(take_snapshot pre)
+                ~stage:Ctx.Pre_failure ~dev ~trace ()
+            in
             program.setup ctx;
             (match program.pre ctx with () -> () | exception Ctx.Detection_complete -> ());
             (* One terminal failure point: the state in which the pre-failure
                stage ran to completion must recover cleanly too. *)
             if config.Config.inject_terminal_fp && Ctx.update_ops ctx > !last_ops then
-              record_snapshot ());
+              record_snapshot pre);
         let snapshots = List.rev !snapshots in
         let commit_at =
           match config.Config.crash_mode with `Full -> `Write | `Strict -> `Persist
@@ -270,12 +275,12 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
            — the parallelisation the paper leaves as future work.  Trace
            replay and checking stay sequential either way: the backend's
            shadow forks off the incrementally-advanced pre-failure state. *)
-        let run_one ?parent s ~trace =
-          Flight.record ~level:Flight.Debug "fp.started"
+        let run_one post_exec s ~trace =
+          Flight.record ~level:Flight.Debug ~run "fp.started"
             [ ("failure_point", Xfd_util.Json.Int s.index) ];
-          Obs.Span.with_ ?parent ~name:sp_post_run
+          Obs.Span.child post_exec ~name:sp_post_run
             ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
-            (fun () ->
+            (fun _ ->
               (* Boot this failure point's image-only device from the crash
                  image captured when the point fired, then drop the capture:
                  the post device's first write to a chunk still shared with
@@ -296,8 +301,8 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let jobs = max 1 (min config.Config.post_jobs n) in
         let streamed = jobs = 1 in
         let progress_done = Atomic.make 0 in
-        let run_one ?parent s ~trace =
-          let r = run_one ?parent s ~trace in
+        let run_one post_exec s ~trace =
+          let r = run_one post_exec s ~trace in
           notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
           r
         in
@@ -305,13 +310,10 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let batch =
           if streamed then [||]
           else
-            Obs.Span.with_ ~name:sp_post_exec (fun () ->
+            Obs.Span.child sc ~name:sp_post_exec (fun post_exec ->
                 let input = Array.of_list snapshots in
                 let output = Array.make n None in
                 let next = Atomic.make 0 in
-                (* The helpers' span stacks are their own: their post_run
-                   spans name this post_exec span as parent explicitly. *)
-                let parent = Obs.Span.current () in
                 (* No run of [work] stops mid-queue: each item's exception
                    is captured in its slot and the first one (in
                    failure-point order) re-raised after the batch. *)
@@ -323,7 +325,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                         Some
                           (try
                              let trace = Trace.create () in
-                             Ok (trace, run_one ?parent input.(k) ~trace)
+                             Ok (trace, run_one post_exec input.(k) ~trace)
                            with e -> Error (e, Printexc.get_raw_backtrace ()));
                       go ()
                     end
@@ -332,7 +334,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                 in
                 let helpers = Xfd_util.Domain_pool.run ~helpers:(jobs - 1) work in
                 Obs.Gauge.set g_pool_domains (float_of_int (Xfd_util.Domain_pool.domains ()));
-                Flight.record ~level:Flight.Debug "worker.join"
+                Flight.record ~level:Flight.Debug ~run "worker.join"
                   [
                     ("jobs", Xfd_util.Json.Int jobs);
                     ("helpers", Xfd_util.Json.Int helpers);
@@ -352,7 +354,10 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let post_run_for i s =
           if streamed then begin
             Trace.clear post_trace;
-            let exn = Obs.Span.with_ ~name:sp_post_exec (fun () -> run_one s ~trace:post_trace) in
+            let exn =
+              Obs.Span.child sc ~name:sp_post_exec (fun post_exec ->
+                  run_one post_exec s ~trace:post_trace)
+            in
             (post_trace, exn)
           end
           else batch.(i)
@@ -367,7 +372,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
           let fp_meta = [ ("failure_point", Xfd_util.Json.Int s.index) ] in
           match config.Config.engine with
           | `Incremental ->
-            Obs.Span.with_ ~name:sp_pre_replay ~meta:fp_meta (fun () ->
+            Obs.Span.child sc ~name:sp_pre_replay ~meta:fp_meta (fun _ ->
                 Obs.Counter.add c_prefix_reuse !pre_pos;
                 Obs.Counter.add c_pre_replay (max 0 (s.trace_pos - !pre_pos));
                 Detector.replay detector trace ~from:!pre_pos ~upto:s.trace_pos;
@@ -375,7 +380,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
             (detector, None)
           | `Fresh ->
             let det, cleanup = make_detector () in
-            Obs.Span.with_ ~name:sp_pre_replay ~meta:fp_meta (fun () ->
+            Obs.Span.child sc ~name:sp_pre_replay ~meta:fp_meta (fun _ ->
                 Obs.Counter.add c_pre_replay s.trace_pos;
                 Detector.replay det trace ~from:0 ~upto:s.trace_pos);
             (det, Some cleanup)
@@ -389,7 +394,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
               post_events := !post_events + Trace.length post_trace;
               Obs.Histogram.observe h_post_events (Trace.length post_trace);
               let fork_bugs =
-                Obs.Span.with_ ~name:sp_post_replay ~meta:fp_meta (fun () ->
+                Obs.Span.child sc ~name:sp_post_replay ~meta:fp_meta (fun _ ->
                     let fork = Detector.fork_for_post det in
                     Detector.replay fork post_trace ~from:0
                       ~upto:(Trace.length post_trace);
@@ -407,7 +412,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
                   [ Report.Post_failure_error { exn; failure_point = s.index } ]
                 | None -> []
               in
-              Flight.record ~level:Flight.Info "fp.verdict"
+              Flight.record ~level:Flight.Info ~run "fp.verdict"
                 [
                   ("failure_point", Xfd_util.Json.Int s.index);
                   ("bugs", Xfd_util.Json.Int (List.length bugs));
@@ -421,14 +426,14 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let base_bugs =
           match config.Config.engine with
           | `Incremental ->
-            Obs.Span.with_ ~name:sp_pre_replay (fun () ->
+            Obs.Span.child sc ~name:sp_pre_replay (fun _ ->
                 Obs.Counter.add c_prefix_reuse !pre_pos;
                 Obs.Counter.add c_pre_replay (max 0 (Trace.length trace - !pre_pos));
                 Detector.replay detector trace ~from:!pre_pos ~upto:(Trace.length trace));
             Detector.bugs detector
           | `Fresh ->
             let det, cleanup = make_detector () in
-            Obs.Span.with_ ~name:sp_pre_replay (fun () ->
+            Obs.Span.child sc ~name:sp_pre_replay (fun _ ->
                 Obs.Counter.add c_pre_replay (Trace.length trace);
                 Detector.replay det trace ~from:0 ~upto:(Trace.length trace));
             let bugs = Detector.bugs det in
@@ -458,13 +463,12 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
          shadow pages — is released before the abort propagates, so an
          aborted run leaks no chunk or page bytes. *)
       dispose_all ();
-      Flight.record ~level:Flight.Warn "run.abort"
+      Flight.record ~level:Flight.Warn ~run "run.abort"
         [ ("exn", Xfd_util.Json.Str (Printexc.to_string e)) ];
       Printexc.raise_with_backtrace e bt
   in
   Obs.Gauge.set g_peak_image (float_of_int (Xfd_mem.Image.peak_bytes ()));
-  let spans = Obs.Span.records_since mark in
-  Flight.end_run
+  Flight.end_run ~run
     [
       ("program", Xfd_util.Json.Str program.name);
       ("failure_points", Xfd_util.Json.Int n_failure_points);
@@ -509,13 +513,8 @@ let tally o =
 (* Wall-time [f] through the span machinery (the engine's only clock), so
    the baselines need no timing path of their own. *)
 let timed_span name f =
-  let mark = Obs.Span.mark () in
-  Obs.Span.with_ ~name f;
-  List.fold_left
-    (fun acc (r : Obs.Span.record) ->
-      if String.equal r.Obs.Span.name name then acc +. r.Obs.Span.dur else acc)
-    0.0
-    (Obs.Span.records_since mark)
+  let (), spans = Obs.Span.root ~name (fun _ -> f ()) in
+  span_total name spans
 
 (* The baselines' single pass: no failure injection, one Full crash after
    the pre-failure stage, and the post stage on an image-only device, as

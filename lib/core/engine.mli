@@ -73,13 +73,17 @@ type outcome = {
   post_events : int;  (** total over all post-failure runs *)
   timings : timings;  (** derived from [spans] via {!timings_of_spans} *)
   spans : Xfd_obs.Obs.Span.record list;
-      (** this run's span tree: a root ["detect"] span with ["pre_exec"],
-          ["post_exec"], ["pre_replay"], ["post_replay"] phases,
-          ["snapshot"] children inside [pre_exec], and per-failure-point
-          ["post_run"]/replay children carrying a [failure_point] meta
-          field.  ["post_exec"] is one span per failure point on the
-          streamed path and one span around the batch otherwise (see
-          above). *)
+      (** this run's span tree, in completion order: a root ["detect"]
+          span (last) with ["pre_exec"], ["post_exec"], ["pre_replay"],
+          ["post_replay"] phases, ["snapshot"] children inside
+          [pre_exec], and per-failure-point ["post_run"] (children of
+          ["post_exec"], on pool helpers too) and replay spans carrying a
+          [failure_point] meta field.  ["post_exec"] is one
+          span per failure point on the streamed path and one span
+          around the batch otherwise (see above).  The detect owns the
+          list ({!Xfd_obs.Obs.Span.root}): it holds every span of this
+          run and no other, also when other detects run at the same
+          time on other threads. *)
   coverage : Xfd_forensics.Coverage.t;
       (** what this run exercised: failure points fired vs elided, RoI
           ordering points, bytes read-checked vs bytes written, per-class

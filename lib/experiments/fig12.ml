@@ -4,8 +4,6 @@ type row = {
   total : float;
   pre_share : float;
   post_share : float;
-  span_pre : float;  (** same breakdown, re-aggregated from the span tree *)
-  span_post : float;
   pure_trace : float;
   original : float;
 }
@@ -20,11 +18,6 @@ let run ?(init = 0) ?(test = 1) () =
     (fun e ->
       let outcome = Xfd.Engine.detect (e.Workload_set.make ~init ~test) in
       let pre, post = Xfd.Engine.wall_breakdown outcome in
-      (* Independently re-derive the same two numbers from the raw span
-         records: the phase breakdown *is* span aggregation. *)
-      let st = Xfd.Engine.timings_of_spans outcome.Xfd.Engine.spans in
-      let span_pre = st.Xfd.Engine.pre_exec +. st.Xfd.Engine.pre_replay +. st.Xfd.Engine.snapshotting in
-      let span_post = st.Xfd.Engine.post_exec +. st.Xfd.Engine.post_replay in
       let pure_trace =
         median3 (fun () -> (Xfd_baselines.Pure_trace.run (e.Workload_set.make ~init ~test)).Xfd_baselines.Pure_trace.wall)
       in
@@ -37,8 +30,6 @@ let run ?(init = 0) ?(test = 1) () =
         total = pre +. post;
         pre_share = pre;
         post_share = post;
-        span_pre;
-        span_post;
         pure_trace;
         original;
       })
@@ -46,14 +37,8 @@ let run ?(init = 0) ?(test = 1) () =
 
 let print_a rows =
   Tbl.print
-    ~title:
-      "Figure 12a: detection wall-clock time, pre/post breakdown (legacy timings vs \
-       span-tree aggregation)"
-    ~header:
-      [
-        "workload"; "failure pts"; "total"; "pre-failure"; "post-failure"; "post %";
-        "pre (spans)"; "post (spans)";
-      ]
+    ~title:"Figure 12a: detection wall-clock time, pre/post breakdown"
+    ~header:[ "workload"; "failure pts"; "total"; "pre-failure"; "post-failure"; "post %" ]
     (List.map
        (fun r ->
          [
@@ -63,8 +48,6 @@ let print_a rows =
            Tbl.secs r.pre_share;
            Tbl.secs r.post_share;
            Printf.sprintf "%.0f%%" (100.0 *. r.post_share /. (max 1e-12 r.total));
-           Tbl.secs r.span_pre;
-           Tbl.secs r.span_post;
          ])
        rows);
   let avg = List.fold_left (fun a r -> a +. r.total) 0.0 rows /. float (List.length rows) in

@@ -17,8 +17,6 @@ type row = {
   total : float;
   pre_share : float;
   post_share : float;
-  span_pre : float;  (** same breakdown, re-aggregated from the span tree *)
-  span_post : float;
   pure_trace : float;
   original : float;
 }

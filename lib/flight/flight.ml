@@ -54,10 +54,9 @@ let default_capacity = 8192
 
 (* ---- the ring ----
 
-   Same bounded-ring discipline as the span buffer: newest [capacity]
-   events retained, oldest dropped and counted.  Events arrive from the
-   main domain and the engine's worker domains, so the ring is
-   mutex-protected. *)
+   The newest [capacity] events are retained, the oldest dropped and
+   counted.  Events arrive from the main domain and the engine's worker
+   domains, so the ring is mutex-protected. *)
 
 let mutex = Mutex.create ()
 let buf : event option array ref = ref (Array.make default_capacity None)
@@ -158,13 +157,13 @@ let event_to_json e =
      ]
     @ match e.fields with [] -> [] | fs -> [ ("fields", Json.Obj fs) ])
 
-let record ?(level = Info) name fields =
+let record ?(level = Info) ?run name fields =
   if Atomic.get enabled_flag && level_rank level >= Atomic.get threshold then begin
     let e =
       {
         seq = Atomic.fetch_and_add seq_counter 1;
         ts = Unix.gettimeofday ();
-        run = Atomic.get current_run;
+        run = (match run with Some r -> r | None -> Atomic.get current_run);
         level;
         name;
         fields;
@@ -183,10 +182,10 @@ let record ?(level = Info) name fields =
 let begin_run ~program =
   let id = new_run_id () in
   Atomic.set current_run id;
-  record ~level:Info "run.begin" [ ("program", Json.Str program) ];
+  record ~level:Info ~run:id "run.begin" [ ("program", Json.Str program) ];
   id
 
-let end_run fields = record ~level:Info "run.end" fields
+let end_run ~run fields = record ~level:Info ~run "run.end" fields
 
 (* ---- export ---- *)
 

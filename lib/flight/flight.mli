@@ -4,8 +4,8 @@
     scheduled/started/judged, snapshots recorded/dropped, worker joins —
     through {!record}.  The newest events are retained in a ring of
     {!capacity} entries (oldest dropped and counted in
-    ["flight.events_dropped"]), stamped with the {!run_id} of the
-    enclosing detection run, and streamed as JSONL records of
+    ["flight.events_dropped"]), stamped with the id of the detection run
+    they belong to, and streamed as JSONL records of
     [{"type":"flight",...}] shape whenever an [Obs.Sink] is installed.
     Every 64th event additionally samples [Gc.quick_stat] into the
     [gc.*] gauges.
@@ -49,18 +49,23 @@ val set_capacity : int -> unit
 
 (** {1 Recording} *)
 
-(** [record ~level name fields] appends one event (if enabled and at or
-    above the level threshold), tagging it with the current run id. *)
-val record : ?level:level -> string -> (string * Xfd_util.Json.t) list -> unit
+(** [record ~level ~run name fields] appends one event (if enabled and
+    at or above the level threshold), tagged with [run] — by default the
+    latest run begun, {!run_id}.  Runs may overlap (two served jobs
+    detecting at once), so the engine passes the id {!begin_run}
+    returned to every event of its run. *)
+val record : ?level:level -> ?run:string -> string -> (string * Xfd_util.Json.t) list -> unit
 
-(** Start a new run scope: generates a fresh run id, makes it current,
-    and records a ["run.begin"] event.  Returns the id. *)
+(** Start a new run: generates a fresh run id, makes it the latest
+    ({!run_id}), and records a ["run.begin"] event tagged with it.
+    Returns the id. *)
 val begin_run : program:string -> string
 
-(** Record a ["run.end"] event carrying [fields]. *)
-val end_run : (string * Xfd_util.Json.t) list -> unit
+(** Record run [run]'s ["run.end"] event carrying [fields]. *)
+val end_run : run:string -> (string * Xfd_util.Json.t) list -> unit
 
-(** The current run id (["-"] before the first {!begin_run}). *)
+(** The id of the latest run begun (["-"] before the first
+    {!begin_run}) — what a status page shows as "the current run". *)
 val run_id : unit -> string
 
 (** {1 Inspection and export} *)

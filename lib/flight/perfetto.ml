@@ -1,4 +1,4 @@
-(* Chrome trace-event export: the finished-span buffer as a trace.json.
+(* Chrome trace-event export: a span list as a trace.json.
 
    The format is the JSON "trace event" flavour that Perfetto and
    chrome://tracing both load: one object per span with "ph":"X"
@@ -89,10 +89,10 @@ let to_file ?process_name path spans = write path (of_spans ?process_name spans)
 
    [of_spans] serves callers that already hold a span list (one engine
    outcome).  Long multi-run sessions — a fuzz sweep, the whole bench
-   harness — never hold the full list: each [Engine.detect] drains its
-   own spans from the bounded buffer.  The collector taps the sink
-   stream instead: it parses every {"type":"span"} record back into
-   slice parameters as it passes by, bounded by [capacity]. *)
+   harness — never hold the full list: each [Engine.detect] returns its
+   own spans in its outcome, and nothing else keeps them.  The collector
+   taps the sink stream instead: it parses every {"type":"span"} record
+   back into slice parameters as it passes by, bounded by [capacity]. *)
 
 module Collector = struct
   type t = {

@@ -17,11 +17,11 @@ val to_file : ?process_name:string -> string -> Xfd_obs.Obs.Span.record list -> 
 
 (** Tap the sink stream instead of holding spans: a collector installed
     with {!Collector.start} parses every [{"type":"span"}] record that
-    passes through [Obs.Sink.emit] (each [Engine.detect] drains its own
-    spans from the bounded buffer, so a multi-run session — a fuzz
-    sweep, the bench harness — can only see them streamed).  Bounded:
-    beyond [capacity] slices (default 200k) new ones are counted as
-    dropped. *)
+    passes through [Obs.Sink.emit].  Each [Engine.detect] hands its own
+    spans to its caller only, in its outcome, so a multi-run session — a
+    fuzz sweep, the bench harness — sees them all only streamed.
+    Bounded: beyond [capacity] slices (default 200k) new ones are counted
+    as dropped. *)
 module Collector : sig
   type t
 

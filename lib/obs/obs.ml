@@ -260,43 +260,18 @@ module Span = struct
     meta : (string * Json.t) list;
   }
 
+  (* A run's finished spans, newest first.  Pool helpers finish spans of
+     the same run on other domains, so they are pushed with a CAS. *)
+  type run = record list Atomic.t
+
+  type scope = { run : run; span_id : int }
+
   let next_id = Atomic.make 0
 
-  (* Finished spans live in a bounded ring with a monotone completion index,
-     so callers can collect exactly the spans finished inside a region.  The
-     bound matters: long fuzz sweeps finish millions of spans that nobody
-     may ever drain, so beyond [capacity] the oldest records are dropped
-     (and counted) instead of retained. *)
-  let default_capacity = 65_536
-  let spans_dropped = Counter.make "obs.spans_dropped"
-
-  let buf : record option array ref = ref (Array.make default_capacity None)
-  let head = ref 0 (* next write position; live records end just before it *)
-  let len = ref 0 (* live records in the ring, at [head - len, head) *)
-  let finished_count = ref 0 (* logical completion cursor, never bounded *)
+  (* The process-lifetime aggregate behind [summary_json]: the only span
+     state shared between runs. *)
   let agg : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 32
-  let span_mutex = Mutex.create ()
-
-  let capacity () = with_lock span_mutex (fun () -> Array.length !buf)
-
-  let set_capacity n =
-    if n <= 0 then invalid_arg "Obs.Span.set_capacity: capacity must be positive";
-    with_lock span_mutex (fun () ->
-        let old = !buf in
-        let old_cap = Array.length old in
-        let keep = min !len n in
-        let dropped = !len - keep in
-        let fresh = Array.make n None in
-        for i = 0 to keep - 1 do
-          fresh.(i) <- old.((!head - keep + i + (2 * old_cap)) mod old_cap)
-        done;
-        buf := fresh;
-        head := keep mod n;
-        len := keep;
-        if dropped > 0 then Counter.add spans_dropped dropped)
-
-  (* Per-domain stack of open span ids, for parent linkage. *)
-  let stack_key = Domain.DLS.new_key (fun () -> ref [])
+  let agg_mutex = Mutex.create ()
 
   let record_to_json r =
     Json.Obj
@@ -311,41 +286,38 @@ module Span = struct
        ]
       @ match r.meta with [] -> [] | m -> [ ("meta", Json.Obj m) ])
 
-  let finish r =
-    with_lock span_mutex (fun () ->
-        let cap = Array.length !buf in
-        if !len = cap then Counter.incr spans_dropped (* oldest is overwritten *)
-        else incr len;
-        !buf.(!head) <- Some r;
-        head := (!head + 1) mod cap;
-        incr finished_count;
-        let c, s =
-          match Hashtbl.find_opt agg r.name with
-          | Some cs -> cs
-          | None ->
-            let cs = (ref 0, ref 0.0) in
-            Hashtbl.replace agg r.name cs;
-            cs
-        in
-        incr c;
-        s := !s +. r.dur);
-    Sink.emit (record_to_json r)
+  let rec push run r =
+    let old = Atomic.get run in
+    if not (Atomic.compare_and_set run old (r :: old)) then push run r
 
-  let top stack = match !stack with [] -> None | p :: _ -> Some p
-  let current () = top (Domain.DLS.get stack_key)
+  (* Count [r] into a per-name [(count, total seconds)] table. *)
+  let tally tbl r =
+    let c, s =
+      match Hashtbl.find_opt tbl r.name with
+      | Some cs -> cs
+      | None ->
+        let cs = (ref 0, ref 0.0) in
+        Hashtbl.replace tbl r.name cs;
+        cs
+    in
+    incr c;
+    s := !s +. r.dur
 
-  let with_ ?(meta = []) ?parent ~name f =
-    let stack = Domain.DLS.get stack_key in
+  let sorted tbl =
+    Hashtbl.fold (fun name (c, s) acc -> (name, (!c, !s)) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let finish run r =
+    push run r;
+    with_lock agg_mutex (fun () -> tally agg r);
+    if Sink.active () then Sink.emit (record_to_json r)
+
+  let timed ~meta ~run ~parent ~name f =
     let id = Atomic.fetch_and_add next_id 1 in
-    let parent = match parent with None -> top stack | Some _ -> parent in
-    stack := id :: !stack;
     let tid = (Domain.self () :> int) in
     let start = now () in
-    let exit () =
-      (match !stack with _ :: rest -> stack := rest | [] -> ());
-      finish { id; parent; name; tid; start; dur = now () -. start; meta }
-    in
-    match f () with
+    let exit () = finish run { id; parent; name; tid; start; dur = now () -. start; meta } in
+    match f { run; span_id = id } with
     | v ->
       exit ();
       v
@@ -353,63 +325,24 @@ module Span = struct
       exit ();
       raise e
 
-  type mark = int
+  let root ?(meta = []) ~name f =
+    let run = Atomic.make [] in
+    let v = timed ~meta ~run ~parent:None ~name f in
+    (v, List.rev (Atomic.get run))
 
-  let mark () = with_lock span_mutex (fun () -> !finished_count)
-  let genesis = 0
+  let child ?(meta = []) scope ~name f =
+    timed ~meta ~run:scope.run ~parent:(Some scope.span_id) ~name f
 
-  let records_since m =
-    with_lock span_mutex (fun () ->
-        let cap = Array.length !buf in
-        let n = max 0 (!finished_count - m) in
-        (* Records older than the ring's reach were dropped at finish time;
-           the caller gets whatever the bound retained. *)
-        let k = min n !len in
-        let acc = ref [] in
-        for i = 1 to k do
-          match !buf.((!head - i + (2 * cap)) mod cap) with
-          | Some r -> acc := r :: !acc
-          | None -> assert false
-        done;
-        head := (!head - k + cap) mod cap;
-        len := !len - k;
-        if !finished_count > m then finished_count := m;
-        !acc)
-
-  (* The drain API under its export name: collect (and consume) every span
-     finished since [mark]. *)
-  let drain_spans = records_since
+  let with_ ?meta ~name f = fst (root ?meta ~name (fun _ -> f ()))
 
   let aggregate records =
     let t = Hashtbl.create 16 in
-    List.iter
-      (fun r ->
-        let c, s =
-          match Hashtbl.find_opt t r.name with
-          | Some cs -> cs
-          | None ->
-            let cs = (ref 0, ref 0.0) in
-            Hashtbl.replace t r.name cs;
-            cs
-        in
-        incr c;
-        s := !s +. r.dur)
-      records;
-    Hashtbl.fold (fun name (c, s) acc -> (name, (!c, !s)) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    List.iter (tally t) records;
+    sorted t
 
-  let aggregate_all () =
-    with_lock span_mutex (fun () ->
-        Hashtbl.fold (fun name (c, s) acc -> (name, (!c, !s)) :: acc) agg [])
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let aggregate_all () = with_lock agg_mutex (fun () -> sorted agg)
 
-  let reset () =
-    with_lock span_mutex (fun () ->
-        Array.fill !buf 0 (Array.length !buf) None;
-        head := 0;
-        len := 0;
-        finished_count := 0;
-        Hashtbl.reset agg)
+  let reset () = with_lock agg_mutex (fun () -> Hashtbl.reset agg)
 end
 
 let reset () =

@@ -8,11 +8,16 @@
     - {b metrics} — named monotonic {!Counter}s, {!Gauge}s and log-scale
       {!Histogram}s, registered once by name and safe to update from any
       domain (the engine runs post-failure executions on a domain pool);
-    - {b spans} — nestable timed spans ({!Span.with_}) whose per-phase
-      aggregation reproduces the Figure 12 wall-clock breakdown, replacing
-      the engine's historical hand-rolled timing accumulation;
+    - {b spans} — timed spans grouped into runs: a run's root span
+      ({!Span.root}) owns the list of its spans, and every child is opened
+      through an explicit {!Span.scope}, so concurrent runs never see each
+      other's spans.  Their per-phase aggregation reproduces the Figure 12
+      wall-clock breakdown;
     - {b sinks} — JSONL streams ({!Sink}) that receive one record per
       finished span plus an end-of-run summary record.
+
+    The only process-wide span state is the installed sinks and the
+    per-name aggregate behind {!summary_json}.
 
     Metric updates honour a global enabled flag ({!set_enabled}): when
     disabled, every update is a load-and-branch no-op, so instrumented hot
@@ -27,8 +32,8 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
-(** Zero every registered counter, gauge and histogram; drop finished
-    spans and span aggregates.  Registered metric handles stay valid. *)
+(** Zero every registered counter, gauge and histogram and drop the span
+    aggregates.  Registered metric handles stay valid. *)
 val reset : unit -> unit
 
 (** {1 Metrics}
@@ -107,11 +112,8 @@ val metrics_snapshot :
 
 module Span : sig
   (** A finished span.  [start] is an absolute Unix timestamp in seconds,
-      [dur] the wall-clock duration.  [parent] is the id of the enclosing
-      span on the same domain, if any, or the parent passed to
-      {!with_}: the span stack is per domain, so the engine hands the
-      batch's ["post_exec"] span id to the pool helpers, and their
-      ["post_run"] spans name it as their parent.  [tid] is the integer
+      [dur] the wall-clock duration.  [parent] is the id of the span whose
+      {!scope} opened this one, [None] for a root.  [tid] is the integer
       id of the domain the span ran on — the track key for trace export,
       one track per pool helper. *)
   type record = {
@@ -124,49 +126,38 @@ module Span : sig
     meta : (string * Xfd_util.Json.t) list;
   }
 
-  (** [with_ ~name f] times [f ()] as a span named [name].  Nesting is
-      tracked per domain; the span is recorded (and streamed to any
-      installed sink) when [f] returns or raises.  [parent] overrides the
-      enclosing span of this domain, for a span opened on behalf of a
-      span of another domain. *)
-  val with_ :
-    ?meta:(string * Xfd_util.Json.t) list -> ?parent:int -> name:string -> (unit -> 'a) -> 'a
+  (** An open span of one run: the handle its children are opened
+      under.  Passing it is the only way to parent a span, so a span
+      opened on a pool helper, or on another thread, lands in the run
+      whose scope it was given. *)
+  type scope
 
-  (** The id of this domain's innermost open span, if any. *)
-  val current : unit -> int option
+  (** [root ~name f] times [f scope] as the root span of a new run and
+      returns [f]'s value with every span of that run — the root and each
+      span opened under its scope, transitively — in completion order,
+      the root last.  If [f] raises, the spans are dropped from the
+      result; they have still been streamed and aggregated. *)
+  val root :
+    ?meta:(string * Xfd_util.Json.t) list ->
+    name:string ->
+    (scope -> 'a) ->
+    'a * record list
 
-  (** A position in the finished-span buffer, for scoped collection. *)
-  type mark
+  (** [child scope ~name f] times [f] as a span whose parent is [scope]'s
+      span, added to [scope]'s run when [f] returns or raises.  Safe to
+      call from any domain or thread. *)
+  val child :
+    ?meta:(string * Xfd_util.Json.t) list -> scope -> name:string -> (scope -> 'a) -> 'a
 
-  val mark : unit -> mark
-
-  (** A mark preceding every span: draining from it empties the buffer. *)
-  val genesis : mark
-
-  (** All spans finished since [mark] that the bounded buffer retained, in
-      completion order, removed from the buffer (spans finished before the
-      mark are untouched).  The engine uses this to attach exactly its own
-      span tree to an outcome while keeping the process-global buffer
-      bounded. *)
-  val records_since : mark -> record list
-
-  (** Alias of {!records_since}: drain the spans finished since [mark]. *)
-  val drain_spans : mark -> record list
-
-  (** The finished-span buffer is a bounded ring (default 65536 records):
-      beyond the capacity the oldest records are dropped and counted in
-      the ["obs.spans_dropped"] counter, so unbounded span production
-      (long fuzz sweeps) cannot leak memory.  [set_capacity] reallocates
-      the ring, keeping the newest records. *)
-  val capacity : unit -> int
-
-  val set_capacity : int -> unit
+  (** [with_ ~name f] times [f ()] as a root span nobody collects: it is
+      only streamed and aggregated. *)
+  val with_ : ?meta:(string * Xfd_util.Json.t) list -> name:string -> (unit -> 'a) -> 'a
 
   (** Aggregate a span list by name: [(name, (count, total seconds))]. *)
   val aggregate : record list -> (string * (int * float)) list
 
-  (** Process-lifetime aggregate over every finished span (survives
-      {!records_since} truncation), sorted by name. *)
+  (** Process-lifetime aggregate over every finished span, sorted by
+      name. *)
   val aggregate_all : unit -> (string * (int * float)) list
 
   val record_to_json : record -> Xfd_util.Json.t

@@ -79,8 +79,10 @@ let recorder_tests =
             let r2 = Flight.begin_run ~program:"p2" in
             Alcotest.(check bool) "distinct ids" true (r1 <> r2);
             Alcotest.(check string) "current id is the newest" r2 (Flight.run_id ());
+            (* An overlapping run names itself explicitly. *)
+            Flight.record ~run:r1 "test.late" [];
             let runs = List.map (fun e -> e.Flight.run) (Flight.events ()) in
-            Alcotest.(check (list string)) "events carry their run" [ r1; r1; r2 ] runs));
+            Alcotest.(check (list string)) "events carry their run" [ r1; r1; r2; r1 ] runs));
     Tu.case "disabled mode records nothing" (fun () ->
         with_recorder (fun () ->
             Flight.set_enabled false;
@@ -167,7 +169,6 @@ let span_names trace =
 let perfetto_tests =
   [
     Tu.case "of_spans emits valid trace-event JSON that round-trips" (fun () ->
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
         let o = Tu.detect (program ()) in
         let trace = Perfetto.of_spans ~process_name:"t" o.Engine.spans in
         let reparsed =
@@ -214,7 +215,6 @@ let perfetto_tests =
             evs
         | _ -> Alcotest.fail "traceEvents missing"));
     Tu.case "to_file writes a loadable trace" (fun () ->
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
         let o = Tu.detect (program ()) in
         let path = Filename.temp_file "xfd_trace" ".json" in
         Fun.protect
@@ -295,8 +295,6 @@ let perfetto_tests =
           Obs.Span.with_ ~name:(Printf.sprintf "bulk_%04d" i) (fun () -> ())
         done;
         let trace = Perfetto.Collector.stop c in
-        (* Leave the global finished-span ring clean for later suites. *)
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
         Alcotest.(check int) "nothing dropped" 0 (Perfetto.Collector.dropped c);
         let reparsed =
           match Json.of_string (Json.to_string trace) with

@@ -114,14 +114,12 @@ let counter_tests =
 
 let span_tests =
   [
-    Tu.case "spans nest, time monotonically and collect scoped" (fun () ->
-        let mark = Obs.Span.mark () in
-        let r =
-          Obs.Span.with_ ~name:"test.outer" (fun () ->
-              Obs.Span.with_ ~name:"test.inner" (fun () -> 6 * 7))
+    Tu.case "spans nest, time monotonically and collect per run" (fun () ->
+        let r, records =
+          Obs.Span.root ~name:"test.outer" (fun sc ->
+              Obs.Span.child sc ~name:"test.inner" (fun _ -> 6 * 7))
         in
         Alcotest.(check int) "result threads through" 42 r;
-        let records = Obs.Span.records_since mark in
         Alcotest.(check int) "both spans collected" 2 (List.length records);
         let inner = List.nth records 0 and outer = List.nth records 1 in
         Alcotest.(check string) "inner finishes first" "test.inner" inner.Obs.Span.name;
@@ -135,25 +133,43 @@ let span_tests =
           (inner.Obs.Span.dur <= outer.Obs.Span.dur +. 1e-9);
         Alcotest.(check bool) "start ordering" true
           (outer.Obs.Span.start <= inner.Obs.Span.start +. 1e-9);
-        (* The collection is consuming: a second drain from the same mark is
-           empty. *)
-        Alcotest.(check int) "buffer truncated" 0
-          (List.length (Obs.Span.records_since mark)));
+        (* Only a scope parents a span: a bare [with_] inside a run is a
+           root of its own, and no run collects it. *)
+        let (), records =
+          Obs.Span.root ~name:"test.run" (fun _ -> Obs.Span.with_ ~name:"test.bare" (fun () -> ()))
+        in
+        Alcotest.(check (list string))
+          "a bare span stays out of the run" [ "test.run" ]
+          (List.map (fun r -> r.Obs.Span.name) records));
     Tu.case "spans record on exceptions too" (fun () ->
-        let mark = Obs.Span.mark () in
-        (try Obs.Span.with_ ~name:"test.raises" (fun () -> failwith "boom")
+        let (), records =
+          Obs.Span.root ~name:"test.run" (fun sc ->
+              try Obs.Span.child sc ~name:"test.raises" (fun _ -> failwith "boom")
+              with Failure _ -> ())
+        in
+        Alcotest.(check (list string))
+          "the raising span is recorded" [ "test.raises"; "test.run" ]
+          (List.map (fun r -> r.Obs.Span.name) records);
+        (* A raising root returns no list, but its span is still
+           aggregated. *)
+        let count () =
+          match List.assoc_opt "test.raises.root" (Obs.Span.aggregate_all ()) with
+          | Some (n, _) -> n
+          | None -> 0
+        in
+        let n0 = count () in
+        (try ignore (Obs.Span.root ~name:"test.raises.root" (fun _ -> failwith "boom"))
          with Failure _ -> ());
-        let records = Obs.Span.records_since mark in
-        Alcotest.(check int) "span recorded" 1 (List.length records);
-        Alcotest.(check string) "name" "test.raises" (List.hd records).Obs.Span.name);
+        Alcotest.(check int) "the raising root is aggregated" (n0 + 1) (count ()));
     Tu.case "aggregate sums per name" (fun () ->
-        let mark = Obs.Span.mark () in
-        for _ = 1 to 3 do
-          Obs.Span.with_ ~name:"test.agg" (fun () -> ())
-        done;
-        let records = Obs.Span.records_since mark in
+        let (), records =
+          Obs.Span.root ~name:"test.agg.run" (fun sc ->
+              for _ = 1 to 3 do
+                Obs.Span.child sc ~name:"test.agg" (fun _ -> ())
+              done)
+        in
         match Obs.Span.aggregate records with
-        | [ ("test.agg", (count, total)) ] ->
+        | [ ("test.agg", (count, total)); ("test.agg.run", (1, _)) ] ->
           Alcotest.(check int) "count" 3 count;
           Alcotest.(check bool) "total is a sum of durations" true (total >= 0.0)
         | other ->
@@ -169,12 +185,10 @@ let jsonl_tests =
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            let mark = Obs.Span.mark () in
             Obs.Span.with_ ~name:"test.sink.span" (fun () ->
                 Obs.Counter.incr (Obs.Counter.make "test.obs.sink_counter"));
             Obs.write_summary ();
             Obs.Sink.uninstall sink;
-            ignore (Obs.Span.records_since mark);
             let ic = open_in path in
             let lines = ref [] in
             (try
@@ -316,40 +330,6 @@ let bound_tests =
         Alcotest.(check (list (pair int int)))
           "buckets unchanged" [ (7, 1) ] (Obs.Histogram.buckets h);
         Alcotest.(check int) "drop counted" (d0 + 1) (cval "obs.observe_dropped"));
-    Tu.case "finished-span ring keeps the newest spans and counts drops" (fun () ->
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
-        let cap0 = Obs.Span.capacity () in
-        Fun.protect
-          ~finally:(fun () ->
-            ignore (Obs.Span.drain_spans Obs.Span.genesis);
-            Obs.Span.set_capacity cap0)
-          (fun () ->
-            Obs.Span.set_capacity 8;
-            Alcotest.(check int) "capacity applied" 8 (Obs.Span.capacity ());
-            let d0 = cval "obs.spans_dropped" in
-            let mark = Obs.Span.mark () in
-            for i = 1 to 20 do
-              Obs.Span.with_ ~name:(Printf.sprintf "test.ring.%d" i) (fun () -> ())
-            done;
-            let records = Obs.Span.drain_spans mark in
-            Alcotest.(check (list string))
-              "the 8 newest survive, oldest-first"
-              (List.init 8 (fun i -> Printf.sprintf "test.ring.%d" (13 + i)))
-              (List.map (fun r -> r.Obs.Span.name) records);
-            Alcotest.(check int) "the 12 oldest were dropped and counted" (d0 + 12)
-              (cval "obs.spans_dropped");
-            (* Shrinking below the live count also drops-and-counts. *)
-            for i = 1 to 6 do
-              Obs.Span.with_ ~name:(Printf.sprintf "test.shrink.%d" i) (fun () -> ())
-            done;
-            let d1 = cval "obs.spans_dropped" in
-            Obs.Span.set_capacity 2;
-            Alcotest.(check int) "shrink drops the overflow" (d1 + 4)
-              (cval "obs.spans_dropped");
-            let kept = Obs.Span.drain_spans Obs.Span.genesis in
-            Alcotest.(check (list string))
-              "shrink keeps the newest" [ "test.shrink.5"; "test.shrink.6" ]
-              (List.map (fun r -> r.Obs.Span.name) kept)));
   ]
 
 let mt_tests =
@@ -374,34 +354,106 @@ let mt_tests =
         Alcotest.(check int) "histogram sum exact"
           (s0 + (4 * (per / 8 * 28)))
           (Obs.Histogram.sum h));
-    Tu.case "concurrent drain_spans neither loses nor duplicates a span" (fun () ->
-        let program () = Xfd_workloads.Array_update.program ~size:2 () in
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
-        let solo = Tu.detect (program ()) in
-        let expected = List.length solo.Engine.spans in
-        ignore (Obs.Span.drain_spans Obs.Span.genesis);
-        (* Steal from the shared buffer for the whole duration of a detect
-           running on another domain; every span must end up in exactly one
-           of: the outcome, a steal, or the final sweep. *)
-        let finished = Atomic.make false in
-        let d =
-          Domain.spawn (fun () ->
-              let o = Tu.detect (program ()) in
-              Atomic.set finished true;
-              o)
-        in
-        let stolen = ref [] in
-        while not (Atomic.get finished) do
-          (match Obs.Span.drain_spans Obs.Span.genesis with [] -> () | rs -> stolen := rs :: !stolen);
-          Domain.cpu_relax ()
-        done;
-        let o = Domain.join d in
-        let leftover = Obs.Span.drain_spans Obs.Span.genesis in
-        let all = o.Engine.spans @ leftover @ List.concat !stolen in
-        Alcotest.(check int) "span count conserved" expected (List.length all);
-        let ids = List.map (fun r -> r.Obs.Span.id) all in
-        Alcotest.(check int) "no span delivered twice" (List.length ids)
-          (List.length (List.sort_uniq compare ids)));
+  ]
+
+(* ---- ownership under concurrency ----
+
+   [xfd serve] runs its workers as systhreads of one domain, so two
+   served detects overlap on the same domain.  Each detect must still get
+   exactly its own spans and tag its flight events with its own run id. *)
+
+module Flight = Xfd_flight.Flight
+
+(* Two threads, each running [per_thread] detects of [program] in turn. *)
+let two_threads ~config ~per_thread program =
+  let results = Array.make 2 [] in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- List.init per_thread (fun _ -> Tu.detect ~config (program ())))
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check (list int)) "every detect returned" [ per_thread; per_thread ]
+    (Array.to_list (Array.map List.length results));
+  results.(0) @ results.(1)
+
+(* [o]'s spans form one tree rooted at its own parentless detect span,
+   with a post_run per failure point, and its timings are theirs. *)
+let check_owned i (o : Engine.outcome) =
+  let name what = Printf.sprintf "outcome %d: %s" i what in
+  let spans = o.Engine.spans in
+  let ids = List.map (fun r -> r.Obs.Span.id) spans in
+  let roots = List.filter (fun r -> r.Obs.Span.parent = None) spans in
+  Alcotest.(check (list string)) (name "one parentless root, detect") [ "detect" ]
+    (List.map (fun r -> r.Obs.Span.name) roots);
+  List.iter
+    (fun r ->
+      match r.Obs.Span.parent with
+      | Some p when not (List.mem p ids) ->
+        Alcotest.failf "%s: %s span %d has parent %d outside the outcome" (name "tree")
+          r.Obs.Span.name r.Obs.Span.id p
+      | _ -> ())
+    spans;
+  Alcotest.(check int) (name "one post_run per failure point") o.Engine.failure_points
+    (List.length (List.filter (fun r -> String.equal r.Obs.Span.name "post_run") spans));
+  Alcotest.(check bool) (name "timings are its own spans'") true
+    (Engine.timings_of_spans spans = o.Engine.timings)
+
+(* Every run in the flight ring has one run.begin and one run.end, and as
+   many fp.started and fp.verdict events as its run.end's failure_points. *)
+let check_flight_runs ~runs =
+  let evs = Flight.events () in
+  let begun =
+    List.filter_map (fun e -> if e.Flight.name = "run.begin" then Some e.Flight.run else None) evs
+  in
+  Alcotest.(check int) "a run.begin per detect" runs (List.length begun);
+  List.iter
+    (fun run ->
+      let mine = List.filter (fun e -> e.Flight.run = run) evs in
+      let count n = List.length (List.filter (fun e -> e.Flight.name = n) mine) in
+      Alcotest.(check int) (run ^ ": one run.begin") 1 (count "run.begin");
+      Alcotest.(check int) (run ^ ": one run.end") 1 (count "run.end");
+      let fps =
+        match List.find_opt (fun e -> e.Flight.name = "run.end") mine with
+        | Some e -> (
+          match List.assoc_opt "failure_points" e.Flight.fields with
+          | Some (Json.Int n) -> n
+          | _ -> -1)
+        | None -> -1
+      in
+      Alcotest.(check int) (run ^ ": an fp.started per failure point") fps (count "fp.started");
+      Alcotest.(check int) (run ^ ": an fp.verdict per failure point") fps (count "fp.verdict"))
+    begun
+
+let ownership_case label ~config program =
+  Tu.case label (fun () ->
+      let lvl0 = Flight.level () and cap0 = Flight.capacity () in
+      Flight.clear ();
+      Flight.set_level Flight.Debug;
+      Flight.set_capacity 16_384;
+      Fun.protect
+        ~finally:(fun () ->
+          Flight.set_level lvl0;
+          Flight.set_capacity cap0;
+          Flight.clear ())
+        (fun () ->
+          let d0 = cval "flight.events_dropped" in
+          let per_thread = 20 in
+          let outcomes = two_threads ~config ~per_thread program in
+          List.iteri check_owned outcomes;
+          Alcotest.(check int) "the flight ring kept every event" d0
+            (cval "flight.events_dropped");
+          check_flight_runs ~runs:(2 * per_thread)))
+
+let ownership_tests =
+  [
+    ownership_case "two threads x 20 streamed detects: each owns its spans and run id"
+      ~config:Xfd.Config.default
+      (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
+    ownership_case "two threads x 20 detects at post_jobs=3: helpers' spans and events stay home"
+      ~config:{ Xfd.Config.default with post_jobs = 3 }
+      (fun () -> Xfd_workloads.Array_update.program ~size:3 ());
   ]
 
 let suite =
@@ -410,6 +462,7 @@ let suite =
     ("obs.spans", span_tests);
     ("obs.bounds", bound_tests);
     ("obs.mt", mt_tests);
+    ("obs.ownership", ownership_tests);
     ("obs.jsonl", jsonl_tests);
     ("obs.engine", engine_tests);
   ]

@@ -492,10 +492,10 @@ let route_tests =
             in
             Alcotest.(check int) "idle is 503" 503 (handle "/ready").Httpd.status;
             Alcotest.(check bool) "status idle" true (Pulse.status () = Pulse.Idle);
-            ignore (Flight.begin_run ~program:"pulse-test");
+            let run = Flight.begin_run ~program:"pulse-test" in
             Alcotest.(check int) "running is 200" 200 (handle "/ready").Httpd.status;
             Alcotest.(check bool) "status running" true (Pulse.status () = Pulse.Running);
-            Flight.end_run [];
+            Flight.end_run ~run [];
             Alcotest.(check int) "done is 200" 200 (handle "/ready").Httpd.status;
             Alcotest.(check bool) "status done" true (Pulse.status () = Pulse.Done);
             let hj = parse_json (handle "/health").Httpd.body in
