@@ -392,6 +392,29 @@ let microbenches () =
     done;
     t
   in
+  (* A warm shadow: 8 KiB written, flushed and fenced, as a failure point
+     finds an undo log's pages.  Forked and rewound repeatedly, as the
+     engine forks its base for every post-failure replay. *)
+  let warm_shadow =
+    let s = Xfd.Shadow_pm.create () in
+    for i = 0 to 1023 do
+      Xfd.Shadow_pm.write s (base + (8 * i)) 8 ~ts:i ~ev:i ~loc:l ~nt:false ~post:false;
+      if i mod 8 = 7 then
+        ignore (Xfd.Shadow_pm.flush_line s (Xfd_mem.Addr.line_of (base + (8 * i))) ~ev:i)
+    done;
+    Xfd.Shadow_pm.fence s ~ev:1024;
+    s
+  in
+  let fork_write n ~persist =
+    let f = Xfd.Shadow_pm.overlay warm_shadow in
+    let a = base + 100 in
+    Xfd.Shadow_pm.write f a n ~ts:2000 ~ev:2000 ~loc:l ~nt:false ~post:true;
+    if persist then begin
+      ignore (Xfd.Shadow_pm.flush_line f (Xfd_mem.Addr.line_of a) ~ev:2001);
+      Xfd.Shadow_pm.fence f ~ev:2002
+    end;
+    Xfd.Shadow_pm.rewind f
+  in
   (* A device with 8 KiB of stores, as a failure point finds it. *)
   let capture_dev =
     let d = Xfd_mem.Pm_device.create () in
@@ -432,6 +455,10 @@ let microbenches () =
              Xfd.Detector.replay f recover_trace ~from:0
                ~upto:(Xfd_trace.Trace.length recover_trace);
              Xfd.Detector.rewind f));
+      Test.make ~name:"backend: fork write 256 B + rewind"
+        (Staged.stage (fun () -> fork_write 256 ~persist:false));
+      Test.make ~name:"backend: fork write 8 B + clwb + sfence + rewind"
+        (Staged.stage (fun () -> fork_write 8 ~persist:true));
       Test.make ~name:"capture + boot_image_only + one CoW write"
         (Staged.stage (fun () ->
              let img = Xfd_mem.Pm_device.capture capture_dev Xfd_mem.Pm_device.Full in

@@ -120,50 +120,52 @@ let flush_pends t = t.flush_code = c_pending
 let restate_bits code set = code lor pending_bit code lor set
 let only code = 1 lsl code
 
+(* One pass restates the modified bytes and classifies the line: when
+   it held none, nothing was stored. *)
 let flush_line t line ~set =
-  let states = Pages.scan t.pages line Addr.line_size in
-  if states land only c_modified <> 0 then begin
-    Pages.restate t.pages line Addr.line_size ~states:(only c_modified)
-      ~bits:(restate_bits t.flush_code set);
-    `Had_modified
-  end
+  let states =
+    Pages.scan_restate t.pages line Addr.line_size ~states:(only c_modified)
+      ~bits:(restate_bits t.flush_code set)
+  in
+  if states land only c_modified <> 0 then `Had_modified
   else if states land only c_pending <> 0 then `Waste Pstate.Double_flush
   else if states land only c_persisted <> 0 then `Waste Pstate.Unnecessary_flush
   else `Clean
 
-let fence t ~set =
-  if not t.fence_persists then 0
-  else begin
-    Pages.restate_all t.pages ~pending:true ~states:(only c_pending)
-      ~bits:(restate_bits t.fence_code set);
-    Pages.changes t.pages
-  end
+(* Restate the selected bytes of each of the [n] segments; answers how
+   many were stored. *)
+let restate_segments t addrs lens n ~states ~having ~bits =
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    k := !k + Pages.restate t.pages addrs.(i) lens.(i) ~states ~having ~bits
+  done;
+  !k
 
-let fence_list t addrs n ~set =
+let fence t ~set ~log =
   if not t.fence_persists then 0
-  else begin
-    Pages.restate_list t.pages addrs n ~states:(only c_pending) ~having:0
-      ~bits:(restate_bits t.fence_code set);
-    Pages.changes t.pages
-  end
+  else
+    Pages.restate_all t.pages ~pending:true ~states:(only c_pending)
+      ~bits:(restate_bits t.fence_code set) ~log
+
+let fence_segments t addrs lens n ~having ~set =
+  if not t.fence_persists then 0
+  else
+    restate_segments t addrs lens n ~states:(only c_pending) ~having
+      ~bits:(restate_bits t.fence_code set)
 
 let outstanding_states = only c_modified lor only c_pending
 
-let gpf t ~set =
+let gpf t ~set ~log =
   if not t.gpf_persists then 0
-  else begin
+  else
     Pages.restate_all t.pages ~pending:false ~states:outstanding_states
-      ~bits:(restate_bits t.gpf_code set);
-    Pages.changes t.pages
-  end
+      ~bits:(restate_bits t.gpf_code set) ~log
 
-let gpf_list t addrs n ~having ~set =
+let gpf_segments t addrs lens n ~having ~set =
   if not t.gpf_persists then 0
-  else begin
-    Pages.restate_list t.pages addrs n ~states:outstanding_states ~having
-      ~bits:(restate_bits t.gpf_code set);
-    Pages.changes t.pages
-  end
+  else
+    restate_segments t addrs lens n ~states:outstanding_states ~having
+      ~bits:(restate_bits t.gpf_code set)
 
 let iter_outstanding t f =
   Pages.iter_tracked t.pages (fun a packed ->

@@ -63,10 +63,10 @@ val write_target : 'm t -> nt:bool -> int
     persisted)? *)
 val flush_pends : 'm t -> bool
 
-(** Flush the 64-byte [line] with one scan of its bytes: when it holds a
-    modified byte, restate every modified byte to its
-    {!Pstate.on_flush_in} image (the change log lists them) and answer
-    [`Had_modified].  Otherwise nothing is stored and the answer is the
+(** Flush the 64-byte [line] with one pass over its bytes that both
+    classifies and restates: when it holds a modified byte, every
+    modified byte takes its {!Pstate.on_flush_in} image (the change log
+    lists them) and the answer is [`Had_modified].  Otherwise nothing is stored and the answer is the
     waste the flush represents ([Double_flush] when some byte is pending,
     else [Unnecessary_flush] when some byte is persisted), or [`Clean] for
     a line with neither (e.g. the untracked tail line of a range
@@ -80,24 +80,30 @@ val flush_line :
 (** A fence: when the model persists at a fence
     ({!Pstate.persists_at_fence}), promote every writeback-pending byte,
     walking the pending bitmaps in place.  Answers the number of bytes
-    stored, [0] (and the change log untouched) when the model does not
-    persist. *)
-val fence : 'm t -> set:int -> int
+    stored, [0] when the model does not persist.  With [~log:true] the
+    change log lists them (and is untouched when the model does not
+    persist); an owner that keeps no per-byte rule at a fence passes
+    [false], so the log does not grow to a page's worth of entries. *)
+val fence : 'm t -> set:int -> log:bool -> int
 
-(** [fence_list t addrs n]: {!fence} restricted to the first [n]
-    addresses of [addrs]. *)
-val fence_list : 'm t -> Xfd_mem.Addr.t array -> int -> set:int -> int
+(** [fence_segments t addrs lens n ~having]: {!fence} restricted to the
+    bytes of the first [n] segments, segment [i] being the [lens.(i)]
+    bytes from [addrs.(i)] (inside one page), whose packed byte carries
+    every bit of [having].  A byte in several segments is stored once:
+    it is no longer pending the second time.  Logs nothing. *)
+val fence_segments :
+  'm t -> Xfd_mem.Addr.t array -> int array -> int -> having:int -> set:int -> int
 
 (** The GPF barrier: when the model persists at one
     ({!Pstate.persists_at_gpf}), store the {!Pstate.on_gpf_in} image of
     every modified or writeback-pending byte, walking the tracked bitmaps
-    in place.  Answers the number of bytes stored, as {!fence} does. *)
-val gpf : 'm t -> set:int -> int
+    in place.  Answers and logs the bytes stored as {!fence} does. *)
+val gpf : 'm t -> set:int -> log:bool -> int
 
-(** [gpf_list t addrs n ~having]: {!gpf} restricted to the first [n]
-    addresses of [addrs] whose packed byte carries every bit of
-    [having]. *)
-val gpf_list : 'm t -> Xfd_mem.Addr.t array -> int -> having:int -> set:int -> int
+(** [gpf_segments t addrs lens n ~having]: {!gpf} restricted as
+    {!fence_segments} restricts {!fence}. *)
+val gpf_segments :
+  'm t -> Xfd_mem.Addr.t array -> int array -> int -> having:int -> set:int -> int
 
 (** [f addr packed] for every modified or writeback-pending byte, in
     increasing address order. *)

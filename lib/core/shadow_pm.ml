@@ -31,37 +31,59 @@ let bit_uninit = Pages.bit_flag_a
 let bit_post = Pages.bit_flag_b
 let bit_journaled = Pages.bit_flag_c
 
-(* Cold per-byte fields, one parallel page of them per touched 4 KiB page.
-   [hist] rows exist only on forensic base layers. *)
-type meta = {
-  tlast : int array;
-  writer : Loc.t array;
-  hist : History.t option array option;
-}
+(* [bit_journaled] is [1 lsl journaled_shift]. *)
+let journaled_shift =
+  let rec go k = if 1 lsl k = bit_journaled then k else go (k + 1) in
+  go 0
 
-(* The delta journal of the store's one post-failure divergence: for
-   every byte the post-failure replay touches, the pre-divergence packed
-   byte and cold fields, captured once ([bit_journaled] dedups).
-   [pending_post] lists the bytes the divergence itself made
-   writeback-pending — the only bytes its fences may promote (a byte the
-   base left pending belongs to the canonical prefix until the divergence
-   stores to it).  [index] maps the first [indexed] entries' addresses to
-   their positions; only base reads during a live divergence need it, so
-   it is filled on their demand.
+(* Cold per-byte fields, one column per touched 4 KiB page: the
+   [cold_width] bytes from [cold_width * off] hold byte [off]'s cold word,
+   [tlast + 1] in the low 32 bits and the writer's id in the store's
+   location table above them, all zero for a byte never written.  A
+   [Bytes] is never scanned by the GC, and a segment's words move with
+   one fill or blit.  [hist] rows exist only on forensic base layers. *)
+type meta = { cold : Bytes.t; hist : History.t option array option }
+
+let cold_width = 8
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let cold_word ~tlast ~id = (tlast + 1) lor (id lsl 32)
+let tlast_of_word w = (w land 0xffff_ffff) - 1
+let id_of_word w = w lsr 32
+let max_ts = 0xffff_fffe
+
+(* The delta journal of the store's one post-failure divergence, by
+   segment: before the divergence stores a run of bytes inside one page,
+   their packed bytes and cold words are copied out (with blits) and the
+   run is pushed as a segment.  A segment is pushed only when it holds a
+   byte not yet journaled ([bit_journaled] marks the bytes the
+   divergence stored); one that repeats bytes is harmless, since the
+   rewind restores the last segment first, so a byte's earliest copy —
+   its pre-divergence value — wins.  [distinct] counts the journaled
+   bytes.  The pending segments are the stores and flushed lines by which
+   the divergence made bytes writeback-pending since its last fence: the
+   only places its next fence looks (see [fence]).  [base_locs] is the
+   size of the location table at the fork: the divergence's writers are
+   interned past it.
 
    The journal is scratch the store owns: a rewind empties it, and the
-   next divergence reuses its arrays, so a fork allocates nothing once
+   next divergence reuses its buffers, so a fork allocates nothing once
    they have grown to the workload's size. *)
 type journal = {
   mutable n : int;
-  mutable j_addr : int array;
-  mutable j_packed : int array;
-  mutable j_tlast : int array;
-  mutable j_writer : Loc.t array;
-  index : Xfd_util.Int_table.t;
-  mutable indexed : int;
-  mutable pending_post : int array;
-  mutable pending_n : int;
+  mutable s_addr : int array;
+  mutable s_len : int array;
+  mutable s_at : int array;  (* where the segment's copies start in [olds] *)
+  mutable olds : Bytes.t;  (* saved packed bytes, segment after segment *)
+  mutable colds : Bytes.t;  (* their cold words, [cold_width] bytes each *)
+  mutable used : int;  (* bytes of [olds] in use *)
+  mutable distinct : int;
+  mutable p_addr : int array;
+  mutable p_len : int array;
+  mutable p_n : int;
+  mutable base_locs : int;
 }
 
 type store = {
@@ -69,6 +91,14 @@ type store = {
   pages : Pages.t;  (* [Pstore.pages ps], kept at hand for the hot paths *)
   record_hist : bool;
   j : journal;
+  (* The location table: id [0] is [Loc.unknown]; a writer is appended
+     unless it is physically the one interned last ([last_loc], whose id
+     is [last_id]).  Each store has its own: two detects may run at once
+     on two threads. *)
+  mutable locs : Loc.t array;
+  mutable n_locs : int;
+  mutable last_loc : Loc.t;
+  mutable last_id : int;
   mutable gens : int;  (* overlays created so far *)
   mutable live : int;  (* generation of the live divergence; 0 = none *)
 }
@@ -84,26 +114,40 @@ let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
   let ps =
     Pstore.create ~domain (fun () ->
         {
-          tlast = Array.make Pages.page_size (-1);
-          writer = Array.make Pages.page_size Loc.unknown;
+          cold = Bytes.make (cold_width * Pages.page_size) '\000';
           hist = (if forensics then Some (Array.make Pages.page_size None) else None);
         })
   in
   let j =
     {
       n = 0;
-      j_addr = Array.make journal_capacity 0;
-      j_packed = Array.make journal_capacity 0;
-      j_tlast = Array.make journal_capacity (-1);
-      j_writer = Array.make journal_capacity Loc.unknown;
-      index = Xfd_util.Int_table.create journal_capacity;
-      indexed = 0;
-      pending_post = Array.make journal_capacity 0;
-      pending_n = 0;
+      s_addr = Array.make journal_capacity 0;
+      s_len = Array.make journal_capacity 0;
+      s_at = Array.make journal_capacity 0;
+      olds = Bytes.create (4 * journal_capacity);
+      colds = Bytes.create (cold_width * 4 * journal_capacity);
+      used = 0;
+      distinct = 0;
+      p_addr = Array.make journal_capacity 0;
+      p_len = Array.make journal_capacity 0;
+      p_n = 0;
+      base_locs = 1;
     }
   in
   {
-    store = { ps; pages = Pstore.pages ps; record_hist = forensics; j; gens = 0; live = 0 };
+    store =
+      {
+        ps;
+        pages = Pstore.pages ps;
+        record_hist = forensics;
+        j;
+        locs = Array.make journal_capacity Loc.unknown;
+        n_locs = 1;
+        last_loc = Loc.unknown;
+        last_id = 0;
+        gens = 0;
+        live = 0;
+      };
     gen = 0;
   }
 
@@ -111,24 +155,46 @@ let domain t = Pstore.domain t.store.ps
 
 let clear_journal j =
   j.n <- 0;
-  Xfd_util.Int_table.clear j.index;
-  j.indexed <- 0;
-  j.pending_n <- 0
+  j.used <- 0;
+  j.distinct <- 0;
+  j.p_n <- 0
 
 let release t =
-  Pstore.release t.store.ps;
-  clear_journal t.store.j;
-  t.store.live <- 0
+  let store = t.store in
+  Pstore.release store.ps;
+  clear_journal store.j;
+  store.locs <- [| Loc.unknown |];
+  store.n_locs <- 1;
+  store.last_loc <- Loc.unknown;
+  store.last_id <- 0;
+  store.live <- 0
 
 let live t = t.gen = 0 || t.store.live = t.gen
 
-let tlast_of store addr =
-  match Pstore.meta store.ps addr with None -> -1 | Some m -> m.tlast.(Pstore.offset addr)
+(* The id of [loc] in the location table. *)
+let intern store loc =
+  if loc == store.last_loc then store.last_id
+  else begin
+    let id = store.n_locs in
+    if id = Array.length store.locs then begin
+      let locs = Array.make (2 * id) Loc.unknown in
+      Array.blit store.locs 0 locs 0 id;
+      store.locs <- locs
+    end;
+    store.locs.(id) <- loc;
+    store.n_locs <- id + 1;
+    store.last_loc <- loc;
+    store.last_id <- id;
+    id
+  end
 
-let writer_of store addr =
-  match Pstore.meta store.ps addr with
-  | None -> Loc.unknown
-  | Some m -> m.writer.(Pstore.offset addr)
+(* [addr]'s page's cold column, [Bytes.empty] when it has none. *)
+let column store addr =
+  match Pstore.meta store.ps addr with Some m -> m.cold | None -> Bytes.empty
+
+let cold_of_column cold addr =
+  if cold == Bytes.empty then 0
+  else Int64.to_int (get64 cold (cold_width * (addr land page_mask)))
 
 let hist_of store addr =
   match Pstore.meta store.ps addr with
@@ -157,24 +223,22 @@ let own_hist store addr =
 let rewind_div store =
   Obs.Counter.incr c_rewinds;
   let j = store.j in
-  (* The captured bytes predate the divergence, so they never carry
-     [bit_journaled]; restoring them also heals the bitmaps and counts. *)
-  Pages.restore store.pages j.j_addr j.j_packed j.n;
-  let idx = ref (-1) and m = ref None in
+  (* The earliest copy of a byte predates the divergence, so it never
+     carries [bit_journaled]; restoring it also heals the bitmaps and
+     counts. *)
   for i = j.n - 1 downto 0 do
-    let addr = j.j_addr.(i) in
-    if addr lsr 12 <> !idx then begin
-      idx := addr lsr 12;
-      m := Pstore.meta store.ps addr
-    end;
-    match !m with
-    | Some m ->
-      let off = addr land page_mask in
-      m.tlast.(off) <- j.j_tlast.(i);
-      m.writer.(off) <- j.j_writer.(i)
-    | None -> ()
+    let addr = j.s_addr.(i) and n = j.s_len.(i) and at = j.s_at.(i) in
+    Pages.restore store.pages addr n j.olds at;
+    let cold = column store addr in
+    if cold != Bytes.empty then
+      Bytes.blit j.colds (cold_width * at) cold (cold_width * (addr land page_mask))
+        (cold_width * n)
   done;
   clear_journal j;
+  (* The divergence's writers go; so does a cached id among them. *)
+  store.n_locs <- j.base_locs;
+  store.last_loc <- Loc.unknown;
+  store.last_id <- 0;
   store.live <- 0
 
 (* Any base-layer mutation invalidates the outstanding divergence: the
@@ -183,48 +247,109 @@ let rewind_div store =
 let ensure_base store = if store.live <> 0 then rewind_div store
 
 (* [a] with room for [need] entries, doubling. *)
-let grow a need fill =
+let capacity have need =
+  let cap = ref (Int.max 1 have) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  !cap
+
+let grow a need =
   if need <= Array.length a then a
   else begin
-    let cap = ref (Array.length a) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let a' = Array.make !cap fill in
+    let a' = Array.make (capacity (Array.length a) need) 0 in
     Array.blit a 0 a' 0 (Array.length a);
     a'
   end
 
-(* Journal the [k] bytes the last kernel stored (the pages' change log),
-   all on the page whose cold fields are [m]: each byte's pre-divergence
-   packed value and cold fields, captured once ([bit_journaled] dedups).
-   When the kernel stored [to_pending] bytes, those not yet pending in
-   [pending_post] join it, the set the divergence's own fences promote: a
-   byte the base left pending joins once the divergence stores to it. *)
-let capture store m k ~to_pending =
-  let j = store.j in
-  let need = j.n + k in
-  if need > Array.length j.j_addr then begin
-    j.j_addr <- grow j.j_addr need 0;
-    j.j_packed <- grow j.j_packed need 0;
-    j.j_tlast <- grow j.j_tlast need (-1);
-    j.j_writer <- grow j.j_writer need Loc.unknown
+let grow_bytes b need =
+  if need <= Bytes.length b then b
+  else Bytes.extend b 0 (capacity (Bytes.length b) need - Bytes.length b)
+
+(* Room for one more segment of [n] bytes. *)
+let reserve j n =
+  if j.n = Array.length j.s_addr then begin
+    j.s_addr <- grow j.s_addr (j.n + 1);
+    j.s_len <- grow j.s_len (j.n + 1);
+    j.s_at <- grow j.s_at (j.n + 1)
   end;
-  if to_pending then j.pending_post <- grow j.pending_post (j.pending_n + k) 0;
+  j.olds <- grow_bytes j.olds (j.used + n);
+  j.colds <- grow_bytes j.colds (cold_width * (j.used + n))
+
+(* Push the [n] bytes from [addr], whose packed copies are already at
+   [j.used] in [olds], as a segment: their cold words come from [cold]
+   (zeros when it is [Bytes.empty]). *)
+let push j cold addr n =
+  let at = j.used in
+  if cold == Bytes.empty then Bytes.fill j.colds (cold_width * at) (cold_width * n) '\000'
+  else Bytes.blit cold (cold_width * (addr land page_mask)) j.colds (cold_width * at) (cold_width * n);
+  let k = j.n in
+  j.s_addr.(k) <- addr;
+  j.s_len.(k) <- n;
+  j.s_at.(k) <- at;
+  j.n <- k + 1;
+  j.used <- at + n
+
+let push_pending j addr n =
+  if j.p_n = Array.length j.p_addr then begin
+    j.p_addr <- grow j.p_addr (j.p_n + 1);
+    j.p_len <- grow j.p_len (j.p_n + 1)
+  end;
+  j.p_addr.(j.p_n) <- addr;
+  j.p_len.(j.p_n) <- n;
+  j.p_n <- j.p_n + 1
+
+(* How many of the [n] packed bytes from [at] of [b] lack [bit_journaled]:
+   8 at a time, counting the clear flag bits with one multiply. *)
+let unjournaled b at n =
+  let flags = Int64.mul (Int64.of_int bit_journaled) 0x0101_0101_0101_0101L in
+  let c = ref 0 and i = ref at and stop = at + n in
+  while !i + 8 <= stop do
+    let clear =
+      Int64.shift_right_logical (Int64.logand (Int64.lognot (get64 b !i)) flags) journaled_shift
+    in
+    c := !c + Int64.to_int (Int64.shift_right_logical (Int64.mul clear 0x0101_0101_0101_0101L) 56);
+    i := !i + 8
+  done;
+  for k = !i to stop - 1 do
+    if Char.code (Bytes.unsafe_get b k) land bit_journaled = 0 then incr c
+  done;
+  !c
+
+(* Journal the [n] bytes from [addr], inside one page whose cold column
+   is [cold], before a divergence stores over all of them. *)
+let save store cold addr n =
+  let j = store.j in
+  reserve j n;
+  Pages.blit_out store.pages addr n j.olds j.used;
+  let fresh = unjournaled j.olds j.used n in
+  if fresh > 0 then begin
+    push j cold addr n;
+    j.distinct <- j.distinct + fresh
+  end
+
+(* Journal the [k] bytes the last restate stored (the pages' change log,
+   in increasing address order): each run of consecutive bytes not yet
+   journaled is a segment. *)
+let save_changes store k =
+  let j = store.j in
   let addrs = Pages.change_addrs store.pages and olds = Pages.change_olds store.pages in
-  for i = 0 to k - 1 do
-    let a = addrs.(i) and old = olds.(i) in
-    if old land bit_journaled = 0 then begin
-      let n = j.n and off = a land page_mask in
-      j.j_addr.(n) <- a;
-      j.j_packed.(n) <- old;
-      j.j_tlast.(n) <- m.tlast.(off);
-      j.j_writer.(n) <- m.writer.(off);
-      j.n <- n + 1
-    end;
-    if to_pending && (old land bit_journaled = 0 || old land Pages.bit_pending = 0) then begin
-      j.pending_post.(j.pending_n) <- a;
-      j.pending_n <- j.pending_n + 1
+  let i = ref 0 in
+  while !i < k do
+    if olds.(!i) land bit_journaled <> 0 then incr i
+    else begin
+      let s = !i in
+      incr i;
+      while !i < k && olds.(!i) land bit_journaled = 0 && addrs.(!i) = addrs.(!i - 1) + 1 do
+        incr i
+      done;
+      let n = !i - s in
+      reserve j n;
+      for x = 0 to n - 1 do
+        Bytes.unsafe_set j.olds (j.used + x) (Char.unsafe_chr olds.(s + x))
+      done;
+      push j (column store addrs.(s)) addrs.(s) n;
+      j.distinct <- j.distinct + n
     end
   done
 
@@ -233,6 +358,7 @@ let overlay t =
   ensure_base store;
   store.gens <- store.gens + 1;
   store.live <- store.gens;
+  store.j.base_locs <- store.n_locs;
   { store; gen = store.gens }
 
 let rewind t = if t.gen <> 0 && t.store.live = t.gen then rewind_div t.store
@@ -253,13 +379,14 @@ let journaling t =
 (* ------------------------------------------------------------------ *)
 (* Reads *)
 
-(* The journal position of [addr]'s pre-divergence value, or [-1]. *)
-let journal_pos j addr =
-  for i = j.indexed to j.n - 1 do
-    Xfd_util.Int_table.replace j.index j.j_addr.(i) i
+(* Where the pre-divergence copy of [addr] is in [olds]: the earliest
+   segment that covers it holds it. *)
+let saved_pos j addr =
+  let i = ref 0 in
+  while !i < j.n && (addr < j.s_addr.(!i) || addr >= j.s_addr.(!i) + j.s_len.(!i)) do
+    incr i
   done;
-  j.indexed <- j.n;
-  Xfd_util.Int_table.find j.index addr
+  if !i = j.n then -1 else j.s_at.(!i) + (addr - j.s_addr.(!i))
 
 (* Where this handle reads [addr]'s fields: [-1] for the store itself
    (overlays see their divergence, written in place), else the journal
@@ -268,20 +395,21 @@ let source t addr =
   let store = t.store in
   if t.gen <> 0 then if store.live = t.gen then -1 else stale "read"
   else if store.live <> 0 && Pages.has (Pages.get store.pages addr) bit_journaled then
-    journal_pos store.j addr
+    saved_pos store.j addr
   else -1
 
 let packed t addr =
   let i = source t addr in
-  if i < 0 then Pages.get t.store.pages addr else t.store.j.j_packed.(i)
+  if i < 0 then Pages.get t.store.pages addr else Char.code (Bytes.get t.store.j.olds i)
 
-let tlast t addr =
+(* The byte's cold word through this handle. *)
+let cold t addr =
   let i = source t addr in
-  if i < 0 then tlast_of t.store addr else t.store.j.j_tlast.(i)
+  if i < 0 then cold_of_column (column t.store addr) addr
+  else Int64.to_int (get64 t.store.j.colds (cold_width * i))
 
-let writer t addr =
-  let i = source t addr in
-  if i < 0 then writer_of t.store addr else t.store.j.j_writer.(i)
+let tlast t addr = tlast_of_word (cold t addr)
+let writer t addr = t.store.locs.(id_of_word (cold t addr))
 
 let pstate = Pstore.state
 let uninit packed = Pages.has packed bit_uninit
@@ -304,13 +432,24 @@ let find t addr =
 (* ------------------------------------------------------------------ *)
 (* Writes *)
 
-(* Each mutation stores through one {!Pstore} transfer or one
-   {!Pages.update} per page segment, then reads the pages' change log: a
-   divergence journals the stored bytes (which carry [bit_journaled], so
-   capture and base-read resolution stay O(1)); a forensic base layer
-   records them into their histories. *)
+(* Each mutation stores through one {!Pages.update} per page segment or
+   one {!Pstore} transfer.  A divergence journals a segment before it
+   stores over it, and a restate's stored bytes from the pages' change
+   log; a forensic base layer records the stored bytes into their
+   histories. *)
 
 type mark = Write | Nt_write | Flush | Fence | Alloc
+
+let record_one store mark ~ev addr =
+  match own_hist store addr with
+  | Some h -> (
+    match mark with
+    | Write -> History.record_write h ~ev ~nt:false
+    | Nt_write -> History.record_write h ~ev ~nt:true
+    | Flush -> History.record_flush h ~ev
+    | Fence -> History.record_fence h ~ev
+    | Alloc -> History.record_alloc h ~ev)
+  | None -> ()
 
 (* Record the [k] logged bytes into their provenance histories: base
    mutations of a forensic store only. *)
@@ -318,17 +457,15 @@ let record store mark ~ev k =
   if store.record_hist then begin
     let addrs = Pages.change_addrs store.pages in
     for i = 0 to k - 1 do
-      match own_hist store addrs.(i) with
-      | Some h -> (
-        match mark with
-        | Write -> History.record_write h ~ev ~nt:false
-        | Nt_write -> History.record_write h ~ev ~nt:true
-        | Flush -> History.record_flush h ~ev
-        | Fence -> History.record_fence h ~ev
-        | Alloc -> History.record_alloc h ~ev)
-      | None -> ()
+      record_one store mark ~ev addrs.(i)
     done
   end
+
+let record_segment store mark ~ev addr n =
+  if store.record_hist then
+    for a = addr to addr + n - 1 do
+      record_one store mark ~ev a
+    done
 
 (* Counters move once per event, not once per byte: an enabled counter
    is an atomic add. *)
@@ -340,23 +477,29 @@ let journal_bit journaling = if journaling then bit_journaled else 0
 let write t addr size ~ts ~ev ~loc ~nt ~post =
   let store = t.store in
   let journaling = journaling t in
+  if ts < 0 || ts > max_ts then invalid_arg "Shadow_pm.write: timestamp out of range";
   (* A store's target does not depend on the byte's old state, so each
      segment is one fill; only [bit_post] survives from the old byte. *)
   let target = Pstore.write_target store.ps ~nt in
   let set = target lor (if post then bit_post else 0) lor journal_bit journaling in
   let keep = if post then 0 else bit_post in
   let to_pending = Pages.has target Pages.bit_pending in
-  (* One page lookup and one cold-field lookup per page segment. *)
+  let word = cold_word ~tlast:ts ~id:(intern store loc) in
+  (* One page lookup and one cold-column lookup per page segment. *)
   let stop = addr + size and a = ref addr in
   while !a < stop do
     let off = !a land page_mask in
-    let n = min (stop - !a) (Pages.page_size - off) in
+    let n = Int.min (stop - !a) (Pages.page_size - off) in
+    let cold = (Pstore.own_meta store.ps !a).cold in
+    if journaling then begin
+      save store cold !a n;
+      if to_pending then push_pending store.j !a n
+    end
+    else record_segment store (if nt then Nt_write else Write) ~ev !a n;
     Pages.update store.pages !a n ~keep ~set;
-    let m = Pstore.own_meta store.ps !a in
-    if journaling then capture store m n ~to_pending
-    else record store (if nt then Nt_write else Write) ~ev n;
-    Array.fill m.tlast off n ts;
-    Array.fill m.writer off n loc;
+    for i = off to off + n - 1 do
+      set64 cold (cold_width * i) (Int64.of_int word)
+    done;
     a := !a + n
   done;
   count
@@ -377,7 +520,10 @@ let flush_line t line ~ev =
        writeback-pending until a fence, CXL-GPF persists it on arrival at
        the device (eADR never has modified bytes to capture). *)
     let to_pending = Pstore.flush_pends store.ps in
-    if journaling then capture store (Pstore.own_meta store.ps line) k ~to_pending
+    if journaling then begin
+      save_changes store k;
+      if to_pending then push_pending store.j line Addr.line_size
+    end
     else record store Flush ~ev k;
     count (if to_pending then c_to_writeback else c_to_persisted) k
   | `Clean | `Waste _ -> ());
@@ -385,18 +531,23 @@ let flush_line t line ~ev =
 
 (* A divergence's fence promotes only bytes it made pending itself: a
    byte the base left pending belongs to the canonical prefix until the
-   divergence stores to it.  Entries whose pending bit was since cleared
-   by an overwrite are skipped. *)
+   divergence stores to it.  Those are exactly the journaled pending
+   bytes (a divergence journals every byte it stores, and only its own
+   stores and flushes make a byte pending), so the pending segments —
+   every store and flushed line that made bytes pending since the last
+   fence — may cover more: their bytes without [bit_journaled] are left
+   alone, and so are those an overwrite since left not pending. *)
 let fence t ~ev =
   let store = t.store in
   if journaling t then begin
     let j = store.j in
-    let n = j.pending_n in
-    j.pending_n <- 0;
-    count c_to_persisted (Pstore.fence_list store.ps j.pending_post n ~set:bit_journaled)
+    let n = j.p_n in
+    j.p_n <- 0;
+    count c_to_persisted
+      (Pstore.fence_segments store.ps j.p_addr j.p_len n ~having:bit_journaled ~set:bit_journaled)
   end
   else begin
-    let k = Pstore.fence store.ps ~set:0 in
+    let k = Pstore.fence store.ps ~set:0 ~log:store.record_hist in
     record store Fence ~ev k;
     count c_to_persisted k
   end
@@ -406,11 +557,13 @@ let fence t ~ev =
    dropped. *)
 let gpf t ~ev =
   let store = t.store in
-  if journaling t then
+  if journaling t then begin
+    let j = store.j in
     count c_to_persisted
-      (Pstore.gpf_list store.ps store.j.j_addr store.j.n ~having:bit_post ~set:bit_journaled)
+      (Pstore.gpf_segments store.ps j.s_addr j.s_len j.n ~having:bit_post ~set:bit_journaled)
+  end
   else begin
-    let k = Pstore.gpf store.ps ~set:0 in
+    let k = Pstore.gpf store.ps ~set:0 ~log:store.record_hist in
     record store Fence ~ev k;
     count c_to_persisted k
   end
@@ -422,17 +575,17 @@ let mark_alloc_raw t addr size ~ev =
   let stop = addr + size and a = ref addr in
   while !a < stop do
     let off = !a land page_mask in
-    let n = min (stop - !a) (Pages.page_size - off) in
+    let n = Int.min (stop - !a) (Pages.page_size - off) in
+    if journaling then save store (column store !a) !a n
+    else record_segment store Alloc ~ev !a n;
     Pages.update store.pages !a n ~keep:0 ~set;
-    if journaling then capture store (Pstore.own_meta store.ps !a) n ~to_pending:false
-    else record store Alloc ~ev n;
     a := !a + n
   done;
   count c_to_unmodified size
 
 let tracked_bytes t =
   if t.gen = 0 then Pages.tracked_bytes t.store.pages
-  else if t.store.live = t.gen then t.store.j.n
+  else if t.store.live = t.gen then t.store.j.distinct
   else 0
 
 let pending_bytes t = if live t then Pages.pending_bytes t.store.pages else 0

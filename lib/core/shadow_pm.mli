@@ -9,24 +9,33 @@
     State lives in a {!Pstore} (one packed byte per tracked PM byte in
     flat {!Xfd_mem.Shadow_pages}, plus per-page pending bitmaps), not in a
     hash map, so replay is cache-friendly and the fence hot loop touches
-    only pending bytes.  The linter's tracker shares the layout and the
-    {!Pstate} transfers; the divergence journal, provenance histories and
-    FSM counters are this module's own.
+    only pending bytes.  The cold fields — [tlast] and the writer — live
+    in one unscanned [Bytes] column per written page, 8 bytes per PM
+    byte: [tlast + 1] and the writer's id in the store's own location
+    table, all zero for a byte never written.  The linter's tracker
+    shares the packed layout and the {!Pstate} transfers; the divergence
+    journal, the columns, provenance histories and FSM counters are this
+    module's own.
 
     [overlay] creates the store's single rewindable divergence: the
     backend advances one canonical pre-failure shadow event-by-event and
     forks a journaled view for each failure point's post-failure replay.
-    Post-failure mutations are captured in an O(delta) undo journal;
-    unwinding it restores the canonical prefix exactly, so nothing is ever
-    re-replayed and the base is never polluted by post-failure state.  The
-    journal unwinds explicitly via {!rewind}, or automatically as soon as
-    the base layer mutates again or a new overlay is created; reading or
-    mutating through a rewound overlay raises [Invalid_argument].  While a
+    Post-failure mutations are captured in an O(delta) undo journal of
+    page segments: before a store, raw allocation or flush changes a run
+    of bytes, the run's packed bytes and cold words are copied out with
+    blits.  Unwinding it restores the canonical prefix exactly, one
+    segment at a time, so nothing is ever re-replayed and the base is
+    never polluted by post-failure state.  The journal unwinds
+    explicitly via {!rewind}, or automatically as soon as the base layer
+    mutates again or a new overlay is created; reading or mutating
+    through a rewound overlay raises [Invalid_argument].  While a
     divergence is live, reads through the base handle resolve journaled
-    bytes to their pre-divergence values.
+    bytes to their pre-divergence values (the earliest segment holding
+    the byte).
 
-    The journal is scratch the store owns and reuses: a rewind empties it
-    without shrinking it, so forks stop allocating once it has grown to
+    The journal and the location table's fork entries are scratch the
+    store owns: a rewind empties the one and truncates the other without
+    shrinking either, so forks stop allocating once they have grown to
     the workload's size. *)
 
 type cell = {
@@ -104,7 +113,8 @@ val writer : t -> Xfd_mem.Addr.t -> Xfd_util.Loc.t
 (** [write t addr size ~ts ~ev ~loc ~nt ~post] applies a store to the
     [size] bytes from [addr].  [ev] is the trace index of the writing
     event (recorded into the provenance history when forensics is on;
-    otherwise ignored). *)
+    otherwise ignored).  [ts] is kept in 32 bits: it must be at least
+    0 and below 2{^32} - 1, else [Invalid_argument]. *)
 val write :
   t ->
   Xfd_mem.Addr.t ->
@@ -145,8 +155,8 @@ val gpf : t -> ev:int -> unit
 val mark_alloc_raw : t -> Xfd_mem.Addr.t -> int -> ev:int -> unit
 
 (** Number of tracked bytes in this layer: all touched bytes for a base
-    handle, the journal's byte count for a live overlay (0 once
-    rewound). *)
+    handle, the distinct bytes its journal holds for a live overlay (0
+    once rewound). *)
 val tracked_bytes : t -> int
 
 (** Writeback-pending bytes in the store, the live divergence's

@@ -113,7 +113,7 @@ let on_flush t loc addr =
 (* The epoch ticks at every fence, in every model: fences still order
    program points even where they persist nothing. *)
 let on_fence t =
-  ignore (Pstore.fence t.ps ~set:0);
+  ignore (Pstore.fence t.ps ~set:0 ~log:false);
   t.epoch <- t.epoch + 1
 
 (* The global persistent flush barrier: where the model honours it, every
@@ -121,7 +121,7 @@ let on_fence t =
    ordering point; elsewhere the event is inert. *)
 let on_gpf t loc =
   if Pstate.persists_at_gpf (domain t) then begin
-    stamp_flush t (Pstore.gpf t.ps ~set:0) (Some (loc, t.epoch));
+    stamp_flush t (Pstore.gpf t.ps ~set:0 ~log:true) (Some (loc, t.epoch));
     t.epoch <- t.epoch + 1
   end
 

@@ -1,9 +1,9 @@
-(** Flat bigarray-backed per-byte shadow metadata pages.
+(** Flat per-byte shadow metadata pages.
 
     The dynamic detector and the static analyzer both keep one small record
     per tracked PM byte.  Hash maps keyed by address made every replayed
     event chase pointers; this store packs the hot part of that record into
-    a single byte inside 4 KiB pages (one [Bigarray] per page, allocated on
+    a single byte inside 4 KiB pages (one [Bytes] per page, allocated on
     first touch), with per-page bitmaps so "visit every writeback-pending
     byte" — the fence hot loop — walks set bits instead of the whole
     table.
@@ -18,11 +18,17 @@
     every kernel that stores.
 
     Stores go through range kernels that act on one page at a time: a
-    kernel looks its page up once and loops over the bytes with no
-    per-byte call or closure.  Each storing kernel leaves a
-    change log — the address and previous packed value of every byte it
-    stored — that its caller reads to keep its own per-byte fields
-    (journals, histories) without testing the bytes again.
+    kernel looks its page up once and works a bitmap word (32 bytes) at
+    a time, with no per-byte call or closure.  The segment kernels
+    ({!update}, {!restore}) store a whole segment with one fill or blit
+    and then rewrite the bitmap words it covers, counting the changed
+    bits with a popcount.  The restating kernels, which pick bytes by
+    state, classify 8 bytes at a time with word arithmetic, restate the
+    bytes picked and rewrite the pending word once; {!scan_restate} (and
+    {!restate_all} when asked) leaves a change log — the address and
+    previous packed value of every byte stored — that the caller reads
+    to keep its own per-byte fields (journals, histories) without
+    testing the bytes again.
 
     Pages are process-globally accounted, like {!Image} chunks: the
     [shadow.page_bytes_live]/[shadow.page_bytes_peak] gauges expose the
@@ -72,36 +78,48 @@ val offset : Addr.t -> int
 
 (** {1 Kernels}
 
-    A kernel that stores empties the change log first, then logs every
-    byte it stores.  A restate rewrites a byte's state field and pending
-    bit: [packed'] is [packed] with both cleared, or-ed with [bits].
-    [states] selects bytes by state code: bit [s] of the mask admits
-    code [s].  Ranges must lie inside one page; a kernel given one that
-    does not raises [Invalid_argument]. *)
+    {!scan_restate}, and {!restate_all} when asked to, empty the change
+    log first, then log every byte they store; the other kernels leave
+    the log alone.  A restate
+    rewrites a byte's state field and pending bit: [packed'] is [packed]
+    with both cleared, or-ed with [bits].  [states] selects bytes by
+    state code: bit [s] of the mask admits code [s].  Ranges must lie
+    inside one page; a kernel given one that does not raises
+    [Invalid_argument]. *)
 
 val update : t -> Addr.t -> int -> keep:int -> set:int -> unit
 (** [update t addr n ~keep ~set] stores [(packed land keep) lor set]
     into each of the [n] bytes from [addr], tracked or not (creating the
-    page on first use), and logs them all in increasing address order. *)
+    page on first use): a fill when [keep = 0].  [keep] must not hold
+    {!bit_tracked} or {!bit_pending} (else [Invalid_argument]), so the
+    segment's bitmap bits follow from [set] alone. *)
 
-val scan : t -> Addr.t -> int -> int
-(** [scan t addr n]: the mask of the state codes of the tracked bytes
-    among the [n] from [addr] (bit [s] set when some byte is in state
-    [s]); [0] when none is tracked.  Stores nothing. *)
+val blit_out : t -> Addr.t -> int -> Bytes.t -> int -> unit
+(** [blit_out t addr n dst doff] copies the [n] packed bytes from [addr]
+    into [dst] at [doff] ([0]s where the page does not exist). *)
 
-val restate : t -> Addr.t -> int -> states:int -> bits:int -> unit
-(** Restate the tracked bytes among the [n] from [addr] whose state is in
-    [states]. *)
+val restore : t -> Addr.t -> int -> Bytes.t -> int -> unit
+(** [restore t addr n src soff] stores the [n] packed bytes of [src]
+    from [soff] back at [addr] — one segment of an undo log's unwinding —
+    and rebuilds the bitmap bits they cover from them. *)
 
-val restate_all : t -> pending:bool -> states:int -> bits:int -> unit
+val scan_restate : t -> Addr.t -> int -> states:int -> bits:int -> int
+(** [scan_restate t addr n ~states ~bits] restates the tracked bytes
+    among the [n] from [addr] whose state is in [states], and answers
+    the mask of the state codes those tracked bytes held before (bit [s]
+    set when some byte was in state [s]; [0] when none is tracked).  One
+    pass classifies and restates. *)
+
+val restate : t -> Addr.t -> int -> states:int -> having:int -> bits:int -> int
+(** Restate the tracked bytes among the [n] from [addr] whose state is
+    in [states] and that carry every bit of [having]; answers how many
+    were stored. *)
+
+val restate_all : t -> pending:bool -> states:int -> bits:int -> log:bool -> int
 (** Restate every tracked byte whose state is in [states], walking the
     pending bitmaps in place when [pending] (only pending bytes are
-    visited) and the tracked bitmaps otherwise. *)
-
-val restate_list : t -> Addr.t array -> int -> states:int -> having:int -> bits:int -> unit
-(** [restate_list t addrs n]: restate each of the first [n] addresses of
-    [addrs] that is tracked, in a state of [states] and carries every bit
-    of [having]. *)
+    visited) and the tracked bitmaps otherwise; answers how many were
+    stored, and logs them when [log]. *)
 
 val changes : t -> int
 (** Entries in the change log. *)
@@ -112,11 +130,6 @@ val change_addrs : t -> Addr.t array
 
 val change_olds : t -> int array
 (** The packed value each logged byte held before the kernel stored. *)
-
-val restore : t -> Addr.t array -> int array -> int -> unit
-(** [restore t addrs olds n] stores [olds.(i)] back at [addrs.(i)] for
-    the first [n] entries, the last first — an undo log's unwinding.
-    Logs nothing. *)
 
 (** {1 Accounting} *)
 

@@ -571,7 +571,7 @@ end
 type via = Base | Newest
 
 type store_op =
-  | S_write of { via : via; addr : int; size : int; nt : bool; post : bool }
+  | S_write of { via : via; addr : int; size : int; nt : bool; post : bool; loc : int }
   | S_flush of { via : via; addr : int }
   | S_fence of via
   | S_gpf of via
@@ -582,9 +582,9 @@ type store_op =
 let via_to_string = function Base -> "base" | Newest -> "newest"
 
 let store_op_to_string = function
-  | S_write { via; addr; size; nt; post } ->
-    Printf.sprintf "%swrite%s %s %d+%d" (if nt then "nt-" else "") (if post then "/post" else "")
-      (via_to_string via) addr size
+  | S_write { via; addr; size; nt; post; loc } ->
+    Printf.sprintf "%swrite%s %s %d+%d @L%d" (if nt then "nt-" else "") (if post then "/post" else "")
+      (via_to_string via) addr size loc
   | S_flush { via; addr } -> Printf.sprintf "flush %s %d" (via_to_string via) addr
   | S_fence via -> "fence " ^ via_to_string via
   | S_gpf via -> "gpf " ^ via_to_string via
@@ -593,9 +593,15 @@ let store_op_to_string = function
   | S_rewind -> "rewind"
 
 (* Ranges start in [store_lo, store_lo + 256), which straddles the page
-   boundary at 8192, and reach at most 192 bytes further. *)
+   boundary at 8192, and reach at most 512 bytes further. *)
 let store_lo = 8192 - 128
-let store_window = 256 + 192
+let store_window = 256 + 512
+
+(* Writers come from a small pool of locations shared by every operation,
+   base and fork alike, so a write often names a location an earlier one
+   (maybe a rewound fork's) named: physically the same value, as a
+   program's call site is. *)
+let store_locs = Array.init 3 (fun i -> Loc.make ~file:"store.ml" ~line:i)
 
 module Store_transcript (S : STORE) = struct
   let guard f = match f () with v -> Some v | exception Invalid_argument _ -> None
@@ -620,12 +626,11 @@ module Store_transcript (S : STORE) = struct
     List.mapi
       (fun i op ->
         let before = S.fsm_counts () in
-        let loc = Loc.make ~file:"store.ml" ~line:i in
         let answer =
           guard (fun () ->
               match op with
-              | S_write { via = v; addr; size; nt; post } ->
-                S.write (via v) addr size ~ts:i ~ev:i ~loc ~nt ~post;
+              | S_write { via = v; addr; size; nt; post; loc } ->
+                S.write (via v) addr size ~ts:i ~ev:i ~loc:store_locs.(loc) ~nt ~post;
                 ""
               | S_flush { via = v; addr } -> (
                 match S.flush_line (via v) (Xfd_mem.Addr.line_of addr) ~ev:i with
@@ -712,15 +717,24 @@ let store_op_gen =
         (1, map (fun i -> 8192 - 16 + i) (int_bound 15));
       ]
   in
-  let size = frequency [ (4, oneofl [ 1; 2; 4; 8; 8; 16 ]); (2, int_range 1 64); (1, int_range 65 192) ] in
+  let size =
+    frequency
+      [
+        (4, oneofl [ 1; 2; 4; 8; 8; 16 ]);
+        (2, int_range 1 64);
+        (1, int_range 65 192);
+        (1, int_range 193 512);
+      ]
+  in
   let via = frequency [ (2, return Base); (3, return Newest) ] in
   frequency
     [
       ( 6,
         map3
-          (fun (via, nt, post) addr size -> S_write { via; addr; size; nt; post })
+          (fun (via, nt, post) (addr, loc) size -> S_write { via; addr; size; nt; post; loc })
           (triple via (frequency [ (3, return false); (1, return true) ]) bool)
-          addr size );
+          (pair addr (int_bound (Array.length store_locs - 1)))
+          size );
       (4, map2 (fun via addr -> S_flush { via; addr }) via addr);
       (2, map (fun v -> S_fence v) via);
       (1, map (fun v -> S_gpf v) via);
@@ -758,10 +772,10 @@ let store_model_tests =
       (fun () ->
         check_stores_agree Xfd_trace.Domain_model.Adr
           [
-            S_write { via = Base; addr = 8150; size = 100; nt = false; post = false };
+            S_write { via = Base; addr = 8150; size = 100; nt = false; post = false; loc = 0 };
             S_flush { via = Base; addr = 8150 };
             S_overlay;
-            S_write { via = Newest; addr = 8180; size = 30; nt = true; post = true };
+            S_write { via = Newest; addr = 8180; size = 30; nt = true; post = true; loc = 1 };
             S_flush { via = Newest; addr = 8192 };
             S_fence Newest;
             S_alloc { via = Newest; addr = 8100; size = 120 };
@@ -772,14 +786,14 @@ let store_model_tests =
     Tu.case "model agreement: GPF drains what a fork wrote under CXL-GPF" (fun () ->
         check_stores_agree Xfd_trace.Domain_model.Cxl_gpf
           [
-            S_write { via = Base; addr = 8170; size = 40; nt = false; post = false };
+            S_write { via = Base; addr = 8170; size = 40; nt = false; post = false; loc = 2 };
             S_overlay;
-            S_write { via = Newest; addr = 8186; size = 4; nt = false; post = true };
+            S_write { via = Newest; addr = 8186; size = 4; nt = false; post = true; loc = 0 };
             (* not post-written: the fork's GPF leaves it modified *)
-            S_write { via = Newest; addr = 8200; size = 8; nt = false; post = false };
+            S_write { via = Newest; addr = 8200; size = 8; nt = false; post = false; loc = 1 };
             S_gpf Newest;
             S_flush { via = Newest; addr = 8186 };
-            S_write { via = Base; addr = 8000; size = 8; nt = false; post = false };
+            S_write { via = Base; addr = 8000; size = 8; nt = false; post = false; loc = 2 };
             S_gpf Newest;
             S_gpf Base;
           ]);
@@ -793,20 +807,53 @@ let store_model_tests =
           (fun domain ->
             check_stores_agree domain
               [
-                S_write { via = Base; addr = 8200; size = 8; nt = false; post = false };
-                S_write { via = Base; addr = 8208; size = 8; nt = true; post = false };
+                S_write { via = Base; addr = 8200; size = 8; nt = false; post = false; loc = 0 };
+                S_write { via = Base; addr = 8208; size = 8; nt = true; post = false; loc = 1 };
                 S_flush { via = Base; addr = 8200 };
                 S_overlay;
-                S_write { via = Newest; addr = 8200; size = 8; nt = true; post = true };
+                S_write { via = Newest; addr = 8200; size = 8; nt = true; post = true; loc = 2 };
                 S_fence Newest;
                 S_flush { via = Newest; addr = 8200 };
-                S_write { via = Newest; addr = 8212; size = 8; nt = true; post = true };
+                S_write { via = Newest; addr = 8212; size = 8; nt = true; post = true; loc = 0 };
                 S_gpf Newest;
                 S_fence Newest;
               ])
           Xfd_trace.Domain_model.all);
   ]
   @ [ QCheck_alcotest.to_alcotest store_model_prop ]
+  @ [
+    Tu.case "model agreement: a base write reuses a rewound fork's last writer" (fun () ->
+        (* The fork interns location 1 past the base's table; the rewind
+           drops it, so the base's next write of location 1 must intern it
+           again, or location 2 takes its slot. *)
+        check_stores_agree Xfd_trace.Domain_model.Adr
+          [
+            S_write { via = Base; addr = 8100; size = 8; nt = false; post = false; loc = 0 };
+            S_overlay;
+            S_write { via = Newest; addr = 8150; size = 8; nt = false; post = true; loc = 1 };
+            S_rewind;
+            S_write { via = Base; addr = 8160; size = 8; nt = false; post = false; loc = 1 };
+            S_write { via = Base; addr = 8170; size = 8; nt = false; post = false; loc = 2 };
+          ]);
+    Tu.case "model agreement: 512-byte fork writes over the page boundary, rewound" (fun () ->
+        List.iter
+          (fun domain ->
+            check_stores_agree domain
+              [
+                S_write { via = Base; addr = 8064; size = 300; nt = false; post = false; loc = 0 };
+                S_flush { via = Base; addr = 8192 };
+                S_overlay;
+                S_write { via = Newest; addr = 7936; size = 512; nt = true; post = true; loc = 1 };
+                S_flush { via = Newest; addr = 8130 };
+                S_write { via = Newest; addr = 8000; size = 512; nt = false; post = true; loc = 2 };
+                S_alloc { via = Newest; addr = 8180; size = 40 };
+                S_gpf Newest;
+                S_fence Newest;
+                S_rewind;
+                S_flush { via = Base; addr = 8256 };
+              ])
+          Xfd_trace.Domain_model.all);
+  ]
 
 let detector_tests =
   [
@@ -1341,6 +1388,14 @@ let store_step s =
    alive until the replay phase; the bound is about twice the figure. *)
 let promoted_words_per_post_event_bound = 7.0
 
+(* A fresh detector's replay of a B-Tree pre-failure trace (init 6, test
+   8; 19 shadow pages) allocates 163,880 words directly in the major heap
+   when each page's cold fields are an [int] array and a [Loc.t] array of
+   4096 entries (and the base fence's change log grows to a page's worth),
+   and 78,120 with one 32 KiB [Bytes] column per page.  The bound is half
+   the first figure. *)
+let pre_replay_major_words_bound = 81_940.
+
 (* [Gc.minor_words] boxes its answer: the words one pair of calls costs. *)
 let idle_minor_words () =
   let m = Gc.minor_words () in
@@ -1438,6 +1493,51 @@ let alloc_tests =
         let words = Gc.minor_words () -. m0 -. idle in
         Alcotest.(check int) "drained" 0 (Device.dirty_bytes d + Device.pending_bytes d);
         Device.release d;
+        Alcotest.(check (float 0.)) "minor words" 0. words);
+    Tu.case "a fresh detector's B-Tree pre-trace replay halves its direct major words" (fun () ->
+        let program = Xfd_workloads.Btree.program ~init_size:6 ~size:8 () in
+        let _, pre, _ = Xfd.Engine.run_once program in
+        let replay () =
+          let d = Detector.create () in
+          Detector.replay d pre ~from:0 ~upto:(Trace.length pre);
+          d
+        in
+        (* A warm-up fills the free list the pages come from. *)
+        Detector.release (replay ());
+        let _, promoted0, major0 = Gc.counters () in
+        let d = replay () in
+        let _, promoted1, major1 = Gc.counters () in
+        Detector.release d;
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        if direct > pre_replay_major_words_bound then
+          Alcotest.failf "%.0f direct major words (bound %.0f)" direct
+            pre_replay_major_words_bound);
+    Tu.case "a warm fork's 256-byte write, clwb, sfence and rewind allocate nothing" (fun () ->
+        let s = Shadow.create () in
+        (* 256 bytes across a page boundary, over base bytes of all kinds:
+           persisted, modified and never written. *)
+        let a = (2 * Xfd_mem.Shadow_pages.page_size) - 100 in
+        Shadow.write s (a - 64) 128 ~ts:0 ~ev:0 ~loc:l ~nt:false ~post:false;
+        ignore (Shadow.flush_line s (a - 64) ~ev:1);
+        Shadow.fence s ~ev:2;
+        Shadow.write s (a + 64) 64 ~ts:1 ~ev:3 ~loc:l2 ~nt:false ~post:false;
+        let cycle f =
+          Shadow.write f a 256 ~ts:2 ~ev:4 ~loc:l2 ~nt:false ~post:true;
+          for k = 0 to 4 do
+            ignore (Shadow.flush_line f (Xfd_mem.Addr.line_of (a + (64 * k))) ~ev:5)
+          done;
+          Shadow.fence f ~ev:6;
+          Shadow.rewind f
+        in
+        cycle (Shadow.overlay s);
+        let f = Shadow.overlay s in
+        let idle = idle_minor_words () in
+        let m0 = Gc.minor_words () in
+        cycle f;
+        let words = Gc.minor_words () -. m0 -. idle in
+        Alcotest.(check int) "the base is back" 0 (Shadow.pending_bytes s);
+        Alcotest.(check int) "tlast restored" 1 (Shadow.tlast s (a + 64));
+        Shadow.release s;
         Alcotest.(check (float 0.)) "minor words" 0. words);
   ]
 
