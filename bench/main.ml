@@ -3,7 +3,7 @@
    microbenchmarks of the detector's hot paths (experiment E8).
 
    Usage: main.exe [fig12a|fig12b|fig13|table4|table5|newbugs|capability|
-                    ablation|mechanisms|mtsweep|parallel|snapshots|detect|
+                    ablation|mechanisms|mtsweep|snapshots|detect|
                     micro|all]                 (default: all, fast sizes)
           main.exe --full        (paper-scale figure 13 sweep: 1..50 txns)
           main.exe EXPERIMENT --metrics-out telemetry.jsonl
@@ -48,7 +48,6 @@ let run_newbugs () =
 let run_capability () = E.Capability.print (E.Capability.run ())
 let run_ablation () = E.Ablation.print (E.Ablation.run ())
 
-let run_parallel () = E.Parallel_exp.print (E.Parallel_exp.run ())
 let run_mtsweep () = E.Mt_sweep.print (E.Mt_sweep.run ())
 
 let run_mechanisms () =
@@ -541,7 +540,6 @@ let () =
   | "capability" -> run_capability ()
   | "ablation" -> run_ablation ()
   | "mechanisms" -> run_mechanisms ()
-  | "parallel" -> run_parallel ()
   | "mtsweep" -> run_mtsweep ()
   | "snapshots" -> run_snapshot_bench ()
   | "detect" -> run_detect_bench ()
@@ -558,12 +556,11 @@ let () =
     run_fig13 ~full ();
     run_ablation ();
     run_mtsweep ();
-    run_parallel ();
     run_snapshot_bench ();
     run_detect_bench ();
     microbenches ()
   | other ->
     Printf.eprintf
-      "unknown experiment %S (expected fig12a|fig12b|fig13|table4|table5|newbugs|capability|ablation|mechanisms|mtsweep|parallel|snapshots|detect|lint|micro|all)\n"
+      "unknown experiment %S (expected fig12a|fig12b|fig13|table4|table5|newbugs|capability|ablation|mechanisms|mtsweep|snapshots|detect|lint|micro|all)\n"
       other;
     exit 2

@@ -125,8 +125,8 @@ let session_term =
   let trace_out =
     file "trace-out"
       "Export every span of the command as Chrome trace-event JSON to $(docv) — open it in \
-       ui.perfetto.dev or chrome://tracing.  One track per domain, so parallel \
-       post-failure runs show as overlapping post_run slices."
+       ui.perfetto.dev or chrome://tracing.  One track per domain, and one post_run slice \
+       per failure point."
   in
   let live =
     Arg.(
@@ -183,34 +183,29 @@ let session_term =
         })
     $ metrics_out $ quiet_metrics $ trace_out $ live $ port $ interval $ linger $ pulse_out)
 
-(* Live progress bar for the post-failure stage.  The engine may invoke
-   the callback from whichever worker domain finished a run, so renders
-   are serialized with a mutex and throttled; the final report always
-   renders and ends the line. *)
+(* Live progress bar for the post-failure stage.  The engine invokes the
+   callback on the detecting thread; renders are throttled, and the final
+   report always renders and ends the line. *)
 let progress_renderer () =
-  let mu = Mutex.create () in
   let t0 = Unix.gettimeofday () in
   let last = ref 0.0 in
   fun (p : Xfd.Engine.progress) ->
-    Mutex.protect mu (fun () ->
-        let now = Unix.gettimeofday () in
-        let final = p.completed >= p.total in
-        if final || now -. !last >= 0.05 then begin
-          last := now;
-          let elapsed = now -. t0 in
-          let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
-          let eta =
-            if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0
-          in
-          let width = 24 in
-          let filled =
-            if p.total <= 0 then width else min width (width * p.completed / p.total)
-          in
-          let bar = String.make filled '#' ^ String.make (width - filled) '-' in
-          Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar
-            p.completed p.total rate eta;
-          if final then prerr_newline ()
-        end)
+    let now = Unix.gettimeofday () in
+    let final = p.completed >= p.total in
+    if final || now -. !last >= 0.05 then begin
+      last := now;
+      let elapsed = now -. t0 in
+      let rate = if elapsed > 0.0 then float_of_int p.completed /. elapsed else 0.0 in
+      let eta = if rate > 0.0 then float_of_int (p.total - p.completed) /. rate else 0.0 in
+      let width = 24 in
+      let filled =
+        if p.total <= 0 then width else min width (width * p.completed / p.total)
+      in
+      let bar = String.make filled '#' ^ String.make (width - filled) '-' in
+      Printf.eprintf "\r[%s] %d/%d failure points  %4.0f fp/s  ETA %4.1fs%!" bar p.completed
+        p.total rate eta;
+      if final then prerr_newline ()
+    end
 
 (* Merge independent progress observers into one callback. *)
 let merge_progress observers =
@@ -304,8 +299,8 @@ let run_cmd =
       & info [ "flight-out" ] ~docv:"FILE"
           ~doc:
             "Write the flight-recorder run log as JSONL to $(docv): lifecycle events \
-             (run.begin, fp.scheduled/started/verdict, snapshot.recorded/dropped, \
-             worker.join, run.end) with per-run id and sampled GC gauges.  Enables \
+             (run.begin, fp.scheduled/started/verdict, snapshot.recorded/dropped, run.end) \
+             with per-run id and sampled GC gauges.  Enables \
              debug-level recording for this run.")
   in
   let action w naive untrusted oracle quiet json report_out explain fail_on_bug allow_perf

@@ -6,7 +6,6 @@ type t = {
   faults : Xfd_sim.Faults.t;
   check_perf : bool;
   crash_mode : [ `Full | `Strict ];
-  post_jobs : int;
   forensics : bool;
   engine : [ `Incremental | `Fresh ];
   domain : Xfd_trace.Domain_model.t;
@@ -21,7 +20,6 @@ let default =
     faults = Xfd_sim.Faults.none;
     check_perf = true;
     crash_mode = `Full;
-    post_jobs = 1;
     forensics = false;
     engine = `Incremental;
     domain = Xfd_trace.Domain_model.Adr;
@@ -34,8 +32,6 @@ let validate t =
          "Config.max_failure_points must be positive (got %d): a non-positive cap would \
           silently elide every failure point"
          t.max_failure_points);
-  if t.post_jobs <= 0 then
-    invalid_arg (Printf.sprintf "Config.post_jobs must be positive (got %d)" t.post_jobs);
   match (t.crash_mode, t.domain) with
   | `Full, _ | `Strict, Xfd_trace.Domain_model.Adr -> ()
   | `Strict, (Xfd_trace.Domain_model.Eadr | Xfd_trace.Domain_model.Cxl_gpf) ->

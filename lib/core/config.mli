@@ -19,18 +19,6 @@ type t = {
           durable by flush + fence, which is the ADR contract, so it is
           valid only with [domain = Adr]: under eADR or CXL-GPF it would
           drop bytes the model calls durable (see {!validate}) *)
-  post_jobs : int;
-      (** a ceiling on how many domains run one detect's post-failure
-          executions at once: the calling domain plus at most
-          [post_jobs - 1] helpers of {!Xfd_util.Domain_pool}, the one pool
-          of parked helper domains the whole process shares.  That pool
-          never holds more than [Domain.recommended_domain_count () - 1]
-          helpers, and a helper busy with another detect is not waited
-          for, so a detect may get fewer helpers than it asks for.  This
-          is the paper's "the post-failure executions are independent as
-          they operate on a copy of the original PM image, and therefore,
-          can be parallelized.  We leave the parallelized detection as a
-          future work"; 1 = fully sequential, and no helper is spawned *)
   forensics : bool;
       (** record per-byte provenance history during replay and attach a
           provenance chain plus trace-timeline excerpts to every reported
@@ -55,8 +43,8 @@ val default : t
 
 (** Reject configurations the engine cannot honour meaningfully.  Raises
     [Invalid_argument] when [max_failure_points <= 0] (which would silently
-    elide every failure point and report nothing), when [post_jobs <= 0],
-    or when [crash_mode = `Strict] is combined with any domain other than
+    elide every failure point and report nothing), or when
+    [crash_mode = `Strict] is combined with any domain other than
     [Adr] (the Strict image ignores the domain, so the post stage would see
     a false loss of durable bytes).
     {!Xfd.Engine.detect} validates its configuration on entry. *)

@@ -59,10 +59,6 @@ let c_unique_bugs = Obs.Counter.make "engine.unique_bugs"
 let h_pre_events = Obs.Histogram.make "engine.pre_trace_events"
 let h_post_events = Obs.Histogram.make "engine.post_trace_events_per_run"
 
-(* Helper domains the process-wide post-run pool has spawned: at most
-   [Domain.recommended_domain_count () - 1], however many detects ran. *)
-let g_pool_domains = Obs.Gauge.make "engine.pool_domains"
-
 (* Span names of the detection pipeline's phases.  [timings] is *derived*
    from these spans (see [timings_of_spans]), so the Figure 12 breakdown is
    span aggregation — there is no second, hand-rolled timing path that
@@ -97,8 +93,7 @@ let timings_of_spans spans =
 
 (* Exceptions that indicate a broken harness or an exhausted runtime rather
    than a finding about the program under test: these abort detection and
-   propagate (from pool helpers too, via the per-item capture) instead of
-   being recorded as [Post_failure_error]. *)
+   propagate instead of being recorded as [Post_failure_error]. *)
 let fatal = function
   | Assert_failure _ | Out_of_memory | Stack_overflow -> true
   | _ -> false
@@ -127,8 +122,7 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
   let cov_mark = Xfd_forensics.Coverage.mark () in
   (* Progress is observation-only: the callback sees counts, never state,
      and anything it raises is swallowed — it cannot perturb detection.
-     With [post_jobs > 1] it is invoked from whichever pool domain
-     finished the run, so callers must be domain-safe. *)
+     It is always called on the detecting thread. *)
   let notify_progress completed total =
     match on_progress with
     | None -> ()
@@ -137,42 +131,24 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
   (* Cleanup registry: every resource the pipeline owns (devices, captured
      crash images, detector shadow pages) is registered here and disposed
      exactly once — on the normal path at its usual point, or by
-     [dispose_all] when the run aborts.  Pool helpers release through the
-     same registry, so the mutex also orders racing disposals. *)
-  let cleanup_mu = Mutex.create () in
+     [dispose_all] when the run aborts. *)
   let cleanups : (int, unit -> unit) Hashtbl.t = Hashtbl.create 32 in
   let cleanup_next = ref 0 in
-  let locked f =
-    Mutex.lock cleanup_mu;
-    let r = try f () with e -> Mutex.unlock cleanup_mu; raise e in
-    Mutex.unlock cleanup_mu;
-    r
-  in
   let track release =
-    locked (fun () ->
-        incr cleanup_next;
-        let id = !cleanup_next in
-        Hashtbl.replace cleanups id release;
-        id)
+    incr cleanup_next;
+    Hashtbl.replace cleanups !cleanup_next release;
+    !cleanup_next
   in
   let dispose id =
-    match
-      locked (fun () ->
-          match Hashtbl.find_opt cleanups id with
-          | Some f ->
-            Hashtbl.remove cleanups id;
-            Some f
-          | None -> None)
-    with
-    | Some f -> f ()
+    match Hashtbl.find_opt cleanups id with
+    | Some f ->
+      Hashtbl.remove cleanups id;
+      f ()
     | None -> ()
   in
   let dispose_all () =
-    let fs = locked (fun () ->
-        let fs = Hashtbl.fold (fun _ f acc -> f :: acc) cleanups [] in
-        Hashtbl.reset cleanups;
-        fs)
-    in
+    let fs = Hashtbl.fold (fun _ f acc -> f :: acc) cleanups [] in
+    Hashtbl.reset cleanups;
     List.iter (fun f -> try f () with _ -> ()) fs
   in
   (* Every span below is opened under this detect's root scope [sc], so
@@ -264,103 +240,46 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
         let detector, detector_cleanup = make_detector () in
         let pre_pos = ref 0 in
         let post_events = ref 0 in
-        (* One post-failure execution per failure point.  The executions are
-           independent (each runs on its own copy of the PM image).  On the
-           streamed path (one job) each runs when the replay loop below
+        (* One post-failure execution per failure point, each on its own
+           copy of the PM image.  Each runs when the replay loop below
            reaches its failure point, recording into one post trace that
            is emptied before each run, so a detect keeps one post trace
-           alive instead of one per point.  With post_jobs > 1 they run up
-           front, each into its own trace, claimed in turn by the caller
-           and up to post_jobs - 1 helpers of the process-wide domain pool
-           — the parallelisation the paper leaves as future work.  Trace
-           replay and checking stay sequential either way: the backend's
-           shadow forks off the incrementally-advanced pre-failure state. *)
-        let run_one post_exec s ~trace =
-          Flight.record ~level:Flight.Debug ~run "fp.started"
-            [ ("failure_point", Xfd_util.Json.Int s.index) ];
-          Obs.Span.child post_exec ~name:sp_post_run
-            ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
-            (fun _ ->
-              (* Boot this failure point's image-only device from the crash
-                 image captured when the point fired, then drop the capture:
-                 the post device's first write to a chunk still shared with
-                 the live pre-failure device takes its private copy, and
-                 shared chunks are immutable, so pool helpers boot
-                 race-free.  A post run injects no failure points, so the
-                 device needs no persistence tracking. *)
-              let post_dev = Device.boot_image_only s.img in
-              dispose s.img_id;
-              let post_id = track (fun () -> Device.release post_dev) in
-              (* A fatal post-failure exception propagates out of the
-                 run; the registry still frees this run's device. *)
-              Fun.protect
-                ~finally:(fun () -> dispose post_id)
-                (fun () -> run_post ~config ~dev:post_dev ~post:program.post ~trace))
-        in
+           alive instead of one per point.  Nothing outlives a point's
+           replay that could read the trace: provenance chains render the
+           events they cite when the bug fires, and the fork is rewound. *)
         let n = List.length snapshots in
-        let jobs = max 1 (min config.Config.post_jobs n) in
-        let streamed = jobs = 1 in
-        let progress_done = Atomic.make 0 in
-        let run_one post_exec s ~trace =
-          let r = run_one post_exec s ~trace in
-          notify_progress (1 + Atomic.fetch_and_add progress_done 1) n;
-          r
-        in
+        let progress_done = ref 0 in
         notify_progress 0 n;
-        let batch =
-          if streamed then [||]
-          else
-            Obs.Span.child sc ~name:sp_post_exec (fun post_exec ->
-                let input = Array.of_list snapshots in
-                let output = Array.make n None in
-                let next = Atomic.make 0 in
-                (* No run of [work] stops mid-queue: each item's exception
-                   is captured in its slot and the first one (in
-                   failure-point order) re-raised after the batch. *)
-                let work () =
-                  let rec go () =
-                    let k = Atomic.fetch_and_add next 1 in
-                    if k < n then begin
-                      output.(k) <-
-                        Some
-                          (try
-                             let trace = Trace.create () in
-                             Ok (trace, run_one post_exec input.(k) ~trace)
-                           with e -> Error (e, Printexc.get_raw_backtrace ()));
-                      go ()
-                    end
-                  in
-                  go ()
-                in
-                let helpers = Xfd_util.Domain_pool.run ~helpers:(jobs - 1) work in
-                Obs.Gauge.set g_pool_domains (float_of_int (Xfd_util.Domain_pool.domains ()));
-                Flight.record ~level:Flight.Debug ~run "worker.join"
-                  [
-                    ("jobs", Xfd_util.Json.Int jobs);
-                    ("helpers", Xfd_util.Json.Int helpers);
-                    ("runs", Xfd_util.Json.Int n);
-                  ];
-                Array.map
-                  (function
-                    | Some (Ok r) -> r
-                    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-                    | None -> assert false)
-                  output)
-        in
-        (* The streamed path's one post trace.  Nothing outlives a point's
-           replay that could read it: provenance chains render the events
-           they cite when the bug fires, and the fork is rewound. *)
         let post_trace = Trace.create () in
-        let post_run_for i s =
-          if streamed then begin
-            Trace.clear post_trace;
-            let exn =
-              Obs.Span.child sc ~name:sp_post_exec (fun post_exec ->
-                  run_one post_exec s ~trace:post_trace)
-            in
-            (post_trace, exn)
-          end
-          else batch.(i)
+        let post_run s =
+          Trace.clear post_trace;
+          let exn =
+            Obs.Span.child sc ~name:sp_post_exec (fun post_exec ->
+                Flight.record ~level:Flight.Debug ~run "fp.started"
+                  [ ("failure_point", Xfd_util.Json.Int s.index) ];
+                Obs.Span.child post_exec ~name:sp_post_run
+                  ~meta:[ ("failure_point", Xfd_util.Json.Int s.index) ]
+                  (fun _ ->
+                    (* Boot this failure point's image-only device from the
+                       crash image captured when the point fired, then drop
+                       the capture: the post device's first write to a chunk
+                       still shared with the live pre-failure device takes
+                       its private copy.  A post run injects no failure
+                       points, so the device needs no persistence
+                       tracking. *)
+                    let post_dev = Device.boot_image_only s.img in
+                    dispose s.img_id;
+                    let post_id = track (fun () -> Device.release post_dev) in
+                    (* A fatal post-failure exception propagates out of the
+                       run; the registry still frees this run's device. *)
+                    Fun.protect
+                      ~finally:(fun () -> dispose post_id)
+                      (fun () ->
+                        run_post ~config ~dev:post_dev ~post:program.post ~trace:post_trace)))
+          in
+          incr progress_done;
+          notify_progress !progress_done n;
+          exn
         in
         (* The prefix-sharing scheduler.  `Incremental advances the single
            canonical shadow to each failure point's arena index — O(delta)
@@ -386,9 +305,9 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
             (det, Some cleanup)
         in
         let reports =
-          List.mapi
-            (fun i s ->
-              let post_trace, post_exn = post_run_for i s in
+          List.map
+            (fun s ->
+              let post_exn = post_run s in
               let fp_meta = [ ("failure_point", Xfd_util.Json.Int s.index) ] in
               let det, det_cleanup = pre_replay_for s in
               post_events := !post_events + Trace.length post_trace;
@@ -459,8 +378,8 @@ let detect_gen ?only ?on_progress ?(config = Config.default) program =
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (* Every still-registered resource — the live device, unconsumed
-         crash images, the post devices of runs on pool helpers, detector
-         shadow pages — is released before the abort propagates, so an
+         crash images, the running post device, detector shadow pages — is
+         released before the abort propagates, so an
          aborted run leaks no chunk or page bytes. *)
       dispose_all ();
       Flight.record ~level:Flight.Warn ~run "run.abort"

@@ -10,32 +10,18 @@
     per-failure-point reports, the deduplicated bug list and the timing
     breakdown used by the Figure 12/13 experiments.
 
-    When a post-failure execution runs depends on the path:
-    - {b Streamed} ([post_jobs = 1]; also {!detect_at}):
-      the replay loop visits the failure points in trace order and runs
-      each point's post execution when it reaches the point, right before
-      that point's replay.  Every run records into one post trace per
-      detect, emptied ({!Xfd_trace.Trace.clear}) before the next run, so
-      one post trace is alive at a time and its events die young.
-      Nothing keeps a post trace past its replay: a forensic chain renders
-      the events it cites when its bug fires.  Each run gets its own
-      ["post_exec"] span around its ["post_run"].  A fatal exception in
-      the run at point [k] aborts the detect after points [0 .. k-1] were
-      replayed.
-    - {b Batch} ([post_jobs > 1]): every post execution runs up front,
-      each into a trace of its own, inside one ["post_exec"] span: the
-      calling domain and up to [post_jobs - 1] helpers of the
-      process-wide {!Xfd_util.Domain_pool} claim the failure points in
-      turn.  [post_jobs] is a ceiling, not a count: the pool is shared by
-      every detect in the process, holds at most
-      [Domain.recommended_domain_count () - 1] helpers, and a detect does
-      not wait for a helper busy with another one.  Each ["post_run"]
-      span names the batch's ["post_exec"] span as its parent, on a
-      helper too.  Then the same replay loop consumes the traces in trace
-      order.
-    On both paths [timings.post_exec] is the total of the ["post_exec"]
-    spans, that is of all post executions, and there is one ["post_run"]
-    span per failure point.  Verdicts do not depend on the path. *)
+    The replay loop visits the failure points in trace order and runs
+    each point's post execution when it reaches the point, right before
+    that point's replay, on the detecting thread.  Every run records into
+    one post trace per detect, emptied ({!Xfd_trace.Trace.clear}) before
+    the next run, so one post trace is alive at a time and its events die
+    young.  Nothing keeps a post trace past its replay: a forensic chain
+    renders the events it cites when its bug fires.  Each run gets its own
+    ["post_exec"] span around its ["post_run"], so [timings.post_exec] is
+    the total of all post executions.  A fatal exception in the run at
+    point [k] aborts the detect after points [0 .. k-1] were replayed.
+    Detects on different threads are independent: parallelism lives at
+    the job level (serve workers, fuzz batches), not inside a detect. *)
 
 module Ctx = Xfd_sim.Ctx
 
@@ -77,10 +63,8 @@ type outcome = {
           span (last) with ["pre_exec"], ["post_exec"], ["pre_replay"],
           ["post_replay"] phases, ["snapshot"] children inside
           [pre_exec], and per-failure-point ["post_run"] (children of
-          ["post_exec"], on pool helpers too) and replay spans carrying a
-          [failure_point] meta field.  ["post_exec"] is one
-          span per failure point on the streamed path and one span
-          around the batch otherwise (see above).  The detect owns the
+          ["post_exec"], one ["post_exec"] per failure point) and replay
+          spans carrying a [failure_point] meta field.  The detect owns the
           list ({!Xfd_obs.Obs.Span.root}): it holds every span of this
           run and no other, also when other detects run at the same
           time on other threads. *)
@@ -94,10 +78,8 @@ type outcome = {
     [Post_failure_error] findings — except fatal runtime conditions
     ([Assert_failure], [Out_of_memory], [Stack_overflow]), which indicate a
     broken harness rather than a PM bug: those abort detection and re-raise
-    the original exception, including out of pool helpers when
-    [config.post_jobs > 1] (each post run's exception is captured with
-    its failure point, and the first, in failure-point order, is
-    re-raised once every run of the batch has returned). *)
+    the original exception once every resource the run holds has been
+    released. *)
 val detect :
   ?config:Config.t ->
   ?on_progress:(progress -> unit) ->
@@ -107,10 +89,8 @@ val detect :
 (** When [on_progress] is given, it is invoked with live {!progress}
     counts as post-failure runs complete.  Observation-only and
     verdict-neutral: the callback sees counts, never detection state, and
-    anything it raises is swallowed.  With [config.post_jobs > 1] it runs
-    on whichever domain finished the run, the caller's or a pool
-    helper's, so it must be domain-safe (the CLI's renderer serializes
-    with a mutex). *)
+    anything it raises is swallowed.  It is always called on the
+    detecting thread. *)
 
 (** [detect_at ~failure_point program] is the single-failure-point oracle
     entry: the pipeline runs exactly as {!detect} — failure points are

@@ -5,7 +5,7 @@
    wrong, the question "what was the engine doing?" must be answerable
    without re-running under a debugger.  The recorder keeps the last
    [capacity] lifecycle events — failure points scheduled/started/judged,
-   snapshots recorded/dropped, workers joined — in a ring, stamped with a
+   snapshots recorded/dropped, runs aborted — in a ring, stamped with a
    per-run id, and streams them as JSONL when an [Obs.Sink] is installed.
    Every [gc_sample_every]-th event also samples [Gc.quick_stat] into
    gauges, so runtime pressure is visible in the same telemetry stream.
@@ -55,8 +55,8 @@ let default_capacity = 8192
 (* ---- the ring ----
 
    The newest [capacity] events are retained, the oldest dropped and
-   counted.  Events arrive from the main domain and the engine's worker
-   domains, so the ring is mutex-protected. *)
+   counted.  Events arrive from every thread that detects (serve workers
+   run several detects at once), so the ring is mutex-protected. *)
 
 let mutex = Mutex.create ()
 let buf : event option array ref = ref (Array.make default_capacity None)

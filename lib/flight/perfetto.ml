@@ -4,9 +4,7 @@
    chrome://tracing both load: one object per span with "ph":"X"
    (complete event), microsecond timestamps relative to the earliest
    span, and pid/tid lanes.  Spans carry the id of the domain they ran
-   on, so each domain-pool worker of the engine's post-failure stage
-   gets its own track — the parallel section of a run is visible as
-   overlapping post_run slices on separate rows. *)
+   on, so each domain gets its own track. *)
 
 module Json = Xfd_util.Json
 module Obs = Xfd_obs.Obs

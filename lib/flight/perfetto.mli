@@ -3,9 +3,8 @@
     Produces the JSON trace-event format that {{:https://ui.perfetto.dev}
     Perfetto} and chrome://tracing load: one ["ph":"X"] complete event
     per span, microsecond timestamps relative to the earliest span, and
-    one named track per domain ([tid]) — so the engine's domain-pool
-    workers appear as separate rows with their [post_run] slices
-    overlapping in the parallel section of a run. *)
+    one named track per domain ([tid]), each run's [post_run] slices
+    nested in its [post_exec] slices. *)
 
 (** The whole trace as one JSON value
     [{"traceEvents":[...],"displayTimeUnit":"ms"}], including

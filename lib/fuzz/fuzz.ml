@@ -52,8 +52,8 @@ let prog_rng seed i =
        (Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L)
        (Int64.of_int i))
 
-let detect_keys ?config p =
-  let o = Xfd.Engine.detect ?config (Prog.to_program p) in
+let detect_keys p =
+  let o = Xfd.Engine.detect (Prog.to_program p) in
   (Oracle.keys_of_outcome o, o)
 
 (* Read sites (as location strings) flagged by correctness findings —
@@ -333,17 +333,6 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
             (String.concat "; " keys) (String.concat "; " keys');
           shrink_and_save ~what:"M2 violation" ~keep:(fun _ -> false) p'
         end);
-      (* M3: domain-pool determinism, on a rotating subset. *)
-      (if i mod 8 = 0 then
-         let config = { Xfd.Config.default with Xfd.Config.post_jobs = 3 } in
-         let keys', _ = detect_keys ~config p in
-         if keys' <> keys then begin
-           incr meta_failures;
-           Obs.Counter.incr c_meta_failures;
-           Format.fprintf out
-             "metamorphic M3 violation at program %d: post_jobs=3 keys [%s] vs [%s]@." i
-             (String.concat "; " keys') (String.concat "; " keys)
-         end);
       (* Harvest: first program per new verdict signature becomes a repro. *)
       if keys <> [] && cfg.profile <> Gen.Correct then begin
         let s = key_sig keys in

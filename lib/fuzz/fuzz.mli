@@ -14,8 +14,6 @@
     - {b Metamorphic M2}: swapping two adjacent independent ops (stores,
       flushes, reads, TX adds on disjoint cache lines, no fence between)
       preserves the exact key set.
-    - {b Metamorphic M3}: replaying under [post_jobs = 3] yields the same
-      keys as the sequential run (checked on a rotating subset).
     - {b Metamorphic M4}: a [Correct]-profile program must be
       {!Xfd_lint.Lint}-clean — the static analyzer never indicts a
       well-formed persistence protocol.
@@ -27,6 +25,9 @@
       error-severity key that the [Adr] lint lacks — eADR only removes
       persistence obligations.
     - {b Profile}: a [Correct]-profile program must produce zero findings.
+
+    (M3 is retired with the parallel post-run path it compared; the
+    other checks keep their numbers.)
 
     Any violation is shrunk with {!Shrink.minimize} (the shrink predicate
     re-checks the violated property) and saved as an [.xfdprog] repro in

@@ -39,10 +39,9 @@ let reset_peak () =
 
 (* A chunk is a refcounted page.  [refs] counts the images whose table
    references it; a chunk with [refs > 1] is immutable (every writer must
-   first take a private copy), which is what makes sharing across the
-   engine's post-failure worker domains race-free: workers only ever read
-   shared payloads, and all ownership transitions go through the atomic
-   refcount. *)
+   first take a private copy), which is what makes sharing a chunk between
+   a device and its crash images safe: a shared payload is only ever read,
+   and all ownership transitions go through the atomic refcount. *)
 type chunk = { data : bytes; refs : int Atomic.t }
 
 type t = { chunks : (int, chunk) Hashtbl.t; mutable footprint : int }
@@ -118,12 +117,15 @@ let read_byte t addr =
 
 let write_byte t addr v = Bytes.set (writable_chunk t (chunk_index addr)) (chunk_offset addr) v
 
+(* Int-typed: [Stdlib.min] is polymorphic and compiles to a call. *)
+let imin (a : int) b = if a < b then a else b
+
 let read_into t addr dst dst_off size =
   let pos = ref 0 in
   while !pos < size do
     let a = addr + !pos in
     let off = chunk_offset a in
-    let len = min (size - !pos) (chunk_size - off) in
+    let len = imin (size - !pos) (chunk_size - off) in
     let c = find_chunk t (chunk_index a) in
     if c == no_chunk then Bytes.fill dst (dst_off + !pos) len '\000'
     else Bytes.blit c.data off dst (dst_off + !pos) len;
@@ -140,7 +142,7 @@ let write_from t addr src src_off size =
   while !pos < size do
     let a = addr + !pos in
     let off = chunk_offset a in
-    let len = min (size - !pos) (chunk_size - off) in
+    let len = imin (size - !pos) (chunk_size - off) in
     Bytes.blit src (src_off + !pos) (writable_chunk t (chunk_index a)) off len;
     pos := !pos + len
   done

@@ -112,6 +112,11 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Bitmap arithmetic. *)
 
+(* Int-typed min/max: [Stdlib.min]/[max] are polymorphic and compile to a
+   call on these paths. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
 (* Bits [lo, hi) of a word, 0 <= lo, hi <= 32; empty when hi <= lo. *)
 let bits lo hi = if hi <= lo then 0 else ((1 lsl (hi - lo)) - 1) lsl lo
 
@@ -119,7 +124,7 @@ let bits lo hi = if hi <= lo then 0 else ((1 lsl (hi - lo)) - 1) lsl lo
    words and offsets from the same page or line start. *)
 let word_mask off stop w =
   let w0 = w lsl word_bits in
-  bits (max off w0 - w0) (min stop (w0 + word_size) - w0)
+  bits (imax off w0 - w0) (imin stop (w0 + word_size) - w0)
 
 let popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in
@@ -182,7 +187,7 @@ let own_page c addr =
     in
     Xfd_util.Int_table.replace c.index (addr lsr page_bits) c.n_pages;
     if c.n_pages = Array.length c.pages then begin
-      let pages = Array.make (max 8 (2 * c.n_pages)) p in
+      let pages = Array.make (imax 8 (2 * c.n_pages)) p in
       Array.blit c.pages 0 pages 0 c.n_pages;
       c.pages <- pages
     end;
@@ -232,7 +237,7 @@ let mark_dirty c addr n =
 
 let rec dirty_range c addr n =
   if n > 0 then begin
-    let len = min n (page_size - page_offset addr) in
+    let len = imin n (page_size - page_offset addr) in
     mark_dirty c addr len;
     dirty_range c (addr + len) (n - len)
   end
@@ -262,7 +267,7 @@ let nt_range c addr b =
   while !pos < n do
     let a = addr + !pos in
     let lo = Addr.offset_in_line a in
-    let len = min (n - !pos) (line_size - lo) in
+    let len = imin (n - !pos) (line_size - lo) in
     let hi = lo + len in
     let line = a - lo in
     let p = own_page c a in

@@ -11,8 +11,8 @@ let set_enabled v = Atomic.set enabled_flag v
 (* ---- metric registry ----
 
    One global table, name -> metric.  Registration happens at module
-   initialisation of the instrumented libraries; updates happen from the
-   main domain and from the engine's post-execution worker domains, so
+   initialisation of the instrumented libraries; updates happen from every
+   thread that detects (serve workers run several detects at once), so
    all metric state is Atomic and the registry itself is mutex-protected. *)
 
 type counter = { c_name : string; c_value : int Atomic.t }
@@ -260,8 +260,8 @@ module Span = struct
     meta : (string * Json.t) list;
   }
 
-  (* A run's finished spans, newest first.  Pool helpers finish spans of
-     the same run on other domains, so they are pushed with a CAS. *)
+  (* A run's finished spans, newest first.  A scope may be handed to
+     another thread or domain, so spans are pushed with a CAS. *)
   type run = record list Atomic.t
 
   type scope = { run : run; span_id : int }

@@ -7,7 +7,7 @@
 
     - {b metrics} — named monotonic {!Counter}s, {!Gauge}s and log-scale
       {!Histogram}s, registered once by name and safe to update from any
-      domain (the engine runs post-failure executions on a domain pool);
+      domain or thread (serve workers detect on several threads at once);
     - {b spans} — timed spans grouped into runs: a run's root span
       ({!Span.root}) owns the list of its spans, and every child is opened
       through an explicit {!Span.scope}, so concurrent runs never see each
@@ -115,7 +115,7 @@ module Span : sig
       [dur] the wall-clock duration.  [parent] is the id of the span whose
       {!scope} opened this one, [None] for a root.  [tid] is the integer
       id of the domain the span ran on — the track key for trace export,
-      one track per pool helper. *)
+      one track per domain. *)
   type record = {
     id : int;
     parent : int option;
@@ -128,8 +128,8 @@ module Span : sig
 
   (** An open span of one run: the handle its children are opened
       under.  Passing it is the only way to parent a span, so a span
-      opened on a pool helper, or on another thread, lands in the run
-      whose scope it was given. *)
+      opened on another domain or thread lands in the run whose scope it
+      was given. *)
   type scope
 
   (** [root ~name f] times [f scope] as the root span of a new run and

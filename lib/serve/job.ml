@@ -5,9 +5,8 @@
    and an optional seeded-bug patch, exactly the `xfd_cli run` surface)
    or an inline `.xfdprog` fuzz program (the corpus repro format).  Per
    job the client picks the engine (`incremental` — the prefix-sharing
-   default — or `fresh`, the from-zero oracle behind `run --oracle`),
-   a bounded post_jobs fan-out and whether forensics chains are wanted
-   in the report.
+   default — or `fresh`, the from-zero oracle behind `run --oracle`)
+   and whether forensics chains are wanted in the report.
 
    The verdict fingerprint is the service's equivalence contract: a
    digest over everything detection *found* — program name, failure
@@ -73,7 +72,6 @@ type kind =
 type spec = {
   kind : kind;
   engine : [ `Incremental | `Fresh ];
-  post_jobs : int;
   forensics : bool;
 }
 
@@ -84,11 +82,10 @@ let label spec =
   | Workload w -> "workload:" ^ w.workload
   | Xfdprog _ -> "xfdprog"
 
-(* The per-job workload sizes and fan-out are bounded so one submission
-   cannot monopolise a worker forever: this is a shared service, and the
-   paper-scale workloads stay far below these. *)
+(* The per-job workload sizes are bounded so one submission cannot
+   monopolise a worker forever: this is a shared service, and the
+   paper-scale workloads stay far below this. *)
 let max_size = 1000
-let max_post_jobs = 8
 
 let spec_of_json j =
   let str key =
@@ -119,7 +116,6 @@ let spec_of_json j =
     | Some (Json.Str "fresh") -> Ok `Fresh
     | Some _ -> Error "field \"engine\" must be \"incremental\" or \"fresh\""
   in
-  let* post_jobs = int_default "post_jobs" 1 1 max_post_jobs in
   let* forensics = bool_default "forensics" false in
   let* kind_s = str "kind" in
   let* kind =
@@ -151,13 +147,12 @@ let spec_of_json j =
         | Ok (prog, expects) -> Ok (Xfdprog { text; prog; expects })))
     | Some other -> Error (Printf.sprintf "unknown job kind %S" other)
   in
-  Ok { kind; engine; post_jobs; forensics }
+  Ok { kind; engine; forensics }
 
 let spec_to_json spec =
   let common =
     [
       ("engine", Json.Str (engine_to_string spec.engine));
-      ("post_jobs", Json.Int spec.post_jobs);
       ("forensics", Json.Bool spec.forensics);
     ]
   in
@@ -222,7 +217,6 @@ let config_of spec faults =
     Config.default with
     Config.faults;
     engine = spec.engine;
-    post_jobs = spec.post_jobs;
     forensics = spec.forensics;
   }
 

@@ -22,7 +22,6 @@ type kind =
 type spec = {
   kind : kind;
   engine : [ `Incremental | `Fresh ];
-  post_jobs : int;
   forensics : bool;
 }
 

@@ -6,8 +6,7 @@
     cycle.  The list holds at most [bound] items; a buffer given to a full
     list is dropped for the GC, so the memory a list keeps beyond what is
     live is at most [bound] buffers.  A mutex guards every operation:
-    worker domains and the service's worker threads give and take
-    concurrently. *)
+    the service's worker threads give and take concurrently. *)
 
 type 'a t
 

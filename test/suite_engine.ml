@@ -166,7 +166,7 @@ let tests =
   ]
 
 (* A post stage that dies with a harness-fatal exception: the engine must
-   re-raise it — unchanged — whatever the domain-pool size. *)
+   re-raise it unchanged. *)
 let asserting_post_program () =
   {
     Engine.name = "asserting-post";
@@ -197,10 +197,6 @@ let config_tests =
                 && String.sub msg 0 (String.length "Config.max_failure_points")
                    = "Config.max_failure_points"))
           [ 0; -1; min_int ]);
-    Tu.case "validate rejects a non-positive pool size" (fun () ->
-        match Config.validate { Config.default with post_jobs = 0 } with
-        | () -> Alcotest.fail "post_jobs 0 accepted"
-        | exception Invalid_argument _ -> ());
     Tu.case "detect refuses an invalid configuration up front" (fun () ->
         let config = { Config.default with max_failure_points = 0 } in
         match Tu.detect ~config (counter_program ~n:2 ()) with
@@ -256,15 +252,11 @@ let config_tests =
 
 let worker_exception_tests =
   [
-    Tu.case "worker exceptions surface at every pool size" (fun () ->
-        List.iter
-          (fun jobs ->
-            let config = { Config.default with post_jobs = jobs } in
-            match Tu.detect ~config (asserting_post_program ()) with
-            | _ -> Alcotest.failf "post_jobs=%d swallowed the assert" jobs
-            | exception Assert_failure _ -> ())
-          [ 1; 2; 4 ]);
-    Tu.case "non-fatal post exceptions stay bug reports at every pool size" (fun () ->
+    Tu.case "worker exceptions surface unchanged out of detect" (fun () ->
+        match Tu.detect (asserting_post_program ()) with
+        | _ -> Alcotest.fail "detect swallowed the assert"
+        | exception Assert_failure _ -> ());
+    Tu.case "non-fatal post exceptions stay bug reports" (fun () ->
         let failing_post_program () =
           {
             (asserting_post_program ()) with
@@ -272,21 +264,11 @@ let worker_exception_tests =
             post = (fun _ -> failwith "recovery invariant violated");
           }
         in
-        let run jobs =
-          let config = { Config.default with post_jobs = jobs } in
-          let o = Tu.detect ~config (failing_post_program ()) in
-          List.sort_uniq String.compare
-            (List.map Xfd.Report.dedup_key o.Engine.unique_bugs)
-        in
-        let seq = run 1 in
+        let o = Tu.detect (failing_post_program ()) in
         Alcotest.(check bool) "reported as post-error" true
-          (List.exists (fun k -> String.length k >= 10 && String.sub k 0 10 = "post-error") seq);
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "post_jobs=%d matches sequential" jobs)
-              seq (run jobs))
-          [ 2; 4 ]);
+          (List.exists
+             (fun b -> String.starts_with ~prefix:"post-error" (Xfd.Report.dedup_key b))
+             o.Engine.unique_bugs));
   ]
 
 (* ---- the streamed post path ---- *)
@@ -361,189 +343,53 @@ let stream_tests =
         (* The pooled buffers serve the next detect unchanged. *)
         Alcotest.(check string) "a detect after the abort" (Xfd_serve.Job.fingerprint clean)
           (Xfd_serve.Job.fingerprint (Tu.detect (btree ()))));
-    Tu.case "sequential, post_jobs=3 runs agree, one post_run per point" (fun () ->
+    Tu.case "one post_exec span per failure point, each around its post_run" (fun () ->
         List.iter
           (fun program ->
-            let seq = Tu.detect (program ()) in
-            let batch = Tu.detect ~config:{ Config.default with post_jobs = 3 } (program ()) in
-            let every = List.init seq.Engine.failure_points Fun.id in
+            let o = Tu.detect (program ()) in
+            Alcotest.(check (list int)) "one post_run per point"
+              (List.init o.Engine.failure_points Fun.id)
+              (post_run_points o);
+            let post_exec = named "post_exec" o.Engine.spans in
+            Alcotest.(check int) "one post_exec per point" o.Engine.failure_points
+              (List.length post_exec);
+            let post_exec_ids = List.map (fun r -> Some r.Xfd_obs.Obs.Span.id) post_exec in
             List.iter
-              (fun (name, (o : Engine.outcome)) ->
-                Alcotest.(check string) (name ^ ": fingerprint") (Xfd_serve.Job.fingerprint seq)
-                  (Xfd_serve.Job.fingerprint o);
-                Alcotest.(check (list int)) (name ^ ": one post_run per point") every
-                  (post_run_points o);
-                (* The batch hands its post_exec scope to the pool
-                   helpers, so their post_run spans are its children. *)
-                let post_exec_ids =
-                  List.map (fun r -> Some r.Xfd_obs.Obs.Span.id) (named "post_exec" o.Engine.spans)
-                in
-                List.iter
-                  (fun r ->
-                    Alcotest.(check bool) (name ^ ": post_run under post_exec") true
-                      (List.mem r.Xfd_obs.Obs.Span.parent post_exec_ids))
-                  (named "post_run" o.Engine.spans))
-              [ ("sequential", seq); ("post_jobs=3", batch) ];
-            (* A post_exec span per point on the streamed path, one around
-               the batch otherwise; either way they total the post runs. *)
-            let post_exec (o : Engine.outcome) = List.length (named "post_exec" o.Engine.spans) in
-            Alcotest.(check int) "streamed post_exec spans" seq.Engine.failure_points (post_exec seq);
-            Alcotest.(check int) "batch post_exec spans" 1 (post_exec batch))
+              (fun r ->
+                Alcotest.(check bool) "post_run under post_exec" true
+                  (List.mem r.Xfd_obs.Obs.Span.parent post_exec_ids))
+              (named "post_run" o.Engine.spans))
           [
             (fun () -> Xfd_workloads.Array_update.program ~size:2 ());
             (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
           ]);
-    Tu.case "forensic chains are the same whether post traces stream or batch" (fun () ->
+    Tu.case "forensic chains are the same whether the post trace is reused or fresh" (fun () ->
+        (* A detect empties one post trace before each point's run; a
+           [detect_at] records a single run into a fresh one.  A chain that
+           read the trace after its point's replay would differ. *)
         let config = { Config.default with forensics = true } in
-        let chains (o : Engine.outcome) =
-          List.map (fun b -> Xfd_util.Json.to_string (Xfd.Report.bug_to_json b)) o.Engine.unique_bugs
+        let chains bugs =
+          List.map (fun b -> Xfd_util.Json.to_string (Xfd.Report.bug_to_json b)) bugs
         in
         let program () = Xfd_workloads.Array_update.program ~size:2 () in
-        let seq = Tu.detect ~config (program ()) in
-        let batch = Tu.detect ~config:{ config with post_jobs = 3 } (program ()) in
+        let full = Tu.detect ~config (program ()) in
         Alcotest.(check bool) "chains were built" true
-          (List.exists (fun b -> Xfd.Report.provenance b <> None) seq.Engine.unique_bugs);
-        Alcotest.(check (list string)) "identical chains" (chains batch) (chains seq));
+          (List.exists (fun b -> Xfd.Report.provenance b <> None) full.Engine.unique_bugs);
+        List.iter
+          (fun (r : Xfd.Report.failure_report) ->
+            let one =
+              Engine.detect_at ~config ~failure_point:r.Xfd.Report.failure_point (program ())
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "point %d: identical chains" r.Xfd.Report.failure_point)
+              (chains r.Xfd.Report.bugs)
+              (chains (List.concat_map (fun r -> r.Xfd.Report.bugs) one.Engine.reports)))
+          full.Engine.reports);
   ]
 
-(* ---- the process-wide helper pool ---- *)
-
-module Pool = Xfd_util.Domain_pool
-
-(* Each failure point of [epoch_program ~n] sees its own value at [base]:
-   point k (before the k-th fence) sees k + 1.  Its post run reads it. *)
-let epoch_program ~n ~post =
-  {
-    Engine.name = "epochs";
-    setup = (fun _ -> ());
-    pre =
-      (fun ctx ->
-        Ctx.roi_begin ctx ~loc:l;
-        for j = 1 to n do
-          Ctx.write_i64 ctx ~loc:l base (Int64.of_int j);
-          Ctx.persist_barrier ctx ~loc:l base 8
-        done;
-        Ctx.roi_end ctx ~loc:l);
-    post = (fun ctx -> post (Int64.to_int (Ctx.read_i64 ctx ~loc:l base)));
-  }
-
-let seeded_programs () =
-  List.concat_map
-    (fun (e : Xfd_experiments.Workload_set.entry) ->
-      List.map
-        (fun faults () ->
-          ({ Config.default with faults = faults () }, e.Xfd_experiments.Workload_set.make ~init:2 ~test:3))
-        [ (fun () -> Xfd_sim.Faults.none); (fun () -> Xfd_sim.Faults.make ~skip_flush:[ 1 ] ()) ])
-    Xfd_experiments.Workload_set.all
-
-let keys (o : Engine.outcome) = List.map Xfd.Report.dedup_key o.Engine.unique_bugs
-
-let pool_tests =
+let thread_tests =
   [
-    Tu.case "200 detects at post_jobs=3 share at most cap helpers, and the major heap stays flat"
-      (fun () ->
-        let config = { Config.default with post_jobs = 3 } in
-        let detect () = ignore (Tu.detect ~config (Xfd_workloads.Btree.program ~init_size:2 ~size:3 ())) in
-        for _ = 1 to 5 do detect () done;
-        Gc.full_major ();
-        let heap0 = (Gc.quick_stat ()).Gc.heap_words in
-        for _ = 1 to 200 do detect () done;
-        Gc.full_major ();
-        let grown = (Gc.quick_stat ()).Gc.heap_words - heap0 in
-        let domains = Pool.domains () in
-        Alcotest.(check bool)
-          (Printf.sprintf "%d helpers, cap %d" domains Pool.cap)
-          true
-          (domains <= Pool.cap && (Pool.cap = 0 || domains >= 1));
-        Alcotest.(check (option (float 0.))) "engine.pool_domains" (Some (float_of_int domains))
-          (Xfd_obs.Obs.gauge_value "engine.pool_domains");
-        (* Spawning and joining two domains per detect grew the heap by
-           0.7M-1.0M words over these 200 detects, and on with every
-           detect; with the pool it grows by 0.19M-0.27M and levels off. *)
-        if grown > 400_000 then Alcotest.failf "major heap grew %d words over 200 detects" grown);
-    Tu.case "post_jobs 2, 3 and 8 give the sequential keys and fingerprints on every workload"
-      (fun () ->
-        List.iter
-          (fun make ->
-            let config, program = make () in
-            let seq = Tu.detect ~config program in
-            List.iter
-              (fun jobs ->
-                let config, program = make () in
-                let o = Tu.detect ~config:{ config with post_jobs = jobs } program in
-                let name = Printf.sprintf "%s, post_jobs=%d" o.Engine.program jobs in
-                Alcotest.(check (list string)) (name ^ ": keys") (keys seq) (keys o);
-                Alcotest.(check string) (name ^ ": fingerprint") (Xfd_serve.Job.fingerprint seq)
-                  (Xfd_serve.Job.fingerprint o))
-              [ 2; 3; 8 ])
-          (seeded_programs ()));
-    Tu.case "a fatal post run on a helper surfaces in failure-point order, releasing every byte"
-      (fun () ->
-        if Pool.cap >= 1 then begin
-          let caller = Domain.self () in
-          let helper_ran = Atomic.make false in
-          let mu = Mutex.create () and on_helper = ref [] in
-          (* The caller's runs wait until a helper has taken a point, so
-             at least one fails on a helper, whatever the scheduling. *)
-          let post epoch =
-            if Domain.self () = caller then
-              while not (Atomic.get helper_ran) do
-                Domain.cpu_relax ()
-              done
-            else begin
-              Atomic.set helper_ran true;
-              Mutex.protect mu (fun () -> on_helper := epoch :: !on_helper);
-              raise (Assert_failure ("helper", epoch, 0))
-            end
-          in
-          let image0 = Xfd_mem.Image.live_bytes () in
-          let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in
-          (match
-             Tu.detect ~config:{ Config.default with post_jobs = 3 } (epoch_program ~n:6 ~post)
-           with
-          | _ -> Alcotest.fail "the assertion was swallowed"
-          | exception Assert_failure (_, epoch, _) ->
-            Alcotest.(check int) "the first failing point's exception"
-              (List.fold_left min max_int !on_helper) epoch);
-          Alcotest.(check int) "pm chunk bytes released" image0 (Xfd_mem.Image.live_bytes ());
-          Alcotest.(check int) "shadow page bytes released" shadow0
-            (Xfd_mem.Shadow_pages.live_bytes ())
-        end);
-    Tu.case "a batch whose helpers are busy with another batch runs on its caller alone"
-      (fun () ->
-        if Pool.cap >= 1 then begin
-          let caller = Domain.self () in
-          let a_on_helper = Atomic.make false and b_done = Atomic.make false in
-          (* Batch A's helper run holds its helper until batch B is done;
-             A's caller returns once a helper holds A. *)
-          let work_a () =
-            if Domain.self () = caller then
-              while not (Atomic.get a_on_helper) do
-                Thread.yield ()
-              done
-            else begin
-              Atomic.set a_on_helper true;
-              while not (Atomic.get b_done) do
-                Domain.cpu_relax ()
-              done
-            end
-          in
-          let a_helpers = ref (-1) in
-          let a = Thread.create (fun () -> a_helpers := Pool.run ~helpers:Pool.cap work_a) () in
-          while not (Atomic.get a_on_helper) do
-            Thread.yield ()
-          done;
-          (* Every helper may be busy with A; B must not wait for one. *)
-          let b_ran = ref 0 in
-          let b_helpers = Pool.run ~helpers:1 (fun () -> incr b_ran) in
-          Atomic.set b_done true;
-          Thread.join a;
-          Alcotest.(check bool) "B ran on its caller" true (!b_ran >= 1);
-          Alcotest.(check bool) "B's helpers" true (b_helpers <= 1);
-          Alcotest.(check bool) "A had a helper" true (!a_helpers >= 1)
-        end);
-    Tu.case "two threads detecting at post_jobs=3 at once both get the sequential verdicts"
-      (fun () ->
+    Tu.case "two threads detecting at once both get the sequential verdicts" (fun () ->
         let programs =
           [
             (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
@@ -557,10 +403,9 @@ let pool_tests =
             (fun i p ->
               Thread.create
                 (fun () ->
-                  let config = { Config.default with post_jobs = 3 } in
                   results.(i) <-
                     List.init 5 (fun _ ->
-                        match Tu.detect ~config (p ()) with
+                        match Tu.detect (p ()) with
                         | o -> Xfd_serve.Job.fingerprint o
                         | exception e -> Printexc.to_string e))
                 ())
@@ -580,5 +425,5 @@ let suite =
     ("engine.config", config_tests);
     ("engine.workers", worker_exception_tests);
     ("engine.stream", stream_tests);
-    ("engine.pool", pool_tests);
+    ("engine.threads", thread_tests);
   ]

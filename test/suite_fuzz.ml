@@ -11,12 +11,10 @@ module Corpus = Xfd_fuzz.Corpus
 module Fuzz = Xfd_fuzz.Fuzz
 module Rng = Xfd_util.Rng
 module Engine = Xfd.Engine
-module Config = Xfd.Config
 
 let gen profile seed = Gen.generate profile (Rng.create (Int64.of_int seed))
 
-let engine_keys ?config p =
-  Oracle.keys_of_outcome (Engine.detect ?config (Prog.to_program p))
+let engine_keys p = Oracle.keys_of_outcome (Engine.detect (Prog.to_program p))
 
 let profile_arb =
   QCheck.make
@@ -99,14 +97,6 @@ let differential_tests =
         (* Planted bugs can occasionally be masked by later phrases; the
            overwhelming majority must still be caught. *)
         Alcotest.(check bool) "most buggy programs flagged" true (!found >= 25));
-    Tu.case "domain pool verdicts equal sequential verdicts" (fun () ->
-        let config = { Config.default with Config.post_jobs = 3 } in
-        for seed = 0 to 14 do
-          let p = gen Gen.Buggy seed in
-          Alcotest.(check (list string))
-            (Printf.sprintf "seed %d" seed)
-            (engine_keys p) (engine_keys ~config p)
-        done);
     Tu.case "detect_at over all ordinals reconstructs the full verdict" (fun () ->
         for seed = 0 to 9 do
           let p = gen Gen.Buggy seed in

@@ -11,7 +11,7 @@
    workloads and the planted-bug variants, and a broad fuzz sweep.  A
    final group asserts the engine's resource hygiene: every device and
    every flat shadow page is returned, even when the post-failure stage
-   aborts detection out of a worker domain. *)
+   aborts detection. *)
 
 module Prog = Xfd_fuzz.Prog
 module Gen = Xfd_fuzz.Gen
@@ -317,7 +317,7 @@ let l = Loc.of_pos __POS__
 
 (* A small program with several failure points whose post-failure stage
    trips a fatal harness error ([Assert_failure] aborts detection and
-   re-raises, including out of worker domains). *)
+   re-raises). *)
 let aborting_program () =
   let base = Xfd_mem.Addr.pool_base in
   {
@@ -353,9 +353,7 @@ let release_tests =
   [
     Tu.case "aborted runs release every device and shadow page" (fun () ->
         check_released "incremental" incremental;
-        check_released "fresh" fresh;
-        check_released "incremental post_jobs=2" { incremental with Config.post_jobs = 2 };
-        check_released "fresh post_jobs=2" { fresh with Config.post_jobs = 2 });
+        check_released "fresh" fresh);
     Tu.case "successful runs release every device and shadow page" (fun () ->
         let image0 = Xfd_mem.Image.live_bytes () in
         let shadow0 = Xfd_mem.Shadow_pages.live_bytes () in

@@ -365,12 +365,12 @@ let mt_tests =
 module Flight = Xfd_flight.Flight
 
 (* Two threads, each running [per_thread] detects of [program] in turn. *)
-let two_threads ~config ~per_thread program =
+let two_threads ~per_thread program =
   let results = Array.make 2 [] in
   let threads =
     List.init 2 (fun i ->
         Thread.create
-          (fun () -> results.(i) <- List.init per_thread (fun _ -> Tu.detect ~config (program ())))
+          (fun () -> results.(i) <- List.init per_thread (fun _ -> Tu.detect (program ())))
           ())
   in
   List.iter Thread.join threads;
@@ -426,8 +426,9 @@ let check_flight_runs ~runs =
       Alcotest.(check int) (run ^ ": an fp.verdict per failure point") fps (count "fp.verdict"))
     begun
 
-let ownership_case label ~config program =
-  Tu.case label (fun () ->
+let ownership_tests =
+  [
+    Tu.case "two threads x 20 streamed detects: each owns its spans and run id" (fun () ->
       let lvl0 = Flight.level () and cap0 = Flight.capacity () in
       Flight.clear ();
       Flight.set_level Flight.Debug;
@@ -440,20 +441,13 @@ let ownership_case label ~config program =
         (fun () ->
           let d0 = cval "flight.events_dropped" in
           let per_thread = 20 in
-          let outcomes = two_threads ~config ~per_thread program in
+          let outcomes =
+            two_threads ~per_thread (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ())
+          in
           List.iteri check_owned outcomes;
           Alcotest.(check int) "the flight ring kept every event" d0
             (cval "flight.events_dropped");
-          check_flight_runs ~runs:(2 * per_thread)))
-
-let ownership_tests =
-  [
-    ownership_case "two threads x 20 streamed detects: each owns its spans and run id"
-      ~config:Xfd.Config.default
-      (fun () -> Xfd_workloads.Btree.program ~init_size:2 ~size:3 ());
-    ownership_case "two threads x 20 detects at post_jobs=3: helpers' spans and events stay home"
-      ~config:{ Xfd.Config.default with post_jobs = 3 }
-      (fun () -> Xfd_workloads.Array_update.program ~size:3 ());
+          check_flight_runs ~runs:(2 * per_thread)));
   ]
 
 let suite =

@@ -328,7 +328,7 @@ let protocol_tests =
               (Json.to_string (workload_spec ~workload:"nope" ~init:0 ~test:1 ()));
             reject "unknown kind" {|{"kind":"weird"}|};
             reject "bad engine" {|{"workload":"btree","engine":"quantum"}|};
-            reject "out-of-range post_jobs" {|{"workload":"btree","post_jobs":99}|};
+            reject "out-of-range size" {|{"workload":"btree","init":1001}|};
             reject "malformed patch"
               (Json.to_string
                  (workload_spec ~patch:"warp-core=0" ~workload:"btree" ~init:0 ~test:1 ()));
