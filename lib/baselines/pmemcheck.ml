@@ -79,12 +79,3 @@ let run program =
   | exception Xfd_sim.Ctx.Detection_complete -> ());
   let result = check trace in
   (result, Unix.gettimeofday () -. t0)
-
-let pp_issue ppf { loc; addr; bytes; kind } =
-  let k =
-    match kind with
-    | `Not_persisted -> "store not persisted by end of run"
-    | `Superfluous_flush -> "superfluous flush of clean line"
-  in
-  Format.fprintf ppf "pmemcheck: %s at %a (%a, %d byte(s))" k Xfd_util.Loc.pp loc
-    Xfd_mem.Addr.pp addr bytes

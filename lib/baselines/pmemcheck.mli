@@ -20,5 +20,3 @@ val check : Xfd_trace.Trace.t -> result
 
 (** Trace the program's pre-failure stage and check it; returns wall time. *)
 val run : Xfd.Engine.program -> result * float
-
-val pp_issue : Format.formatter -> issue -> unit

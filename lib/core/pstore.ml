@@ -1,10 +1,11 @@
 module Addr = Xfd_mem.Addr
 module Pages = Xfd_mem.Shadow_pages
+module Loc = Xfd_util.Loc
 
-type 'm t = {
+type t = {
   pages : Pages.t;
   domain : Xfd_trace.Domain_model.t;
-  make_meta : unit -> 'm;
+  words : int;  (* cold words per PM byte *)
   (* The packed bytes a store and a non-temporal store leave, and the
      codes a flushed modified byte, a fenced pending byte and a byte
      drained by the GPF barrier take; whether fences and the barrier
@@ -16,14 +17,14 @@ type 'm t = {
   gpf_code : int;
   fence_persists : bool;
   gpf_persists : bool;
-  (* Page index to the page's slot in [metas], -1 for a miss.  Each slot
-     holds the option {!meta} returns, so a lookup allocates nothing. *)
-  meta_index : Xfd_util.Int_table.t;
-  mutable metas : 'm option array;
-  mutable n_metas : int;
-  (* One-entry cache: [last_meta] is the page [last_idx]'s fields. *)
-  mutable last_idx : int;
-  mutable last_meta : 'm option;
+  (* The location table: id [0] is [Loc.unknown]; a location is appended
+     unless it is physically the one interned last ([last_loc], whose id
+     is [last_id]).  Each store has its own: two detects may run at once
+     on two threads. *)
+  mutable locs : Loc.t array;
+  mutable n_locs : int;
+  mutable last_loc : Loc.t;
+  mutable last_id : int;
 }
 
 let c_modified = Pstate.code Pstate.Modified
@@ -39,7 +40,7 @@ let pack s =
 
 let all_states = Pstate.[ Unmodified; Modified; Writeback_pending; Persisted ]
 
-let create ~domain make_meta =
+let create ~domain ~words =
   let constant f = List.for_all (fun s -> Pstate.equal (f s) (f Pstate.Unmodified)) all_states in
   (* The write kernels store one target per event, whatever each byte
      held before: that holds in every model. *)
@@ -51,7 +52,7 @@ let create ~domain make_meta =
   {
     pages = Pages.create ();
     domain;
-    make_meta;
+    words;
     write_packed = pack (Pstate.on_write_in domain Pstate.Unmodified);
     nt_write_packed = pack (Pstate.on_nt_write_in domain Pstate.Unmodified);
     flush_code = Pstate.code (Pstate.on_flush_in domain Pstate.Modified);
@@ -59,58 +60,87 @@ let create ~domain make_meta =
     gpf_code = Pstate.code (drain Pstate.Modified);
     fence_persists = Pstate.persists_at_fence domain;
     gpf_persists = Pstate.persists_at_gpf domain;
-    meta_index = Xfd_util.Int_table.create 16;
-    metas = [||];
-    n_metas = 0;
-    last_idx = -1;
-    last_meta = None;
+    locs = Array.make 64 Loc.unknown;
+    n_locs = 1;
+    last_loc = Loc.unknown;
+    last_id = 0;
   }
 
 let domain t = t.domain
 let pages t = t.pages
 
+let truncate_locs t n =
+  t.n_locs <- n;
+  t.last_loc <- Loc.unknown;
+  t.last_id <- 0
+
 let release t =
   Pages.release t.pages;
-  Xfd_util.Int_table.clear t.meta_index;
-  t.metas <- [||];
-  t.n_metas <- 0;
-  t.last_idx <- -1;
-  t.last_meta <- None
+  t.locs <- [| Loc.unknown |];
+  truncate_locs t 1
 
-let page_index addr = addr lsr 12
-let offset = Pages.offset
+let meta t addr = Pages.column t.pages addr
+let own_meta t addr = Pages.own_column t.pages addr (8 * t.words * Pages.page_size)
 
-let meta t addr =
-  let idx = page_index addr in
-  if idx = t.last_idx then t.last_meta
-  else
-    let slot = Xfd_util.Int_table.find t.meta_index idx in
-    if slot < 0 then None
-    else begin
-      let r = Array.unsafe_get t.metas slot in
-      t.last_idx <- idx;
-      t.last_meta <- r;
-      r
-    end
+(* Field [word] of the byte at [off] in its page is word
+   [word * page_size + off] of the column. *)
+let slot ~word addr = (word * Pages.page_size) + Pages.offset addr
 
-let own_meta t addr =
-  match meta t addr with
-  | Some m -> m
-  | None ->
-    let m = t.make_meta () in
-    let r = Some m in
-    let idx = page_index addr in
-    if t.n_metas = Array.length t.metas then begin
-      let metas = Array.make (max 8 (2 * t.n_metas)) None in
-      Array.blit t.metas 0 metas 0 t.n_metas;
-      t.metas <- metas
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let get col i = if col == Bytes.empty then 0 else Int64.to_int (get64 col (8 * i))
+
+let fill col i n w =
+  let w = Int64.of_int w in
+  for k = i to i + n - 1 do
+    set64 col (8 * k) w
+  done
+
+let blit src i dst j n = Bytes.blit src (8 * i) dst (8 * j) (8 * n)
+
+let save_words t addr n dst at =
+  let col = meta t addr in
+  if col == Bytes.empty then fill dst at n 0 else blit col (Pages.offset addr) dst at n
+
+let restore_words t src at addr n =
+  let col = meta t addr in
+  if col != Bytes.empty then blit src at col (Pages.offset addr) n
+
+let word_at t ~word addr = get (meta t addr) (slot ~word addr)
+let fill_at t ~word addr n w = fill (own_meta t addr) (slot ~word addr) n w
+
+let set_logged t ~word k w =
+  let addrs = Pages.change_addrs t.pages in
+  for i = 0 to k - 1 do
+    let a = addrs.(i) in
+    set64 (own_meta t a) (8 * slot ~word a) (Int64.of_int w)
+  done
+
+(* The id of [loc] in the location table. *)
+let intern t loc =
+  if loc == t.last_loc then t.last_id
+  else begin
+    let id = t.n_locs in
+    if id = Array.length t.locs then begin
+      let locs = Array.make (2 * id) Loc.unknown in
+      Array.blit t.locs 0 locs 0 id;
+      t.locs <- locs
     end;
-    t.metas.(t.n_metas) <- r;
-    Xfd_util.Int_table.replace t.meta_index idx t.n_metas;
-    t.n_metas <- t.n_metas + 1;
-    t.last_idx <- idx;
-    t.last_meta <- r;
-    m
+    t.locs.(id) <- loc;
+    t.n_locs <- id + 1;
+    t.last_loc <- loc;
+    t.last_id <- id;
+    id
+  end
+
+let word t ~stamp loc =
+  if stamp < 0 || stamp > 0xffff_fffe then invalid_arg "Pstore.word: stamp out of range";
+  (stamp + 1) lor (intern t loc lsl 32)
+
+let stamp w = (w land 0xffff_ffff) - 1
+let loc t w = t.locs.(w lsr 32)
+let locs t = t.n_locs
 
 (* ------------------------------------------------------------------ *)
 (* Transfers *)

@@ -104,11 +104,6 @@ let pp_bug_explained ppf bug =
     String.split_on_char '\n' body
     |> List.iter (fun line -> if line <> "" then Format.fprintf ppf "    %s@." line)
 
-let pp_failure_report ppf { failure_point; trace_pos; bugs } =
-  Format.fprintf ppf "failure point %d (trace position %d): %d finding(s)@." failure_point
-    trace_pos (List.length bugs);
-  List.iter (fun b -> Format.fprintf ppf "  %a@." pp_bug b) bugs
-
 let loc_json (loc : Loc.t) =
   Xfd_util.Json.Obj [ ("file", Xfd_util.Json.Str loc.Loc.file); ("line", Xfd_util.Json.Int loc.Loc.line) ]
 

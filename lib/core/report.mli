@@ -67,8 +67,6 @@ val pp_bug : Format.formatter -> bug -> unit
     chain). *)
 val pp_bug_explained : Format.formatter -> bug -> unit
 
-val pp_failure_report : Format.formatter -> failure_report -> unit
-
 (** JSON form of one bug, for machine consumption (CI, dashboards). *)
 val bug_to_json : bug -> Xfd_util.Json.t
 

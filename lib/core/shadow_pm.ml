@@ -36,23 +36,7 @@ let journaled_shift =
   let rec go k = if 1 lsl k = bit_journaled then k else go (k + 1) in
   go 0
 
-(* Cold per-byte fields, one column per touched 4 KiB page: the
-   [cold_width] bytes from [cold_width * off] hold byte [off]'s cold word,
-   [tlast + 1] in the low 32 bits and the writer's id in the store's
-   location table above them, all zero for a byte never written.  A
-   [Bytes] is never scanned by the GC, and a segment's words move with
-   one fill or blit.  [hist] rows exist only on forensic base layers. *)
-type meta = { cold : Bytes.t; hist : History.t option array option }
-
-let cold_width = 8
-
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let cold_word ~tlast ~id = (tlast + 1) lor (id lsl 32)
-let tlast_of_word w = (w land 0xffff_ffff) - 1
-let id_of_word w = w lsr 32
-let max_ts = 0xffff_fffe
 
 (* The delta journal of the store's one post-failure divergence, by
    segment: before the divergence stores a run of bytes inside one page,
@@ -77,7 +61,7 @@ type journal = {
   mutable s_len : int array;
   mutable s_at : int array;  (* where the segment's copies start in [olds] *)
   mutable olds : Bytes.t;  (* saved packed bytes, segment after segment *)
-  mutable colds : Bytes.t;  (* their cold words, [cold_width] bytes each *)
+  mutable colds : Bytes.t;  (* their cold words, as a column lays them out *)
   mutable used : int;  (* bytes of [olds] in use *)
   mutable distinct : int;
   mutable p_addr : int array;
@@ -86,19 +70,19 @@ type journal = {
   mutable base_locs : int;
 }
 
+(* The provenance histories of a forensic store, one row per byte of each
+   page a base mutation touched, with the last page's rows at hand. *)
+type hists = {
+  rows : (int, History.t option array) Hashtbl.t;
+  mutable last_page : int;
+  mutable last_rows : History.t option array;
+}
+
 type store = {
-  ps : meta Pstore.t;
+  ps : Pstore.t;  (* one cold word per byte: [tlast] and the writer *)
   pages : Pages.t;  (* [Pstore.pages ps], kept at hand for the hot paths *)
-  record_hist : bool;
+  hists : hists option;  (* forensic stores only *)
   j : journal;
-  (* The location table: id [0] is [Loc.unknown]; a writer is appended
-     unless it is physically the one interned last ([last_loc], whose id
-     is [last_id]).  Each store has its own: two detects may run at once
-     on two threads. *)
-  mutable locs : Loc.t array;
-  mutable n_locs : int;
-  mutable last_loc : Loc.t;
-  mutable last_id : int;
   mutable gens : int;  (* overlays created so far *)
   mutable live : int;  (* generation of the live divergence; 0 = none *)
 }
@@ -108,16 +92,9 @@ type store = {
 type t = { store : store; gen : int }
 
 let journal_capacity = 64
-let page_mask = Pages.page_size - 1
 
 let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
-  let ps =
-    Pstore.create ~domain (fun () ->
-        {
-          cold = Bytes.make (cold_width * Pages.page_size) '\000';
-          hist = (if forensics then Some (Array.make Pages.page_size None) else None);
-        })
-  in
+  let ps = Pstore.create ~domain ~words:1 in
   let j =
     {
       n = 0;
@@ -125,7 +102,7 @@ let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
       s_len = Array.make journal_capacity 0;
       s_at = Array.make journal_capacity 0;
       olds = Bytes.create (4 * journal_capacity);
-      colds = Bytes.create (cold_width * 4 * journal_capacity);
+      colds = Bytes.create (8 * 4 * journal_capacity);
       used = 0;
       distinct = 0;
       p_addr = Array.make journal_capacity 0;
@@ -139,12 +116,10 @@ let create ?(forensics = false) ?(domain = Xfd_trace.Domain_model.Adr) () =
       {
         ps;
         pages = Pstore.pages ps;
-        record_hist = forensics;
+        hists =
+          (if forensics then Some { rows = Hashtbl.create 16; last_page = -1; last_rows = [||] }
+           else None);
         j;
-        locs = Array.make journal_capacity Loc.unknown;
-        n_locs = 1;
-        last_loc = Loc.unknown;
-        last_id = 0;
         gens = 0;
         live = 0;
       };
@@ -162,60 +137,16 @@ let clear_journal j =
 let release t =
   let store = t.store in
   Pstore.release store.ps;
+  Option.iter
+    (fun h ->
+      Hashtbl.reset h.rows;
+      h.last_page <- -1;
+      h.last_rows <- [||])
+    store.hists;
   clear_journal store.j;
-  store.locs <- [| Loc.unknown |];
-  store.n_locs <- 1;
-  store.last_loc <- Loc.unknown;
-  store.last_id <- 0;
   store.live <- 0
 
 let live t = t.gen = 0 || t.store.live = t.gen
-
-(* The id of [loc] in the location table. *)
-let intern store loc =
-  if loc == store.last_loc then store.last_id
-  else begin
-    let id = store.n_locs in
-    if id = Array.length store.locs then begin
-      let locs = Array.make (2 * id) Loc.unknown in
-      Array.blit store.locs 0 locs 0 id;
-      store.locs <- locs
-    end;
-    store.locs.(id) <- loc;
-    store.n_locs <- id + 1;
-    store.last_loc <- loc;
-    store.last_id <- id;
-    id
-  end
-
-(* [addr]'s page's cold column, [Bytes.empty] when it has none. *)
-let column store addr =
-  match Pstore.meta store.ps addr with Some m -> m.cold | None -> Bytes.empty
-
-let cold_of_column cold addr =
-  if cold == Bytes.empty then 0
-  else Int64.to_int (get64 cold (cold_width * (addr land page_mask)))
-
-let hist_of store addr =
-  match Pstore.meta store.ps addr with
-  | Some { hist = Some rows; _ } -> rows.(Pstore.offset addr)
-  | Some _ | None -> None
-
-(* The provenance history of [addr], created on first use.  Only base
-   mutations record history; divergences read it by reference, exactly as
-   the old overlay cells shared their parent's [hist]. *)
-let own_hist store addr =
-  let m = Pstore.own_meta store.ps addr in
-  match m.hist with
-  | None -> None
-  | Some rows -> (
-    let off = Pstore.offset addr in
-    match rows.(off) with
-    | Some _ as h -> h
-    | None ->
-      let h = History.create () in
-      rows.(off) <- Some h;
-      Some h)
 
 (* ------------------------------------------------------------------ *)
 (* Divergence journal *)
@@ -229,16 +160,11 @@ let rewind_div store =
   for i = j.n - 1 downto 0 do
     let addr = j.s_addr.(i) and n = j.s_len.(i) and at = j.s_at.(i) in
     Pages.restore store.pages addr n j.olds at;
-    let cold = column store addr in
-    if cold != Bytes.empty then
-      Bytes.blit j.colds (cold_width * at) cold (cold_width * (addr land page_mask))
-        (cold_width * n)
+    Pstore.restore_words store.ps j.colds at addr n
   done;
   clear_journal j;
   (* The divergence's writers go; so does a cached id among them. *)
-  store.n_locs <- j.base_locs;
-  store.last_loc <- Loc.unknown;
-  store.last_id <- 0;
+  Pstore.truncate_locs store.ps j.base_locs;
   store.live <- 0
 
 (* Any base-layer mutation invalidates the outstanding divergence: the
@@ -274,15 +200,14 @@ let reserve j n =
     j.s_at <- grow j.s_at (j.n + 1)
   end;
   j.olds <- grow_bytes j.olds (j.used + n);
-  j.colds <- grow_bytes j.colds (cold_width * (j.used + n))
+  j.colds <- grow_bytes j.colds (8 * (j.used + n))
 
 (* Push the [n] bytes from [addr], whose packed copies are already at
-   [j.used] in [olds], as a segment: their cold words come from [cold]
-   (zeros when it is [Bytes.empty]). *)
-let push j cold addr n =
+   [j.used] in [olds], as a segment, copying out their cold words. *)
+let push store addr n =
+  let j = store.j in
   let at = j.used in
-  if cold == Bytes.empty then Bytes.fill j.colds (cold_width * at) (cold_width * n) '\000'
-  else Bytes.blit cold (cold_width * (addr land page_mask)) j.colds (cold_width * at) (cold_width * n);
+  Pstore.save_words store.ps addr n j.colds at;
   let k = j.n in
   j.s_addr.(k) <- addr;
   j.s_len.(k) <- n;
@@ -316,15 +241,15 @@ let unjournaled b at n =
   done;
   !c
 
-(* Journal the [n] bytes from [addr], inside one page whose cold column
-   is [cold], before a divergence stores over all of them. *)
-let save store cold addr n =
+(* Journal the [n] bytes from [addr], inside one page, before a
+   divergence stores over all of them. *)
+let save store addr n =
   let j = store.j in
   reserve j n;
   Pages.blit_out store.pages addr n j.olds j.used;
   let fresh = unjournaled j.olds j.used n in
   if fresh > 0 then begin
-    push j cold addr n;
+    push store addr n;
     j.distinct <- j.distinct + fresh
   end
 
@@ -348,7 +273,7 @@ let save_changes store k =
       for x = 0 to n - 1 do
         Bytes.unsafe_set j.olds (j.used + x) (Char.unsafe_chr olds.(s + x))
       done;
-      push j (column store addrs.(s)) addrs.(s) n;
+      push store addrs.(s) n;
       j.distinct <- j.distinct + n
     end
   done
@@ -358,7 +283,7 @@ let overlay t =
   ensure_base store;
   store.gens <- store.gens + 1;
   store.live <- store.gens;
-  store.j.base_locs <- store.n_locs;
+  store.j.base_locs <- Pstore.locs store.ps;
   { store; gen = store.gens }
 
 let rewind t = if t.gen <> 0 && t.store.live = t.gen then rewind_div t.store
@@ -405,11 +330,10 @@ let packed t addr =
 (* The byte's cold word through this handle. *)
 let cold t addr =
   let i = source t addr in
-  if i < 0 then cold_of_column (column t.store addr) addr
-  else Int64.to_int (get64 t.store.j.colds (cold_width * i))
+  if i < 0 then Pstore.word_at t.store.ps ~word:0 addr else Pstore.get t.store.j.colds i
 
-let tlast t addr = tlast_of_word (cold t addr)
-let writer t addr = t.store.locs.(id_of_word (cold t addr))
+let tlast t addr = Pstore.stamp (cold t addr)
+let writer t addr = Pstore.loc t.store.ps (cold t addr)
 
 let pstate = Pstore.state
 let uninit packed = Pages.has packed bit_uninit
@@ -426,7 +350,13 @@ let find t addr =
         writer = writer t addr;
         uninit = uninit p;
         post_written = post_written p;
-        hist = hist_of t.store addr;
+        hist =
+          (match t.store.hists with
+          | Some h -> (
+            match Hashtbl.find_opt h.rows (addr lsr 12) with
+            | Some rows -> rows.(Pages.offset addr)
+            | None -> None)
+          | None -> None);
       }
 
 (* ------------------------------------------------------------------ *)
@@ -440,31 +370,56 @@ let find t addr =
 
 type mark = Write | Nt_write | Flush | Fence | Alloc
 
-let record_one store mark ~ev addr =
-  match own_hist store addr with
-  | Some h -> (
-    match mark with
-    | Write -> History.record_write h ~ev ~nt:false
-    | Nt_write -> History.record_write h ~ev ~nt:true
-    | Flush -> History.record_flush h ~ev
-    | Fence -> History.record_fence h ~ev
-    | Alloc -> History.record_alloc h ~ev)
-  | None -> ()
+(* Record into the provenance history of [addr], created on first use.
+   Only base mutations record history; divergences read it by reference,
+   exactly as the old overlay cells shared their parent's [hist]. *)
+let record_one hists mark ~ev addr =
+  let page = addr lsr 12 in
+  if page <> hists.last_page then begin
+    let rows =
+      match Hashtbl.find_opt hists.rows page with
+      | Some rows -> rows
+      | None ->
+        let rows = Array.make Pages.page_size None in
+        Hashtbl.replace hists.rows page rows;
+        rows
+    in
+    hists.last_page <- page;
+    hists.last_rows <- rows
+  end;
+  let off = addr land (Pages.page_size - 1) in
+  let h =
+    match hists.last_rows.(off) with
+    | Some h -> h
+    | None ->
+      let h = History.create () in
+      hists.last_rows.(off) <- Some h;
+      h
+  in
+  match mark with
+  | Write -> History.record_write h ~ev ~nt:false
+  | Nt_write -> History.record_write h ~ev ~nt:true
+  | Flush -> History.record_flush h ~ev
+  | Fence -> History.record_fence h ~ev
+  | Alloc -> History.record_alloc h ~ev
 
 (* Record the [k] logged bytes into their provenance histories: base
    mutations of a forensic store only. *)
 let record store mark ~ev k =
-  if store.record_hist then begin
+  match store.hists with
+  | None -> ()
+  | Some hists ->
     let addrs = Pages.change_addrs store.pages in
     for i = 0 to k - 1 do
-      record_one store mark ~ev addrs.(i)
+      record_one hists mark ~ev addrs.(i)
     done
-  end
 
 let record_segment store mark ~ev addr n =
-  if store.record_hist then
+  match store.hists with
+  | None -> ()
+  | Some hists ->
     for a = addr to addr + n - 1 do
-      record_one store mark ~ev a
+      record_one hists mark ~ev a
     done
 
 (* Counters move once per event, not once per byte: an enabled counter
@@ -477,29 +432,24 @@ let journal_bit journaling = if journaling then bit_journaled else 0
 let write t addr size ~ts ~ev ~loc ~nt ~post =
   let store = t.store in
   let journaling = journaling t in
-  if ts < 0 || ts > max_ts then invalid_arg "Shadow_pm.write: timestamp out of range";
   (* A store's target does not depend on the byte's old state, so each
      segment is one fill; only [bit_post] survives from the old byte. *)
   let target = Pstore.write_target store.ps ~nt in
   let set = target lor (if post then bit_post else 0) lor journal_bit journaling in
   let keep = if post then 0 else bit_post in
   let to_pending = Pages.has target Pages.bit_pending in
-  let word = cold_word ~tlast:ts ~id:(intern store loc) in
-  (* One page lookup and one cold-column lookup per page segment. *)
+  let word = Pstore.word store.ps ~stamp:ts loc in
+  (* One page lookup and one or two column lookups per page segment. *)
   let stop = addr + size and a = ref addr in
   while !a < stop do
-    let off = !a land page_mask in
-    let n = Int.min (stop - !a) (Pages.page_size - off) in
-    let cold = (Pstore.own_meta store.ps !a).cold in
+    let n = Int.min (stop - !a) (Pages.page_size - Pages.offset !a) in
     if journaling then begin
-      save store cold !a n;
+      save store !a n;
       if to_pending then push_pending store.j !a n
     end
     else record_segment store (if nt then Nt_write else Write) ~ev !a n;
     Pages.update store.pages !a n ~keep ~set;
-    for i = off to off + n - 1 do
-      set64 cold (cold_width * i) (Int64.of_int word)
-    done;
+    Pstore.fill_at store.ps ~word:0 !a n word;
     a := !a + n
   done;
   count
@@ -547,7 +497,7 @@ let fence t ~ev =
       (Pstore.fence_segments store.ps j.p_addr j.p_len n ~having:bit_journaled ~set:bit_journaled)
   end
   else begin
-    let k = Pstore.fence store.ps ~set:0 ~log:store.record_hist in
+    let k = Pstore.fence store.ps ~set:0 ~log:(Option.is_some store.hists) in
     record store Fence ~ev k;
     count c_to_persisted k
   end
@@ -563,7 +513,7 @@ let gpf t ~ev =
       (Pstore.gpf_segments store.ps j.s_addr j.s_len j.n ~having:bit_post ~set:bit_journaled)
   end
   else begin
-    let k = Pstore.gpf store.ps ~set:0 ~log:store.record_hist in
+    let k = Pstore.gpf store.ps ~set:0 ~log:(Option.is_some store.hists) in
     record store Fence ~ev k;
     count c_to_persisted k
   end
@@ -574,9 +524,9 @@ let mark_alloc_raw t addr size ~ev =
   let set = Pstore.pack Pstate.Unmodified lor bit_uninit lor journal_bit journaling in
   let stop = addr + size and a = ref addr in
   while !a < stop do
-    let off = !a land page_mask in
+    let off = Pages.offset !a in
     let n = Int.min (stop - !a) (Pages.page_size - off) in
-    if journaling then save store (column store !a) !a n
+    if journaling then save store !a n
     else record_segment store Alloc ~ev !a n;
     Pages.update store.pages !a n ~keep:0 ~set;
     a := !a + n

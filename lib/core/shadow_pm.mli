@@ -9,13 +9,11 @@
     State lives in a {!Pstore} (one packed byte per tracked PM byte in
     flat {!Xfd_mem.Shadow_pages}, plus per-page pending bitmaps), not in a
     hash map, so replay is cache-friendly and the fence hot loop touches
-    only pending bytes.  The cold fields — [tlast] and the writer — live
-    in one unscanned [Bytes] column per written page, 8 bytes per PM
-    byte: [tlast + 1] and the writer's id in the store's own location
-    table, all zero for a byte never written.  The linter's tracker
-    shares the packed layout and the {!Pstate} transfers; the divergence
-    journal, the columns, provenance histories and FSM counters are this
-    module's own.
+    only pending bytes.  The cold fields — [tlast] and the writer — are
+    one word per byte in the store's unscanned columns, the writer by id
+    in the store's location table.  The linter's tracker shares both
+    layouts and the {!Pstate} transfers; the divergence journal, the
+    provenance histories and FSM counters are this module's own.
 
     [overlay] creates the store's single rewindable divergence: the
     backend advances one canonical pre-failure shadow event-by-event and
@@ -34,9 +32,9 @@
     the byte).
 
     The journal and the location table's fork entries are scratch the
-    store owns: a rewind empties the one and truncates the other without
-    shrinking either, so forks stop allocating once they have grown to
-    the workload's size. *)
+    store owns: a rewind empties the one and truncates the other (through
+    {!Pstore.truncate_locs}) without shrinking either, so forks stop
+    allocating once they have grown to the workload's size. *)
 
 type cell = {
   pstate : Pstate.t;
@@ -46,9 +44,9 @@ type cell = {
   post_written : bool;
   hist : Xfd_forensics.History.t option;
       (** bounded provenance history (trace indices of the last writes,
-          writeback, fence and allocation); [Some] only when the shadow was
-          created with [~forensics:true].  Shared by reference with overlay
-          views — overlays never record into it. *)
+          writeback, fence and allocation), from a table only a shadow
+          created with [~forensics:true] keeps.  Shared by reference with
+          overlay views — overlays never record into it. *)
 }
 (** An immutable snapshot of one byte's state at lookup time. *)
 

@@ -199,7 +199,3 @@ let write_jsonl path =
     evs;
   close_out oc;
   List.length evs
-
-let pp_event ppf e =
-  Format.fprintf ppf "%9.6f %-5s %-6s %-20s" e.ts (level_to_string e.level) e.run e.name;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k (Json.to_string v)) e.fields

@@ -81,5 +81,3 @@ val event_to_json : event -> Xfd_util.Json.t
 (** Write the retained events to [path] as JSONL, oldest first; returns
     how many were written. *)
 val write_jsonl : string -> int
-
-val pp_event : Format.formatter -> event -> unit

@@ -1,6 +1,7 @@
 module Rng = Xfd_util.Rng
 module Report = Xfd.Report
 module Obs = Xfd_obs.Obs
+module D = Xfd_trace.Domain_model
 
 let c_programs = Obs.Counter.make "fuzz.programs"
 let c_divergences = Obs.Counter.make "fuzz.divergences"
@@ -219,6 +220,15 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
     let p = Gen.generate cfg.profile rng in
     let keys, o = detect_keys p in
     let oracle = Oracle.run p in
+    (* The pre-failure trace does not depend on the domain model: [p] is
+       traced once, and each model's lint report computed at most once. *)
+    let trace = lazy (Xfd_lint.Lint.pre_trace (Prog.to_program p)) in
+    let reports =
+      List.map
+        (fun m -> (m, lazy (Xfd_lint.Lint.check_trace ~domain:m (Lazy.force trace))))
+        D.all
+    in
+    let report_in m = Lazy.force (List.assoc m reports) in
     let diverges q =
       let k, o = detect_keys q in
       let r = Oracle.run q in
@@ -251,7 +261,7 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
          analyzer may under-approximate the dynamic detector but must never
          indict a well-formed persistence protocol. *)
       (if cfg.profile = Gen.Correct then
-         let r = lint_of p in
+         let r = report_in D.Adr in
          if not (Xfd_lint.Lint.clean r) then begin
            incr meta_failures;
            Obs.Counter.incr c_meta_failures;
@@ -272,7 +282,7 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
       (if cfg.profile = Gen.Correct then
          List.iter
            (fun m ->
-             let errs = error_keys (lint_in m p) in
+             let errs = error_keys (report_in m) in
              if errs <> [] then begin
                incr meta_failures;
                Obs.Counter.incr c_meta_failures;
@@ -280,22 +290,19 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
                  "metamorphic M5 violation at program %d: correct profile has error \
                   findings under %s [%s]@."
                  i
-                 (Xfd_trace.Domain_model.to_string m)
+                 (D.to_string m)
                  (String.concat "; " errs);
                shrink_and_save ~what:"M5 violation"
                  ~keep:(fun q -> error_keys (lint_in m q) <> [])
                  p
              end)
-           (List.filter
-              (fun m -> m <> Xfd_trace.Domain_model.Adr)
-              Xfd_trace.Domain_model.all));
-      (let eadr_added q =
-         let adr = error_keys (lint_of q) in
-         List.filter
-           (fun k -> not (List.mem k adr))
-           (error_keys (lint_in Xfd_trace.Domain_model.Eadr q))
+           (List.filter (fun m -> m <> D.Adr) D.all));
+      (let added_to adr eadr =
+         let adr = error_keys adr in
+         List.filter (fun k -> not (List.mem k adr)) (error_keys eadr)
        in
-       let added = eadr_added p in
+       let eadr_added q = added_to (lint_of q) (lint_in D.Eadr q) in
+       let added = added_to (report_in D.Adr) (report_in D.Eadr) in
        if added <> [] then begin
          incr meta_failures;
          Obs.Counter.incr c_meta_failures;
@@ -349,7 +356,7 @@ let run ?(out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())) cfg =
          exactly the evidence against pruning by lint — shrink and keep
          it (small per-run cap; saving re-evaluates lint + detection). *)
       if keys <> [] && List.exists Report.is_race o.Xfd.Engine.unique_bugs then begin
-        let missed = missed_race_keys (lint_of p) o in
+        let missed = missed_race_keys (report_in D.Adr) o in
         if missed <> [] then begin
           incr lint_misses;
           Obs.Counter.incr c_lint_misses;

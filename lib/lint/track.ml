@@ -18,16 +18,14 @@ type info = {
 }
 
 (* Per-byte state lives in a {!Xfd.Pstore}, shared in layout with the
-   detector's shadow; the cold provenance fields below sit in its
-   parallel per-page arrays. *)
-type meta = {
-  writer : Loc.t array;
-  write_epoch : int array;
-  flush : (Loc.t * int) option array;
-}
+   detector's shadow, and so do the cold fields: word [w_write] holds the
+   last store's epoch and writer, word [w_flush] the capturing flush's
+   epoch and location (zero while no flush captured the store). *)
+let w_write = 0
+let w_flush = 1
 
 type t = {
-  ps : meta Pstore.t;
+  ps : Pstore.t;
   pages : Pages.t;  (* [Pstore.pages ps], kept at hand for the hot paths *)
   mutable epoch : int;
   mutable in_roi : bool;
@@ -39,14 +37,7 @@ type t = {
 }
 
 let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
-  let ps =
-    Pstore.create ~domain (fun () ->
-        {
-          writer = Array.make Pages.page_size Loc.unknown;
-          write_epoch = Array.make Pages.page_size (-1);
-          flush = Array.make Pages.page_size None;
-        })
-  in
+  let ps = Pstore.create ~domain ~words:2 in
   {
     ps;
     pages = Pstore.pages ps;
@@ -59,7 +50,6 @@ let create ?(domain = Xfd_trace.Domain_model.Adr) ?(on_hit = fun _ -> ()) () =
     on_hit;
   }
 
-let domain t = Pstore.domain t.ps
 let release t = Pstore.release t.ps
 
 let checking t = t.in_roi && t.skip_depth = 0
@@ -73,40 +63,29 @@ let on_write t loc addr size ~nt =
     if not covered then t.on_hit (Tx_unlogged_write { loc; addr; size })
   end;
   let packed = Pstore.write_target t.ps ~nt in
-  let flush = if nt then Some (loc, t.epoch) else None in
-  (* One page lookup and one cold-field lookup per page segment. *)
+  let write = Pstore.word t.ps ~stamp:t.epoch loc in
+  let flush = if nt then write else 0 in
+  (* One page lookup and two column lookups per page segment. *)
   let stop = addr + size and a = ref addr in
   while !a < stop do
-    let off = Pstore.offset !a in
-    let n = min (stop - !a) (Pages.page_size - off) in
+    let off = Pages.offset !a in
+    let n = Int.min (stop - !a) (Pages.page_size - off) in
     Pages.update t.pages !a n ~keep:0 ~set:packed;
-    let m = Pstore.own_meta t.ps !a in
-    Array.fill m.writer off n loc;
-    Array.fill m.write_epoch off n t.epoch;
-    Array.fill m.flush off n flush;
+    Pstore.fill_at t.ps ~word:w_write !a n write;
+    Pstore.fill_at t.ps ~word:w_flush !a n flush;
     a := !a + n
   done
 
-(* Stamp [flush] on the [k] bytes the last transfer stored (the pages'
-   change log), looking the cold fields up once per page. *)
-let stamp_flush t k flush =
-  let addrs = Pages.change_addrs t.pages in
-  if k > 0 then begin
-    let idx = ref (addrs.(0) lsr 12) and m = ref (Pstore.own_meta t.ps addrs.(0)) in
-    for i = 0 to k - 1 do
-      let a = addrs.(i) in
-      if a lsr 12 <> !idx then begin
-        idx := a lsr 12;
-        m := Pstore.own_meta t.ps a
-      end;
-      !m.flush.(Pstore.offset a) <- flush
-    done
-  end
+(* Stamp the flush at [loc] in this epoch on the [k] bytes the last
+   transfer stored (the pages' change log). *)
+let stamp_flush t k loc =
+  if k > 0 then
+    Pstore.set_logged t.ps ~word:w_flush k (Pstore.word t.ps ~stamp:t.epoch loc)
 
 let on_flush t loc addr =
   let line = Addr.line_of addr in
   match Pstore.flush_line t.ps line ~set:0 with
-  | `Had_modified -> stamp_flush t (Pages.changes t.pages) (Some (loc, t.epoch))
+  | `Had_modified -> stamp_flush t (Pages.changes t.pages) loc
   | `Waste already when checking t -> t.on_hit (Redundant_flush { loc; line; already })
   | `Waste _ | `Clean -> ()
 
@@ -120,8 +99,8 @@ let on_fence t =
    outstanding byte becomes persistent at once and the barrier is an
    ordering point; elsewhere the event is inert. *)
 let on_gpf t loc =
-  if Pstate.persists_at_gpf (domain t) then begin
-    stamp_flush t (Pstore.gpf t.ps ~set:0 ~log:true) (Some (loc, t.epoch));
+  if Pstate.persists_at_gpf (Pstore.domain t.ps) then begin
+    stamp_flush t (Pstore.gpf t.ps ~set:0 ~log:true) loc;
     t.epoch <- t.epoch + 1
   end
 
@@ -160,13 +139,14 @@ let feed t ev =
   | Event.Read _ | Event.Commit_var _ | Event.Commit_range _ | Event.Marker _ -> ()
 
 let info_of t a packed : info =
-  let m = Pstore.meta t.ps a in
-  let off = Pstore.offset a in
+  let write = Pstore.word_at t.ps ~word:w_write a in
+  let flush = Pstore.word_at t.ps ~word:w_flush a in
   {
     state = Pstore.state packed;
-    writer = (match m with Some m -> m.writer.(off) | None -> Loc.unknown);
-    write_epoch = (match m with Some m -> m.write_epoch.(off) | None -> -1);
-    flush = (match m with Some m -> m.flush.(off) | None -> None);
+    writer = Pstore.loc t.ps write;
+    write_epoch = Pstore.stamp write;
+    flush =
+      (if flush = 0 then None else Some (Pstore.loc t.ps flush, Pstore.stamp flush));
   }
 
 let info t a =

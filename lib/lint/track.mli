@@ -3,7 +3,9 @@
     One pass over a trace maintaining, per byte, the persistence state
     ({!Xfd.Pstate.t}, stepped by the same transfers and stored in the same
     {!Xfd.Pstore} layout as the dynamic detector's shadow) with the
-    locations that produced it, plus transaction
+    locations that produced it, as two words of the store's unscanned
+    columns (the last store's epoch and writer, the capturing flush's
+    epoch and location), plus transaction
     and detection-framing context (RoI, skip regions, TX depth and logged
     ranges, fence-epoch counter).  The rules that {!Xfd_baselines.Pmtest}
     and {!Lint} have in common — unlogged writes inside a transaction,
@@ -68,7 +70,9 @@ val feed : t -> Xfd_trace.Event.t -> unit
     shared rules report. *)
 val checking : t -> bool
 
-(** Fence epochs elapsed (a fence closes the current epoch). *)
+(** Fence epochs elapsed (a fence closes the current epoch).  A store
+    or flush after more than [2{^32} - 2] of them raises
+    [Invalid_argument]: the columns keep an epoch in 32 bits. *)
 val epoch : t -> int
 
 val in_tx : t -> bool

@@ -52,6 +52,7 @@ type page = {
   pending_w : int array;
   mutable tracked_n : int;
   mutable pending_n : int;
+  mutable column : Bytes.t; (* the owner's cold fields, [Bytes.empty] until owned *)
 }
 
 type t = {
@@ -83,6 +84,7 @@ let new_page () =
     pending_w = Array.make words_per_page 0;
     tracked_n = 0;
     pending_n = 0;
+    column = Bytes.empty;
   }
 
 (* What a lookup of a page nobody made returns: its base is no page's. *)
@@ -119,6 +121,7 @@ let release t =
     t.released <- true;
     for k = 0 to t.n_pages - 1 do
       account_free ();
+      t.all.(k).column <- Bytes.empty;
       Xfd_util.Free_list.give free t.all.(k)
     done;
     Xfd_util.Int_table.clear t.index;
@@ -168,6 +171,13 @@ let make_page t addr =
 let own_page t addr =
   let p = find_page t addr in
   if p == no_page then make_page t addr else p
+
+let column t addr = (find_page t addr).column
+
+let own_column t addr n =
+  let p = own_page t addr in
+  if p.column == Bytes.empty then p.column <- Bytes.make n '\000';
+  p.column
 
 let byte p off = Char.code (Bytes.unsafe_get p.bytes off)
 

@@ -76,6 +76,13 @@ val iter_tracked : t -> (Addr.t -> int -> unit) -> unit
 val offset : Addr.t -> int
 (** Index of [addr] within its 4 KiB page. *)
 
+val column : t -> Addr.t -> Bytes.t
+val own_column : t -> Addr.t -> int -> Bytes.t
+(** The cold-field column of [addr]'s page ([Xfd.Pstore] lays it out),
+    [Bytes.empty] when it has none; [own_column t addr n] creates the
+    page and an all-zero [n]-byte column on first use.  {!release} drops
+    the columns. *)
+
 (** {1 Kernels}
 
     {!scan_restate}, and {!restate_all} when asked to, empty the change

@@ -1396,6 +1396,26 @@ let promoted_words_per_post_event_bound = 7.0
    the first figure. *)
 let pre_replay_major_words_bound = 81_940.
 
+(* A lint of a trace that writes, flushes and fences inside one page
+   keeps that page's cold fields in one 64 KiB [Bytes] column, 8,193
+   words: one [Lint.check_trace] allocates 8,194 words directly in the
+   major heap.  Three scanned 4096-slot arrays per page (writer, write
+   epoch, flush) made it 12,291.  The bound sits between the two. *)
+let one_page_lint_major_words_bound = 10_000.
+
+let one_page_trace () =
+  let t = Xfd_trace.Trace.create () in
+  let base = Xfd_mem.Addr.pool_base + (8 * Xfd_mem.Shadow_pages.page_size) in
+  let add kind = ignore (Xfd_trace.Trace.append t ~kind ~loc:l) in
+  add Xfd_trace.Event.Roi_begin;
+  for i = 0 to 31 do
+    let addr = base + (i * 64) in
+    add (Xfd_trace.Event.Write { addr; size = 64 });
+    add (Xfd_trace.Event.Clwb { addr });
+    add Xfd_trace.Event.Sfence
+  done;
+  t
+
 (* [Gc.minor_words] boxes its answer: the words one pair of calls costs. *)
 let idle_minor_words () =
   let m = Gc.minor_words () in
@@ -1512,6 +1532,18 @@ let alloc_tests =
         if direct > pre_replay_major_words_bound then
           Alcotest.failf "%.0f direct major words (bound %.0f)" direct
             pre_replay_major_words_bound);
+    Tu.case "a one-page lint allocates one column, not three page arrays" (fun () ->
+        let trace = one_page_trace () in
+        (* A warm-up fills the free list the packed page comes from. *)
+        ignore (Xfd_lint.Lint.check_trace trace);
+        let _, promoted0, major0 = Gc.counters () in
+        let r = Xfd_lint.Lint.check_trace trace in
+        let _, promoted1, major1 = Gc.counters () in
+        Alcotest.(check bool) "clean" true (Xfd_lint.Lint.clean r);
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        if direct > one_page_lint_major_words_bound then
+          Alcotest.failf "%.0f direct major words (bound %.0f)" direct
+            one_page_lint_major_words_bound);
     Tu.case "a warm fork's 256-byte write, clwb, sfence and rewind allocate nothing" (fun () ->
         let s = Shadow.create () in
         (* 256 bytes across a page boundary, over base bytes of all kinds:

@@ -1,7 +1,8 @@
 (* Tests for the static crash-consistency linter: one positive and one
    clean fixture per rule, the Abs lattice laws, JSON export, the
-   static-vs-dynamic triage goldens on real workloads, and the guarantee
-   that lint-guided scheduling never changes the dynamic verdict set. *)
+   static-vs-dynamic triage goldens on real workloads, the guarantee
+   that lint-guided scheduling never changes the dynamic verdict set, and
+   the tracker against its per-byte reference model. *)
 
 module Lint = Xfd_lint.Lint
 module Event = Xfd_trace.Event
@@ -423,6 +424,178 @@ let fuzz_props =
         Lint.clean (Lint.check_prog (Xfd_fuzz.Prog.to_program q)));
   ]
 
+(* ---- Track's cold fields against the per-byte reference model ---- *)
+
+module Track = Xfd_lint.Track
+
+type track_op =
+  | T_write of { addr : int; size : int; nt : bool; loc : int }
+  | T_flush of { addr : int; clflush : bool; loc : int }
+  | T_fence
+  | T_gpf of int
+
+let track_op_to_string = function
+  | T_write { addr; size; nt; loc } ->
+    Printf.sprintf "%swrite %d+%d @L%d" (if nt then "nt-" else "") addr size loc
+  | T_flush { addr; clflush; loc } ->
+    Printf.sprintf "%s %d @L%d" (if clflush then "clflush" else "clwb") addr loc
+  | T_fence -> "sfence"
+  | T_gpf loc -> Printf.sprintf "gpf @L%d" loc
+
+(* Two windows, one across each of the page boundaries at 4096 and 8192:
+   ranges start within 128 bytes of a boundary and reach at most 512
+   bytes further. *)
+let track_windows = [ 4096 - 128; 8192 - 128 ]
+let track_window = 256 + 512
+
+(* Writers and flushes name locations from one small shared pool, as a
+   program's call sites do. *)
+let track_locs = Array.init 3 (fun i -> Loc.make ~file:"track.ml" ~line:i)
+
+let track_event i op =
+  let kind, loc =
+    match op with
+    | T_write { addr; size; nt = false; loc } -> (Event.Write { addr; size }, loc)
+    | T_write { addr; size; nt = true; loc } -> (Event.Nt_write { addr; size }, loc)
+    | T_flush { addr; clflush = false; loc } -> (Event.Clwb { addr }, loc)
+    | T_flush { addr; clflush = true; loc } -> (Event.Clflush { addr }, loc)
+    | T_fence -> (Event.Sfence, 0)
+    | T_gpf loc -> (Event.Gpf, loc)
+  in
+  { Event.seq = i; kind; loc = track_locs.(loc) }
+
+let show_info = function
+  | None -> "none"
+  | Some (i : Track.info) ->
+    Printf.sprintf "%s by %s in %d, flush %s" (Xfd.Pstate.to_string i.state)
+      (Loc.to_string i.writer) i.write_epoch
+      (match i.flush with
+      | None -> "none"
+      | Some (l, e) -> Printf.sprintf "%s in %d" (Loc.to_string l) e)
+
+let sorted_unpersisted l = List.sort (fun (a, _) (b, _) -> compare a b) l
+
+(* [Ok ()] when the tracker and the model answer alike after every
+   operation: the info of every byte of both windows, the sorted
+   unpersisted bytes, the epoch and the hits fired so far. *)
+let tracks_agree ~domain ops =
+  let hits = ref [] and model_hits = ref [] in
+  let tr = Track.create ~domain ~on_hit:(fun h -> hits := h :: !hits) () in
+  let m = Track_model.create ~domain ~on_hit:(fun h -> model_hits := h :: !model_hits) () in
+  let start = { Event.seq = 0; kind = Event.Roi_begin; loc = track_locs.(0) } in
+  Track.feed tr start;
+  Track_model.feed m start;
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest -> (
+      let ev = track_event (i + 1) op in
+      Track.feed tr ev;
+      Track_model.feed m ev;
+      let fail what =
+        Error
+          (Printf.sprintf "%s: after op %d (%s): %s"
+             (Xfd_trace.Domain_model.to_string domain)
+             i (track_op_to_string op) what)
+      in
+      let bytes = List.concat_map (fun lo -> List.init track_window (fun k -> lo + k)) track_windows in
+      match List.find_opt (fun a -> Track.info tr a <> Track_model.info m a) bytes with
+      | Some a ->
+        fail
+          (Printf.sprintf "byte %d: %s (model) vs %s" a
+             (show_info (Track_model.info m a))
+             (show_info (Track.info tr a)))
+      | None ->
+        if sorted_unpersisted (Track.unpersisted tr) <> sorted_unpersisted (Track_model.unpersisted m)
+        then fail "unpersisted bytes differ"
+        else if Track.epoch tr <> Track_model.epoch m then
+          fail (Printf.sprintf "epoch %d (model) vs %d" (Track_model.epoch m) (Track.epoch tr))
+        else if !hits <> !model_hits then fail "hits differ"
+        else go (i + 1) rest)
+  in
+  let r = go 0 ops in
+  Track.release tr;
+  r
+
+let track_op_gen =
+  let open QCheck.Gen in
+  let addr =
+    oneofl track_windows >>= fun lo ->
+    frequency
+      [
+        (3, map (fun i -> lo + i) (int_bound 255));
+        (* ranges that start just below the page boundary *)
+        (1, map (fun i -> lo + 128 - 16 + i) (int_bound 15));
+      ]
+  in
+  let size =
+    frequency
+      [ (4, oneofl [ 1; 2; 4; 8; 8; 16 ]); (2, int_range 1 64); (1, int_range 65 512) ]
+  in
+  let loc = int_bound (Array.length track_locs - 1) in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun (addr, nt) size loc -> T_write { addr; size; nt; loc })
+          (pair addr (frequency [ (3, return false); (1, return true) ]))
+          size loc );
+      (4, map3 (fun addr clflush loc -> T_flush { addr; clflush; loc }) addr bool loc);
+      (2, return T_fence);
+      (1, map (fun l -> T_gpf l) loc);
+    ]
+
+(* No [long_factor] here: the nightly job sets QCHECK_LONG_FACTOR. *)
+let track_model_prop =
+  QCheck.Test.make ~count:150 ~name:"the tracker answers as the per-byte model"
+    (QCheck.make
+       ~print:(fun (domain, ops) ->
+         Printf.sprintf "%s: %s"
+           (Xfd_trace.Domain_model.to_string domain)
+           (String.concat "; " (List.map track_op_to_string ops)))
+       ~shrink:(fun (d, ops) yield -> QCheck.Shrink.list ops (fun ops -> yield (d, ops)))
+       QCheck.Gen.(pair (oneofl Xfd_trace.Domain_model.all) (list_size (int_range 1 40) track_op_gen)))
+    (fun (domain, ops) ->
+      match tracks_agree ~domain ops with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+let track_model_tests =
+  [
+    Tu.case "model agreement: stores, flushes, a fence and a GPF across both boundaries"
+      (fun () ->
+        List.iter
+          (fun domain ->
+            match
+              tracks_agree ~domain
+                [
+                  T_write { addr = 4050; size = 100; nt = false; loc = 0 };
+                  T_write { addr = 8180; size = 30; nt = true; loc = 1 };
+                  T_flush { addr = 4095; clflush = false; loc = 2 };
+                  T_flush { addr = 4096; clflush = true; loc = 2 };
+                  T_flush { addr = 8192; clflush = false; loc = 0 };
+                  T_write { addr = 4090; size = 4; nt = false; loc = 1 };
+                  T_fence;
+                  T_flush { addr = 4096; clflush = false; loc = 1 };
+                  T_gpf 2;
+                  T_flush { addr = 4090; clflush = false; loc = 0 };
+                ]
+            with
+            | Ok () -> ()
+            | Error msg -> Alcotest.fail msg)
+          Xfd_trace.Domain_model.all);
+    Tu.case "an epoch past 0xffff_fffe raises" (fun () ->
+        (* Track stamps every store and flush with [Pstore.word]; 2^32 - 1
+           fences are too many to feed, so the bound is checked there. *)
+        let ps = Xfd.Pstore.create ~domain:Xfd_trace.Domain_model.Adr ~words:2 in
+        let w = Xfd.Pstore.word ps ~stamp:0xffff_fffe track_locs.(1) in
+        Alcotest.(check int) "the last epoch a word holds" 0xffff_fffe (Xfd.Pstore.stamp w);
+        Alcotest.(check bool) "its location" true (Xfd.Pstore.loc ps w == track_locs.(1));
+        Alcotest.check_raises "one epoch more" (Invalid_argument "Pstore.word: stamp out of range")
+          (fun () -> ignore (Xfd.Pstore.word ps ~stamp:(0xffff_fffe + 1) track_locs.(1)));
+        Xfd.Pstore.release ps);
+    QCheck_alcotest.to_alcotest track_model_prop;
+  ]
+
 let suite =
   [
     ("lint.rules", rule_tests);
@@ -431,4 +604,5 @@ let suite =
     ("lint.goldens", golden_tests);
     ("lint.guided", guided_tests);
     ("lint.fuzz-oracle", List.map QCheck_alcotest.to_alcotest fuzz_props);
+    ("lint.track_model", track_model_tests);
   ]
